@@ -1,9 +1,13 @@
 """Time integration of the critical heat equation with blow-up detection.
 
 The default integrator is first-order IMEX: backward Euler on the diffusion
-(tridiagonal solve) and explicit reaction, which keeps the discrete maximum
-principle unconditionally on the diffusion side and therefore supports the
-comparison diagnostics. The reaction step is bounded by
+and explicit reaction, which keeps the discrete maximum principle
+unconditionally on the diffusion side and therefore supports the comparison
+diagnostics. The diffusion solve is posed in its symmetric form
+(D + dt K) x = D b, with D the cell weights and K the stiffness matrix of the
+face weights; that matrix is symmetric positive definite and tridiagonal, so
+it is factored once per time step size (LAPACK dpttrf) and every step at that
+size is one dpttrs solve. The reaction step is bounded by
 dt <= safety / sup|v|^{p-1}, which resolves the reaction-dominated ramp into
 blow-up; blow-up is declared only when the sup norm has crossed the threshold
 AND the time step has collapsed to dt_min while the norm keeps growing.
@@ -17,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import IntegratorFailure
 from .mesh import RadialField, integrate_weighted
@@ -80,59 +84,77 @@ def energy(u: RadialField, params: ProblemParams) -> float:
     """Dissipated functional: 1/2 |grad u|^2 - |u|^{p+1}/(p+1), weighted volume integral."""
     g = u.grid
     du = np.diff(u.values)
-    grad2 = float(np.sum(g.face_weights * du * du))
+    grad2 = float(np.dot(g.face_weights * du, du))
     with np.errstate(over="ignore", invalid="ignore"):
-        pot = float(np.sum(g.cell_weights * np.abs(u.values) ** (params.p + 1.0)))
+        pot = float(np.dot(g.cell_weights, (u.values * u.values) ** (0.5 * (params.p + 1.0))))
     return sphere_area(g.N) * (0.5 * grad2 - pot / (params.p + 1.0))
 
 
 class _Stepper:
-    """One IMEX step on the interior unknowns of a zero-trace field."""
+    """One IMEX step on the interior unknowns of a zero-trace field.
+
+    The discrete Laplacian on the interior is -D^{-1} K, with D the interior
+    cell weights and K the symmetric stiffness matrix of the face weights
+    (diagonal beta_{j-1/2} + beta_{j+1/2}, off-diagonal -beta_{j+1/2}). The
+    implicit solve (I + s D^{-1} K) x = b is done as (D + s K) x = D b, whose
+    matrix is symmetric positive definite for s >= 0. Its L D L^T factor
+    (dpttrf) is kept until the scale s changes, so a run at a fixed dt factors
+    once and then pays one dpttrs solve per step.
+    """
 
     def __init__(self, grid, params: ProblemParams, integrator: str):
         self.params = params
         self.integrator = integrator
-        beta, D = grid.face_weights, grid.cell_weights
-        Din = D[1:-1]
-        self.lo = beta[1:-1] / Din[1:]
-        self.up = beta[1:-1] / Din[:-1]
-        self.diag = -(beta[:-1] + beta[1:]) / Din
-        self.n = Din.size
+        beta = grid.face_weights
+        self.mass = grid.cell_weights[1:-1]
+        self.k_diag = beta[:-1] + beta[1:]
+        self.k_off = beta[1:-1]
+        self._scale = None
+        self._factor = None
 
     def _solve(self, scale: float, rhs: np.ndarray) -> np.ndarray:
-        ab = np.zeros((3, self.n))
-        ab[0, 1:] = -scale * self.up
-        ab[1, :] = 1.0 - scale * self.diag
-        ab[2, :-1] = -scale * self.lo
-        return solve_banded((1, 1), ab, rhs, overwrite_ab=True)
+        """x with (I + scale D^{-1} K) x = rhs; non-finite rhs entries give non-finite x."""
+        if scale != self._scale:
+            d, e, info = dpttrf(self.mass + scale * self.k_diag, -scale * self.k_off, overwrite_d=1, overwrite_e=1)
+            if info != 0:
+                raise IntegratorFailure(
+                    f"diffusion matrix at scale {scale:.6e} is not positive definite (dpttrf info={info})",
+                    {"info": info, "scale": scale},
+                )
+            self._scale, self._factor = scale, (d, e)
+        x, _ = dpttrs(*self._factor, self.mass * rhs, overwrite_b=1)
+        return x
 
     def _lap(self, w: np.ndarray) -> np.ndarray:
-        out = self.diag * w
-        out[:-1] += self.up * w[1:]
-        out[1:] += self.lo * w[:-1]
-        return out
+        kw = self.k_diag * w
+        kw[:-1] -= self.k_off * w[1:]
+        kw[1:] -= self.k_off * w[:-1]
+        return -kw / self.mass
 
     def step(self, v: np.ndarray, dt: float) -> np.ndarray:
         """v holds the full nodal array; endpoints stay pinned to zero."""
         p = self.params.p
-        w = v[1:-1]
-        out = np.zeros_like(v)
         if self.integrator == "reaction-only":
             with np.errstate(over="ignore", invalid="ignore"):
                 base = 1.0 - (p - 1.0) * np.abs(v) ** (p - 1.0) * dt
                 mapped = np.where(base > 0.0, v * np.abs(base) ** (-1.0 / (p - 1.0)), np.sign(v) * np.inf)
             return mapped
+        w = v[1:-1]
         with np.errstate(over="ignore", invalid="ignore"):
             react = np.abs(w) ** (p - 1.0) * w
-        if self.integrator == "imex-be":
-            out[1:-1] = self._solve(dt, w + dt * react)
-        else:  # imex-cn
-            out[1:-1] = self._solve(0.5 * dt, w + 0.5 * dt * self._lap(w) + dt * react)
+            out = np.zeros_like(v)
+            if self.integrator == "imex-be":
+                out[1:-1] = self._solve(dt, w + dt * react)
+            else:  # imex-cn
+                out[1:-1] = self._solve(0.5 * dt, w + 0.5 * dt * self._lap(w) + dt * react)
         return out
 
 
 def _adaptive_dt(sup: float, cfg: FlowConfig, p: float, remaining: float) -> float:
-    dt = cfg.dt_max if sup == 0.0 else min(cfg.dt_max, cfg.safety / sup ** (p - 1.0))
+    try:
+        dt = cfg.dt_max if sup == 0.0 else min(cfg.dt_max, cfg.safety / sup ** (p - 1.0))
+    except OverflowError:  # sup^(p-1) past the float range: the reaction step will overflow
+        dt = cfg.dt_min
     dt = max(dt, cfg.dt_min)
     return min(dt, remaining)
 
@@ -146,7 +168,13 @@ def _fit_blowup_time(ts: np.ndarray, sups: np.ndarray, p: float, thr: float | No
     # clamped steps can multiply sup by orders of magnitude per step, leaving
     # fewer than 3 samples within a decade of the maximum
     level = top if thr is None else min(top, thr)
-    mask = finite & (sups >= level / 10.0)
+    # a clamped step can also jump from below the window straight past the
+    # threshold (p = 5); widen one decade at a time until 3 samples fit
+    lo, bottom = level / 10.0, np.min(sups[finite])
+    mask = finite & (sups >= lo)
+    while mask.sum() < 3 and lo > bottom:
+        lo /= 10.0
+        mask = finite & (sups >= lo)
     if mask.sum() < 3:
         return None
     t, y = ts[mask], sups[mask] ** (1.0 - p)
@@ -170,8 +198,8 @@ def evolve(v0: RadialField, params: ProblemParams, cfg: FlowConfig) -> FlowResul
     collapse = 0
     crossed_at = None
     thr = cfg.blow_threshold * sup0
+    sup = sup0
     while t < cfg.t_end:
-        sup = float(np.max(np.abs(v)))
         dt = _adaptive_dt(sup, cfg, params.p, cfg.t_end - t)
         v_new = stepper.step(v, dt)
         t += dt
@@ -217,7 +245,7 @@ def evolve(v0: RadialField, params: ProblemParams, cfg: FlowConfig) -> FlowResul
                     T_estimate=_fit_blowup_time(arr[:, 0], arr[:, 1], params.p, thr),
                     T_bracket=(crossed_at, t),
                 )
-        v = v_new
+        v, sup = v_new, sup_new
     arr = np.asarray(series) if series else np.zeros((0, 4))
     final = RadialField(v0.grid, v, v0.dirichlet)
     if crossed_at is not None:
@@ -318,6 +346,11 @@ def linearized_evolve(
         zn = np.zeros_like(z)
         zn[1:-1] = stepper._solve(dt, rhs)
         nn = wnorm(zn)
+        if not (np.isfinite(nn) and nn > 0.0):
+            raise IntegratorFailure(
+                f"linearized step at t={t + dt:.6e} gave norm {nn!r}",
+                {"t": t + dt, "steps": len(rows)},
+            )
         zn /= nn
         log_growth += np.log(nn)
         z = zn
@@ -386,8 +419,8 @@ def linear_nonlinear_consistency(
         zn[1:-1] = stepper._solve(dt, z[1:-1] * (1.0 + dt * V))
         z = zn
         t += dt
-        if not np.isfinite(v).all():
-            break
+        if not (np.isfinite(v).all() and np.isfinite(z).all()):
+            raise IntegratorFailure(f"overflow at t={t:.6e} in the linear/nonlinear comparison", {"t": t})
         dv = v - phi
         if float(np.max(np.abs(dv))) > linear_window * sup_phi:
             break
@@ -430,8 +463,8 @@ def find_separation_time(
     best_frac = 0.0
     best_t = 0.0
     proj_sign = 0.0
+    sup = sup0
     while t < cfg.t_end:
-        sup = float(np.max(np.abs(v)))
         dt = _adaptive_dt(sup, cfg, params.p, cfg.t_end - t)
         v_new = stepper.step(v, dt)
         t += dt
@@ -470,7 +503,7 @@ def find_separation_time(
                     "steps": nstep,
                 },
             }
-        v = v_new
+        v, sup = v_new, sup_new
     return {
         "t0": None,
         "margin": 0.0,
@@ -569,8 +602,8 @@ def comparison_monitor(
     violation = 0.0
     rows = []
     stopped = "horizon"
+    sup = max(float(np.max(np.abs(va))), float(np.max(np.abs(vb))))
     while t < cfg.t_end:
-        sup = max(float(np.max(np.abs(va))), float(np.max(np.abs(vb))))
         dt = _adaptive_dt(sup, cfg, params.p, cfg.t_end - t)
         va = stepper.step(va, dt)
         vb = stepper.step(vb, dt)
@@ -585,4 +618,5 @@ def comparison_monitor(
         if sup_new > thr:
             stopped = "blow-up threshold"
             break
+        sup = sup_new
     return {"violation": violation, "series": np.asarray(rows), "stopped": stopped, "t_final": t}

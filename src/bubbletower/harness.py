@@ -30,7 +30,6 @@ from .spectral import (
     assemble_operator,
     eigenvalue_k,
     first_eigenpair,
-    limit_eigenpair,
     limit_overlap,
     limit_scan,
     scaled_eigenvalue_diagnostic,
@@ -291,8 +290,7 @@ def run_limit(cfg: dict, root, config_path=None):
     manifest = _start_manifest("limit", cfg, config_path)
     N = cfg["N"]
     scan = limit_scan(N, radii=cfg["radii"], M_at_largest=cfg["M_limit"])
-    R_max = max(cfg["radii"])
-    pair = limit_eigenpair(N, R_max, cfg["M_limit"])
+    pair = scan["pair"]
     write_csv(
         outdir / "limit_eigenfunction.csv",
         ["r", "phi_star"],

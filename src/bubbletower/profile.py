@@ -4,7 +4,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .mesh import RadialField, RadialGrid
 from .params import ProblemParams, bubble_amplitude, critical_exponent
@@ -125,6 +124,30 @@ def ef_peak_height(N: int) -> float:
     return bubble_amplitude(N) * 2.0 ** (-(N - 2) / 2)
 
 
+def _find_peaks(x: np.ndarray, prominence: float) -> np.ndarray:
+    """Indices of the local maxima of x with at least the given prominence.
+
+    Same rules as scipy.signal.find_peaks(x, prominence=...): a flat maximum is
+    reported at its midpoint (rounded down), a plateau touching either end is
+    no peak, and the prominence is the height above the higher of the two
+    minima taken on each side out to the nearest strictly higher sample (or
+    the end of the array).
+    """
+    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+    ends = np.r_[starts[1:] - 1, x.size - 1]
+    level = x[starts]
+    runs = np.flatnonzero((level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])) + 1
+    peaks = []
+    for j in (starts[runs] + ends[runs]) // 2:
+        higher_left = np.flatnonzero(x[:j] > x[j])
+        higher_right = np.flatnonzero(x[j + 1 :] > x[j])
+        left = higher_left[-1] + 1 if higher_left.size else 0
+        right = j + 1 + higher_right[0] if higher_right.size else x.size
+        if x[j] - max(x[left : j + 1].min(), x[j:right].min()) >= prominence:
+            peaks.append(j)
+    return np.array(peaks, dtype=int)
+
+
 def extract_concentrations(u: RadialField, k: int) -> np.ndarray:
     """Measured scales delta_i = exp(s at the i-th peak of |w|), descending.
 
@@ -136,7 +159,7 @@ def extract_concentrations(u: RadialField, k: int) -> np.ndarray:
     s, w = emden_fowler_transform(u)
     aw = np.abs(w)
     prominence = 0.1 * ef_peak_height(u.grid.N)
-    idx, _ = find_peaks(aw, prominence=prominence)
+    idx = _find_peaks(aw, prominence)
     if idx.size < k:
         raise ValueError(f"found {idx.size} concentration peaks, expected {k}")
     # keep the k most prominent by height

@@ -203,14 +203,15 @@ def limit_scan(N: int, radii=(20.0, 40.0, 80.0), M_at_largest: int = 4096) -> di
     lambda*_{2R} <= lambda*_R hold exactly in the discrete setting. The
     extrapolated value combines the largest radius with Richardson in h
     (order-2 stencil), and the radius-convergence estimate is the gap between
-    the two largest radii.
+    the two largest radii. "pair" is the eigenpair at the largest radius.
     """
     radii = tuple(sorted(float(R) for R in radii))
     R_max = radii[-1]
     out = {}
     for R in radii:
         M = int(round(M_at_largest * R / R_max))
-        out[R] = limit_eigenpair(N, R, M).lam
+        pair = limit_eigenpair(N, R, M)
+        out[R] = pair.lam
     lam_h = out[R_max]
     lam_h2 = limit_eigenpair(N, R_max, 2 * M_at_largest).lam
     extrapolated = (4.0 * lam_h2 - lam_h) / 3.0
@@ -219,6 +220,7 @@ def limit_scan(N: int, radii=(20.0, 40.0, 80.0), M_at_largest: int = 4096) -> di
         "lambda_star": extrapolated,
         "r_convergence": abs(out[radii[-1]] - out[radii[-2]]) if len(radii) > 1 else 0.0,
         "h_gap": abs(lam_h2 - lam_h),
+        "pair": pair,
     }
 
 

@@ -51,8 +51,9 @@ def limit4():
 
 
 @pytest.fixture(scope="session")
-def limit_pair4():
-    return bt.limit_eigenpair(4, 80.0, 4096)
+def limit_pair4(limit4):
+    # limit_scan(4) solves the largest rung, (R, M) = (80, 4096), and hands it back
+    return limit4["pair"]
 
 
 @pytest.fixture(scope="session")

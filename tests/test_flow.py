@@ -3,6 +3,7 @@ import pytest
 
 import bubbletower as bt
 from bubbletower.errors import IntegratorFailure
+from bubbletower.flow import _Stepper
 
 KEY = (4, 2, 1e-3)
 
@@ -242,3 +243,116 @@ def test_positivity_preserved():
     res = bt.evolve(_bump(g), params, bt.FlowConfig(t_end=5e-3, dt_max=1e-4))
     mn = float(np.min(res.final.values))
     assert mn >= -1e-14
+
+
+def _interior_laplacian(g):
+    """Dense interior block of the radial Laplacian, assembled column by column."""
+    n = g.nodes.size
+    cols = []
+    for j in range(1, n - 1):
+        e = np.zeros(n)
+        e[j] = 1.0
+        cols.append(bt.apply_radial_laplacian(bt.RadialField(g, e)).values[1:-1])
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize("integrator", ("imex-be", "imex-cn"))
+def test_stepper_matches_dense_solve(integrator):
+    g = bt.build_grid(0.1, 1.0, 64, N=3)
+    params = bt.ProblemParams(3, 1, 0.1)
+    p, dt = params.p, 1e-3
+    v = _bump(g, 1.5).values
+    w = v[1:-1]
+    A = _interior_laplacian(g)
+    I = np.eye(w.size)
+    react = np.abs(w) ** (p - 1.0) * w
+    if integrator == "imex-be":
+        want = np.linalg.solve(I - dt * A, w + dt * react)
+    else:
+        want = np.linalg.solve(I - 0.5 * dt * A, w + 0.5 * dt * (A @ w) + dt * react)
+    got = _Stepper(g, params, integrator).step(v, dt)
+    assert got[0] == 0.0 and got[-1] == 0.0
+    assert np.max(np.abs(got[1:-1] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_stepper_refactors_when_dt_changes():
+    # a stale factor from an earlier dt would show as a mismatch at the last step
+    g = bt.build_grid(0.1, 1.0, 64, N=3)
+    params = bt.ProblemParams(3, 1, 0.1)
+    v = _bump(g, 1.5).values
+    shared = _Stepper(g, params, "imex-be")
+    for dt in (1e-3, 3e-5, 1e-3):
+        got = shared.step(v, dt)
+        assert np.array_equal(got, _Stepper(g, params, "imex-be").step(v, dt))
+    assert not np.array_equal(shared.step(v, 3e-5), shared.step(v, 1e-3))
+
+
+def test_stepper_indefinite_matrix_raises_with_info():
+    # a negative step makes D + dt K indefinite, which dpttrf reports
+    g = bt.build_grid(0.1, 1.0, 64, N=3)
+    stepper = _Stepper(g, bt.ProblemParams(3, 1, 0.1), "imex-be")
+    with pytest.raises(IntegratorFailure) as err:
+        stepper.step(_bump(g).values, -1.0)
+    info = err.value.diagnostics["info"]
+    assert info > 0
+    assert f"info={info}" in str(err.value)
+
+
+def test_overflowing_reaction_raises_integrator_failure():
+    g = bt.build_grid(0.5, 1.0, 256, N=4)
+    with pytest.raises(IntegratorFailure, match="overflow"):
+        bt.evolve(_bump(g, 1e110), bt.ProblemParams(4, 1, 0.5), bt.FlowConfig(t_end=1e-3))
+
+
+@pytest.fixture(scope="module")
+def overflowing_state():
+    """A field whose reaction p|u|^{p-1} overflows, posed as a solution with a unit eigenpair."""
+    from bubbletower.spectral import EigenPair
+    from bubbletower.stationary import StationarySolution
+
+    g = bt.build_grid(0.5, 1.0, 256, N=4)
+    phi = _bump(g)
+    phi = bt.RadialField(g, phi.values / np.sqrt(bt.integrate_weighted(phi, phi)), dirichlet=True)
+    field = bt.RadialField(g, 1e200 * phi.values, dirichlet=True)
+    sol = StationarySolution(bt.ProblemParams(4, 1, 0.5), field, np.array([]), np.array([]), 1.0, 0.0)
+    return sol, EigenPair(lam=-1.0, phi=phi, residual=0.0)
+
+
+def test_overflow_in_lambda_sweep_is_a_failed_row(overflowing_state):
+    sol, _ = overflowing_state
+    (row,) = bt.lambda_sweep(sol, (2.0,), bt.FlowConfig(t_end=1e-3))
+    assert row["status"] == "Failed"
+    assert "overflow" in row["message"]
+
+
+def test_overflow_in_separation_search_raises(overflowing_state):
+    sol, pair = overflowing_state
+    with pytest.raises(IntegratorFailure, match="overflow"):
+        bt.find_separation_time(sol, pair, 2.0, bt.FlowConfig(t_end=1e-3))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflow_in_linearized_flow_raises(overflowing_state):
+    sol, pair = overflowing_state
+    with pytest.raises(IntegratorFailure):
+        bt.linearized_evolve(sol, pair, pair.phi)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflow_in_linear_nonlinear_consistency_raises(overflowing_state):
+    sol, pair = overflowing_state
+    with pytest.raises(IntegratorFailure, match="overflow"):
+        bt.linear_nonlinear_consistency(sol, pair, lam=1.001)
+
+
+def test_blowup_time_for_p5_clamped_jump(case_solutions):
+    # N = 3 (p = 5): at dt_min one clamped step jumps from below a decade of
+    # the threshold straight past it, so the fit window must reach further down
+    sol = case_solutions[(3, 2, 1e-3)]
+    v0 = bt.RadialField(sol.field.grid, 1.05 * sol.field.values, dirichlet=True)
+    cfg = bt.FlowConfig()
+    res = bt.evolve(v0, sol.params, cfg)
+    assert res.status == "BlowUp"
+    assert res.T_estimate is not None and np.isfinite(res.T_estimate)
+    lo, hi = res.T_bracket
+    assert lo - 10 * cfg.dt_min <= res.T_estimate <= hi + 10 * cfg.dt_min

@@ -9,7 +9,7 @@ import pytest
 
 import bubbletower
 from bubbletower.cli import main
-from bubbletower.harness import _fmt17, fmt6, load_config, resolve_config
+from bubbletower.harness import _fmt17, fmt6, load_config, resolve_config, write_csv
 
 CFG_TEXT = """\
 # single-layer benchmark problem
@@ -152,6 +152,30 @@ def test_tower_rerun_is_byte_identical(cfg_file, tmp_path):
     (db,) = list(rb.iterdir())
     assert da.name == db.name  # config-hashed directory name
     assert (da / "profile.csv").read_bytes() == (db / "profile.csv").read_bytes()
+
+
+def test_limit_run_writes_the_largest_rung_of_the_scan(tmp_path, monkeypatch):
+    # the written eigenfunction is the (R_max, M_limit) pair that limit_scan
+    # already solved: same bytes as a fresh solve, one solve fewer
+    from bubbletower import harness, spectral
+
+    calls = []
+    real = spectral.limit_eigenpair
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (spectral, harness):  # wherever a caller may look it up
+        monkeypatch.setattr(module, "limit_eigenpair", counted, raising=False)
+    cfg = resolve_config(overrides={"radii": (20.0, 40.0), "M_limit": 512})
+    outdir, summary = harness.run_limit(cfg, tmp_path / "runs")
+    assert calls == [(4, 20.0, 256), (4, 40.0, 512), (4, 40.0, 1024)]
+    pair = real(4, 40.0, 512)
+    write_csv(tmp_path / "fresh.csv", ["r", "phi_star"], zip(pair.phi.grid.nodes, pair.phi.values))
+    assert (outdir / "limit_eigenfunction.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+    assert summary["overlap"] == bubbletower.limit_overlap(4, pair)
+    assert json.loads((outdir / "summary.json").read_text())["overlap"] == summary["overlap"]
 
 
 def test_flow_run_stationary(cfg_file, tmp_path, capsys):

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bubbletower as bt
 from bubbletower.params import bubble_amplitude, critical_exponent
+from bubbletower.profile import _find_peaks
 
 
 def test_bubble_scaling_identity():
@@ -119,3 +124,32 @@ def test_amplitude_constant():
     # alpha_N = (N(N-2))^{(N-2)/4}: N=3 -> 3^{1/4}, N=4 -> sqrt(8)
     assert abs(bubble_amplitude(3) - 3.0 ** 0.25) <= 1e-15
     assert abs(bubble_amplitude(4) - math.sqrt(8.0)) <= 1e-15
+
+
+def test_find_peaks_matches_scipy_on_plateaus():
+    signal = pytest.importorskip("scipy.signal")
+    rng = np.random.default_rng(7)
+    for _ in range(500):
+        x = rng.integers(0, 5, size=int(rng.integers(1, 40))).astype(float)
+        for prom in (0.0, 0.5, 1.0, 2.0, 3.5):
+            assert np.array_equal(_find_peaks(x, prom), signal.find_peaks(x, prominence=prom)[0])
+
+
+def test_find_peaks_matches_scipy_on_towers(case_solutions):
+    signal = pytest.importorskip("scipy.signal")
+    for sol in case_solutions.values():
+        _, w = bt.emden_fowler_transform(sol.field)
+        aw = np.abs(w)
+        for prom in (0.0, 0.1 * bt.ef_peak_height(sol.params.N)):
+            want = signal.find_peaks(aw, prominence=prom)[0]
+            assert np.array_equal(_find_peaks(aw, prom), want)
+
+
+def test_import_leaves_scipy_signal_out():
+    env = dict(os.environ)
+    pkg_root = str(Path(bt.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (pkg_root, env.get("PYTHONPATH"))))
+    probe = "import sys, bubbletower; print('scipy.signal' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
