@@ -257,6 +257,11 @@ def evolve(v0: RadialField, params: ProblemParams, cfg: FlowConfig) -> FlowResul
     return FlowResult(status=status, series=arr, final=final, sup0=sup0, drift=drift, message=msg)
 
 
+def stationary_horizon(cfg: FlowConfig, pair: EigenPair) -> FlowConfig:
+    """cfg with t_end = 10/|lambda_1|, the horizon of the run from phi itself."""
+    return replace(cfg, t_end=10.0 / abs(pair.lam))
+
+
 def lambda_sweep(
     sol: StationarySolution,
     lambdas,
@@ -276,7 +281,7 @@ def lambda_sweep(
         lam = float(lam)
         run_cfg = cfg
         if lam == 1.0 and pair is not None:
-            run_cfg = replace(cfg, t_end=10.0 / abs(pair.lam))
+            run_cfg = stationary_horizon(cfg, pair)
         v0 = RadialField(sol.field.grid, lam * sol.field.values, dirichlet=True)
         try:
             res = evolve(v0, sol.params, run_cfg)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .errors import SolverError
-from .flow import FlowConfig, comparison_monitor, evolve, lambda_sweep
+from .flow import FlowConfig, comparison_monitor, evolve, lambda_sweep, stationary_horizon
 from .mesh import RadialField, apply_radial_laplacian, build_grid
 from .params import ProblemParams
 from .profile import Bubble, bubble_eval, ef_peak_height
@@ -44,9 +44,6 @@ _SCHEMA = {
     "k": (2, int),
     "eps": (1e-3, float),
     "M": (4096, int),
-    "scan_lo": (1e-2, float),
-    "scan_hi": (1e10, float),
-    "per_decade": (40, int),
     "ivp_rtol": (1e-10, float),
     "residual_tol": (1e-8, float),
     "lambda": (1.0, float),
@@ -62,6 +59,8 @@ _SCHEMA = {
     "stationary_tol": (1e-4, float),
     "integrator": ("imex-be", str),
 }
+# operations that build the log-graded annulus grid (M, eps) of the tower
+_ANNULUS_OPS = ("tower", "eig", "flow", "sweep")
 
 
 def _parse_value(key: str, raw: str):
@@ -104,21 +103,13 @@ def resolve_config(file_cfg: dict | None = None, overrides: dict | None = None) 
     _flow_config(cfg)
     if cfg["M"] < 16 or cfg["M_limit"] < 16:
         raise ValueError("grid resolution must be at least 16 cells")
-    if not 0 < cfg["scan_lo"] < cfg["scan_hi"]:
-        raise ValueError("need 0 < scan_lo < scan_hi")
     return cfg
 
 
 def _flow_config(cfg: dict) -> FlowConfig:
-    return FlowConfig(
-        dt_max=cfg["dt_max"],
-        dt_min=cfg["dt_min"],
-        t_end=cfg["t_end"],
-        blow_threshold=cfg["blow_threshold"],
-        safety=cfg["safety"],
-        integrator=cfg["integrator"],
-        stationary_tol=cfg["stationary_tol"],
-    )
+    """The FlowConfig fields that the schema holds, taken from cfg; the rest keep defaults."""
+    fields = (f.name for f in dataclasses.fields(FlowConfig))
+    return FlowConfig(**{name: cfg[name] for name in fields if name in _SCHEMA})
 
 
 def _fmt17(x) -> str:
@@ -179,11 +170,10 @@ def _file_sha256(path) -> str | None:
 
 
 def _start_manifest(op: str, cfg: dict, config_path) -> dict:
-    return {
+    manifest = {
         "version": __version__,
         "operation": op,
         "config": _sanitize(cfg),
-        "grid": {"M": cfg["M"], "grading": "log", "inner": cfg["eps"], "outer": 1.0},
         "tolerances": {
             "ivp_rtol": cfg["ivp_rtol"],
             "residual_tol": cfg["residual_tol"],
@@ -192,6 +182,9 @@ def _start_manifest(op: str, cfg: dict, config_path) -> dict:
         "input_hashes": {"config_file": _file_sha256(config_path)},
         "started": _now(),
     }
+    if op in _ANNULUS_OPS:
+        manifest["grid"] = {"M": cfg["M"], "grading": "log", "inner": cfg["eps"], "outer": 1.0}
+    return manifest
 
 
 def _finish(outdir: Path, manifest: dict, summary: dict) -> None:
@@ -213,14 +206,7 @@ def _make_outdir(root, op: str, cfg: dict) -> Path:
 
 def _build_solution(cfg: dict):
     params = ProblemParams(cfg["N"], cfg["k"], cfg["eps"])
-    return find_nodal_solution(
-        params,
-        M=cfg["M"],
-        scan_range=(cfg["scan_lo"], cfg["scan_hi"]),
-        per_decade=cfg["per_decade"],
-        ivp_rtol=cfg["ivp_rtol"],
-        residual_tol=cfg["residual_tol"],
-    )
+    return find_nodal_solution(params, M=cfg["M"], ivp_rtol=cfg["ivp_rtol"], residual_tol=cfg["residual_tol"])
 
 
 def _tower_summary(sol) -> dict:
@@ -315,8 +301,7 @@ def run_flow(cfg: dict, root, config_path=None):
     lam = cfg["lambda"]
     fcfg = _flow_config(cfg)
     if lam == 1.0:
-        pair = first_eigenpair(assemble_linearized(sol))
-        fcfg = dataclasses.replace(fcfg, t_end=10.0 / abs(pair.lam))
+        fcfg = stationary_horizon(fcfg, first_eigenpair(assemble_linearized(sol)))
     v0 = RadialField(sol.field.grid, lam * sol.field.values, dirichlet=True)
     res = evolve(v0, sol.params, fcfg)
     write_csv(outdir / "series.csv", ["t", "sup", "energy", "dt"], res.series)
@@ -428,7 +413,7 @@ def _verify_checks() -> list:
     checks.append(("eig-shift-exact", shift_err <= 1e-10, f"|shift error|={shift_err:.2e}"))
 
     params = ProblemParams(3, 1, 0.1)
-    sol = find_nodal_solution(params, M=1024, scan_range=(1e-2, 1e4), per_decade=20)
+    sol = find_nodal_solution(params, M=1024)
     ok = sol.residual_norm <= 1e-8 and len(sol.nodal_radii) == 0
     checks.append(
         ("tower-k1", ok, f"residual={sol.residual_norm:.2e} zeros={len(sol.nodal_radii)}")

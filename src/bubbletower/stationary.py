@@ -1,4 +1,4 @@
-"""Radial sign-changing stationary solutions by shooting, refined on the grid.
+"""Radial sign-changing stationary solutions from the lobe time map, refined on the grid.
 
 The radial stationary equation u'' + (N-1)/r u' + |u|^{p-1}u = 0 on (eps, 1)
 with zero boundary values is integrated in the log/scaled variables
@@ -7,14 +7,18 @@ oscillator
 
     w'' = beta^2 w - |w|^{p-1} w,      beta = (N-2)/2.
 
-Orbits of this oscillator are bounded (the energy
-w'^2/2 - beta^2 w^2/2 + |w|^{p+1}/(p+1) is conserved), zeros of w are zeros
-of u, and a k-lobe solution is an orbit with k-1 interior zeros returning to
-w = 0 after time log(1/eps). Shooting in these variables is therefore immune
-to the blow-up that plagues the raw radial variable. The converged shot is
-then projected to the grid and polished by a damped Newton iteration on the
-discrete boundary-value problem, so downstream spectral and flow work acts on
-an actual discrete solution.
+Its energy w'^2/2 - beta^2 w^2/2 + |w|^{p+1}/(p+1) is conserved, so orbits
+are bounded, zeros of w are zeros of u, and every lobe of the orbit leaving
+w = 0 with w' = a lasts the same time T(a). The k-lobe solution is the one
+scalar equation k T(a) = log(1/eps), with shooting slope s* = a eps^{-N/2}.
+The lobe is parametrized by y = a^2 / (beta w_max)^2 > 0: energy conservation
+at the turning point w_max becomes w_max^{p-1} = m0 (1 + y) with
+m0 = beta^2 (p+1)/2, free of the cancellation in a^2 << w_max^2, and both a
+and T (see _lobe_time) are explicit in y, a rising and T falling strictly, so
+the root is unique and Brent's method finds it in log y. One shot at s* then
+gives the orbit, which is projected to the grid and polished by a damped
+Newton iteration on the discrete boundary-value problem, so downstream
+spectral and flow work acts on an actual discrete solution.
 """
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
@@ -31,7 +35,8 @@ from .mesh import RadialField, RadialGrid, apply_radial_laplacian, build_grid, n
 from .params import ProblemParams
 from .profile import extract_concentrations
 
-_W_ESCAPE = 1e6  # no bounded orbit comes near this; guards integrator blowups
+_TIME_RTOL = 1e-13  # relative tolerance of the lobe-time quadrature
+_LOG_Y_MAX = 512.0  # the root search in log y stops at |log y| = 512
 
 
 @dataclass
@@ -41,8 +46,6 @@ class ShootResult:
     slope: float
     zero_count: int
     terminal_value: float
-    escaped: bool = False
-    escape_radius: float | None = None
     _dense: object = field(default=None, repr=False)
     _params: ProblemParams = field(default=None, repr=False)
 
@@ -91,11 +94,6 @@ def shoot(params: ProblemParams, s: float, rtol: float = 1e-10, atol: float = 1e
 
     zero_event.direction = 0
 
-    def escape_event(t, y):
-        return abs(y[0]) - _W_ESCAPE
-
-    escape_event.terminal = True
-
     sol = solve_ivp(
         rhs,
         (s0, 0.0),
@@ -104,21 +102,17 @@ def shoot(params: ProblemParams, s: float, rtol: float = 1e-10, atol: float = 1e
         rtol=rtol,
         atol=atol,
         dense_output=True,
-        events=(zero_event, escape_event),
+        events=zero_event,
     )
-    if not sol.success and sol.status != 1:
+    if not sol.success:
         raise SolverError(f"shooting integrator failed: {sol.message}")
-    escaped = sol.status == 1 and sol.t_events[1].size > 0
     guard = 1e-9 * abs(s0)
     crossings = sol.t_events[0]
     interior = crossings[(crossings > s0 + guard) & (crossings < -guard)]
-    w_end = float(sol.sol(0.0)[0]) if not escaped else float("nan")
     return ShootResult(
         slope=s,
         zero_count=int(interior.size),
-        terminal_value=w_end,
-        escaped=escaped,
-        escape_radius=float(np.exp(sol.t_events[1][0])) if escaped else None,
+        terminal_value=float(sol.sol(0.0)[0]),
         _dense=sol.sol,
         _params=params,
     )
@@ -230,33 +224,81 @@ def _newton_refine(
 def _interior_zeros(u: RadialField) -> np.ndarray:
     r, v = u.grid.nodes, u.values
     sign = np.sign(v[1:-1])
-    idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0] + 1
-    zs = []
-    for j in idx:
-        r0, r1, v0, v1 = r[j], r[j + 1], v[j], v[j + 1]
-        zs.append(r0 - v0 * (r1 - r0) / (v1 - v0))
-    return np.array(zs)
+    j = np.nonzero(sign[:-1] * sign[1:] < 0)[0] + 1
+    return r[j] - v[j] * (r[j + 1] - r[j]) / (v[j + 1] - v[j])
+
+
+def _lobe_time(params: ProblemParams, log_y: float) -> float:
+    """Duration T of one lobe, as a function of log y (see the module docstring).
+
+    With w = w_max sin(theta) and q = (1 - sin^{p-1} theta) / cos^2 theta,
+
+        T = (2/beta) int_0^{pi/2} dtheta / sqrt(y + (1+y) sin^2(theta) q(theta)),
+
+    every term nonnegative and q running from 1 to (p-1)/2. The substitution
+    theta = sqrt(y) sinh(tau) spreads the peak of width sqrt(y) at theta = 0
+    over tau = O(1).
+    """
+    half = 0.5 * (params.p - 1.0)
+    root_y = math.exp(0.5 * log_y)
+    ratio = 1.0 + math.exp(-log_y)  # (1 + y) / y
+
+    def integrand(tau):
+        theta = root_y * math.sinh(tau)
+        c2 = math.cos(theta) ** 2
+        # log(sin^2 theta) from whichever of sin, cos is not near 1
+        log_s2 = math.log1p(-c2) if c2 < 0.5 else 2.0 * math.log(math.sin(theta))
+        q = -math.expm1(half * log_s2) / c2
+        return math.cosh(tau) / math.sqrt(1.0 + ratio * math.sin(theta) ** 2 * q)
+
+    tau_max = math.asinh(0.5 * math.pi / root_y)
+    val = quad(integrand, 0.0, tau_max, epsabs=0.0, epsrel=_TIME_RTOL, limit=200)[0]
+    return 2.0 / params.beta * val
+
+
+def _time_map_slope(params: ProblemParams) -> float:
+    """The slope s* = a eps^{-N/2} of the k-lobe orbit: the root of k T = log(1/eps)."""
+    N, k, eps, p, beta = params.N, params.k, params.eps, params.p, params.beta
+    case = f"(N, k, eps) = ({N}, {k}, {eps:g})"
+    log_inv_eps = -math.log(eps)
+
+    def excess(log_y):
+        return k * _lobe_time(params, log_y) - log_inv_eps
+
+    # T falls from infinity to 0 as log y runs over the reals: step outward
+    # from log y = 0 with doubling strides until the excess changes sign
+    f0 = excess(0.0)
+    inner, outer = 0.0, math.copysign(1.0, f0)
+    while excess(outer) * f0 > 0:
+        if abs(outer) >= _LOG_Y_MAX:
+            raise SolverError(f"no root of k T(a) = log(1/eps) with |log y| <= {_LOG_Y_MAX:g} for {case}")
+        inner, outer = outer, 2.0 * outer
+    log_y = brentq(excess, min(inner, outer), max(inner, outer), xtol=1e-14)
+    m0 = beta * beta * (p + 1.0) / 2.0
+    log_a = math.log(beta) + 0.5 * log_y + (math.log(m0) + math.log1p(math.exp(log_y))) / (p - 1.0)
+    try:
+        return math.exp(log_a + 0.5 * N * log_inv_eps)
+    except OverflowError:
+        raise SolverError(f"shooting slope overflows for {case}") from None
 
 
 def find_nodal_solution(
     params: ProblemParams,
     k: int | None = None,
     M: int = 4096,
-    scan_range: tuple = (1e-2, 1e10),
-    per_decade: int = 40,
     ivp_rtol: float = 1e-10,
     residual_tol: float = 1e-8,
 ) -> StationarySolution:
-    """Find the k-lobe stationary solution: bracket, root-find, grid-refine.
+    """Find the k-lobe stationary solution: time map, one shot, grid Newton.
 
-    Bracketing scans positive slopes geometrically and isolates the nodal
-    class with exactly k-1 interior zeros; within the class, the terminal
-    value changes sign and a root-find pins s*. Ties inside a class resolve
-    to the smallest slope (the scan runs upward and stops at the first
-    bracket). The grid stage runs damped Newton from the interpolated shot.
+    The slope s* is the unique root of k T(a) = log(1/eps). One shot at s*
+    gives the orbit; damped Newton polishes it on the grid. A SolverError
+    names the cause when the root lies out of range, the scaled residual
+    stays above residual_tol, the refined field has the wrong number of
+    interior zeros, or it collapses.
 
-    Orientation: slopes are scanned positive, so the innermost lobe of the
-    returned solution is positive; the mirrored solution is -field.
+    Orientation: s* is positive, so the innermost lobe of the returned
+    solution is positive; the mirrored solution is -field.
     """
     if k is None:
         k = params.k
@@ -264,45 +306,11 @@ def find_nodal_solution(
         params = ProblemParams(params.N, k, params.eps)
     target = k - 1
 
-    lo, hi = scan_range
-    n_pts = int(np.ceil(per_decade * np.log10(hi / lo))) + 1
-    slopes = np.geomspace(lo, hi, n_pts)
-    prev: ShootResult | None = None
-    bracket = None
-    transitions = []
-    for s in slopes:
-        cur = shoot(params, float(s), rtol=ivp_rtol)
-        if prev is not None and cur.zero_count != prev.zero_count:
-            transitions.append((prev.slope, prev.zero_count, cur.slope, cur.zero_count))
-        if (
-            prev is not None
-            and prev.zero_count == target
-            and not prev.escaped
-            and not cur.escaped
-            and prev.terminal_value * cur.terminal_value < 0
-        ):
-            # the zero enters through the outer endpoint, so at the far side
-            # of the bracket the interior count is already target + 1
-            bracket = (prev.slope, cur.slope)
-            break
-        if cur.zero_count > target + 2:
-            break
-        prev = cur
-    if bracket is None:
-        raise SolverError(
-            f"no slope bracket with {target} interior zeros found in "
-            f"[{lo:g}, {hi:g}] at {per_decade}/decade",
-            {"transitions": transitions},
-        )
-
-    def terminal(s):
-        return shoot(params, s, rtol=ivp_rtol).terminal_value
-
-    s_star = brentq(terminal, *bracket, rtol=8.9e-16, maxiter=200)
-    best = shoot(params, s_star, rtol=ivp_rtol)
+    s_star = _time_map_slope(params)
+    shot = shoot(params, s_star, rtol=ivp_rtol)
 
     grid = build_grid(params.eps, 1.0, M, "log", params.N)
-    u_shot = best.on_grid(grid)
+    u_shot = shot.on_grid(grid)
     u, hist = _newton_refine(u_shot, params)
     res_norm = _scaled_residual_norm(u, params)
     if res_norm > residual_tol:

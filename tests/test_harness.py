@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -9,16 +10,23 @@ import pytest
 
 import bubbletower
 from bubbletower.cli import main
-from bubbletower.harness import _fmt17, fmt6, load_config, resolve_config, write_csv
+from bubbletower.flow import FlowConfig
+from bubbletower.harness import (
+    _SCHEMA,
+    _flow_config,
+    _fmt17,
+    fmt6,
+    load_config,
+    resolve_config,
+    write_csv,
+)
 
 CFG_TEXT = """\
 # single-layer benchmark problem
 N = 3
 k = 1
 eps = 0.1
-M = 1024
-scan_hi = 1e4      # keep the slope scan short
-per_decade = 20
+M = 1024           # grid cells
 
 dt_max = 1e-4
 t_end = 0.5
@@ -41,18 +49,21 @@ def cli_root(tmp_path_factory, cfg_file):
     return root
 
 
-def test_load_config_parses_comments_and_whitespace(cfg_file):
+def test_load_config_parses_comments_and_whitespace(cfg_file, tmp_path):
     cfg = load_config(cfg_file)
     assert cfg == {
         "N": 3,
         "k": 1,
         "eps": 0.1,
         "M": 1024,
-        "scan_hi": 1e4,
-        "per_decade": 20,
         "dt_max": 1e-4,
         "t_end": 0.5,
     }
+    # the slope-scan keys are gone with the scan
+    old = tmp_path / "old.cfg"
+    old.write_text(CFG_TEXT + "scan_lo = 1e-2\n")
+    with pytest.raises(ValueError, match="unknown config key 'scan_lo'"):
+        load_config(old)
 
 
 def test_load_config_rejects_unknown_key(tmp_path):
@@ -89,12 +100,40 @@ def test_resolve_config_validates_ranges():
         resolve_config({"N": 2})
     with pytest.raises(ValueError):
         resolve_config({"M": 8})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown config key 'scan_lo'"):
         resolve_config({"scan_lo": 1.0, "scan_hi": 0.1})
     with pytest.raises(ValueError):
         resolve_config({"integrator": "rk4"})
     with pytest.raises(ValueError):
         resolve_config(overrides={"wibble": 1})
+
+
+def test_schema_keys():
+    assert len(_SCHEMA) == 18
+    assert not {"scan_lo", "scan_hi", "per_decade", "collapse_run"} & set(_SCHEMA)
+
+
+# a valid value other than the default for each FlowConfig field the schema holds
+FLOW_VALUES = {
+    "dt_max": 2e-5,
+    "dt_min": 1e-13,
+    "t_end": 0.25,
+    "blow_threshold": 1e4,
+    "safety": 0.05,
+    "integrator": "imex-cn",
+    "stationary_tol": 1e-6,
+}
+
+
+def test_flow_config_fields_round_trip_through_resolve_config():
+    in_schema = {f.name for f in dataclasses.fields(FlowConfig)} & set(_SCHEMA)
+    assert in_schema == set(FLOW_VALUES)
+    defaults = FlowConfig()
+    for name, value in FLOW_VALUES.items():
+        assert getattr(defaults, name) != value
+        fcfg = _flow_config(resolve_config({name: value}))
+        assert getattr(fcfg, name) == value
+        assert dataclasses.replace(fcfg, **{name: getattr(defaults, name)}) == defaults
 
 
 def test_fmt17_roundtrip():
@@ -129,7 +168,11 @@ def test_tower_run_outputs(cli_root):
 
     manifest = json.loads((towerdir / "manifest.json").read_text())
     assert manifest["operation"] == "tower"
-    assert manifest["grid"]["M"] == 1024
+    assert manifest["grid"] == {"M": 1024, "grading": "log", "inner": 0.1, "outer": 1.0}
+    assert set(manifest) == {
+        "version", "operation", "config", "grid", "tolerances", "input_hashes",
+        "started", "finished", "outcome",
+    }
     assert manifest["input_hashes"]["config_file"]
     assert manifest["outcome"]["shooting_slope"] == summary["shooting_slope"]
     assert "started" in manifest and "finished" in manifest
@@ -178,6 +221,16 @@ def test_limit_run_writes_the_largest_rung_of_the_scan(tmp_path, monkeypatch):
     assert json.loads((outdir / "summary.json").read_text())["overlap"] == summary["overlap"]
 
 
+def test_limit_manifest_has_no_annulus_grid(tmp_path):
+    from bubbletower import harness
+
+    cfg = resolve_config(overrides={"radii": (20.0, 40.0), "M_limit": 256})
+    outdir, _ = harness.run_limit(cfg, tmp_path)
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["operation"] == "limit"
+    assert "grid" not in manifest
+
+
 def test_flow_run_stationary(cfg_file, tmp_path, capsys):
     code = main(
         ["flow", "--config", str(cfg_file), "--out", str(tmp_path), "--lambda", "1.0"]
@@ -193,6 +246,16 @@ def test_flow_run_stationary(cfg_file, tmp_path, capsys):
     lines = (d / "series.csv").read_text().splitlines()
     assert lines[0] == "t,sup,energy,dt"
     assert len(lines) > 2
+
+
+def test_flow_at_lambda_one_uses_the_sweep_horizon(cfg_file, tmp_path):
+    assert main(["flow", "--config", str(cfg_file), "--out", str(tmp_path), "--lambda", "1.0"]) == 0
+    (d,) = list(tmp_path.iterdir())
+    t_end = json.loads((d / "summary.json").read_text())["t_end"]
+    sol = bubbletower.find_nodal_solution(bubbletower.ProblemParams(3, 1, 0.1), M=1024)
+    pair = bubbletower.first_eigenpair(bubbletower.assemble_linearized(sol))
+    (row,) = bubbletower.lambda_sweep(sol, [1.0], _flow_config(resolve_config(load_config(cfg_file))), pair)
+    assert t_end == row["t_end"] != 0.5
 
 
 def test_flow_run_blowup(cfg_file, tmp_path):
@@ -234,10 +297,10 @@ def test_sweep_run(cfg_file, tmp_path):
 
 
 def test_sweep_flags_failed_cells(tmp_path):
-    # scan window far below the two-layer slope: the solve fails, every
+    # a residual gate below the rounding floor: the solve fails, every
     # lambda cell for that eps is flagged rather than aborting the sweep
     cfg = tmp_path / "fail.cfg"
-    cfg.write_text("N = 3\nk = 2\neps = 0.1\nM = 1024\nscan_lo = 1e-2\nscan_hi = 1e-1\n")
+    cfg.write_text("N = 3\nk = 2\neps = 0.1\nM = 1024\nresidual_tol = 1e-30\n")
     code = main(
         [
             "sweep",
@@ -305,8 +368,8 @@ def test_exit_code_usage_errors(tmp_path):
 
 
 def test_exit_code_solver_failure(tmp_path):
-    cfg = tmp_path / "nobracket.cfg"
-    cfg.write_text("N = 3\nk = 2\neps = 0.1\nM = 1024\nscan_lo = 1e-2\nscan_hi = 1e-1\n")
+    cfg = tmp_path / "unmet.cfg"
+    cfg.write_text("N = 3\nk = 2\neps = 0.1\nM = 1024\nresidual_tol = 1e-30\n")
     assert main(["tower", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 2
 
 
