@@ -32,7 +32,6 @@ from .spectral import (
     first_eigenpair,
     limit_overlap,
     limit_scan,
-    scaled_eigenvalue_diagnostic,
     sign_condition,
 )
 from .stationary import find_nodal_solution, stationary_residual
@@ -183,7 +182,10 @@ def _start_manifest(op: str, cfg: dict, config_path) -> dict:
         "started": _now(),
     }
     if op in _ANNULUS_OPS:
-        manifest["grid"] = {"M": cfg["M"], "grading": "log", "inner": cfg["eps"], "outer": 1.0}
+        # a sweep solves on one annulus per entry of eps_list, none at eps
+        inners = cfg["eps_list"] if op == "sweep" else [cfg["eps"]]
+        grids = [{"M": cfg["M"], "grading": "log", "inner": float(eps), "outer": 1.0} for eps in inners]
+        manifest["grid"] = grids if op == "sweep" else grids[0]
     return manifest
 
 

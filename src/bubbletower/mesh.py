@@ -9,7 +9,7 @@ compatible (Green's identity holds discretely, not just to truncation order).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -90,6 +90,26 @@ class RadialGrid:
         if self.origin:
             D[0] = (0.5 * h[0]) ** self.N / self.N
         return D
+
+    @property
+    def unknowns(self) -> slice:
+        """Nodes that carry unknowns under a zero outer trace: 1..M-1, or 0..M-1 on origin grids."""
+        return slice(0 if self.origin else 1, self.M)
+
+    @cached_property
+    def stiffness(self) -> tuple:
+        """(mass, diag, off): the divergence-form operator on the unknown nodes.
+
+        -Delta_h = mass^{-1} K, with mass the cell weights of the unknowns and K
+        the symmetric tridiagonal stiffness matrix of the face weights: diag
+        beta_{j-1/2} + beta_{j+1/2}, off-diagonal -off = -beta_{j+1/2}. The r=0
+        row of an origin grid has only its outer face (the regularity row).
+        """
+        beta, u = self.face_weights, self.unknowns
+        diag = beta[:-1] + beta[1:]
+        if self.origin:
+            diag = np.concatenate((beta[:1], diag))
+        return self.cell_weights[u], diag, beta[u.start : self.M - 1]
 
     @property
     def nodes_per_decade(self) -> float:

@@ -1,8 +1,9 @@
 """Eigenanalysis of the linearized operator -Delta - p|phi|^{p-1} and its whole-space limit.
 
-The symmetrized tridiagonal form is assembled with the same face/cell weights
-as the mesh module's Laplacian, so Rayleigh quotients, residuals, and the
-inner-product identity below are all consistent with `integrate_weighted`.
+The symmetrized tridiagonal form is assembled from the grid's mass and
+stiffness (`RadialGrid.stiffness`), the same face/cell weights as the mesh
+module's Laplacian, so Rayleigh quotients, residuals, and the inner-product
+identity below are all consistent with `integrate_weighted`.
 Eigenvalues come from bisection on the Sturm sequence run down to machine
 interval width (no library eigensolver); eigenvectors from a short inverse
 iteration at the converged eigenvalue.
@@ -16,7 +17,7 @@ from scipy.linalg import solve_banded
 
 from .errors import SolverError
 from .mesh import RadialField, RadialGrid, build_ball_grid, integrate_weighted
-from .params import ProblemParams, critical_exponent, sphere_area
+from .params import critical_exponent, sphere_area
 from .profile import Bubble, bubble_eval, bubble_linearization
 from .stationary import StationarySolution
 
@@ -31,8 +32,8 @@ class LinearizedOperator:
     weights   : quadrature weights of the unknown nodes (the symmetrizer is
                 their square root)
     potential : V >= 0 at the nodes (full grid)
-    On annulus grids the unknowns are the interior nodes; on origin (ball)
-    grids the r=0 node is an unknown too, with the regularity row.
+    The unknowns are `grid.unknowns`: the interior nodes on annulus grids,
+    and the r=0 node too, with the regularity row, on origin (ball) grids.
     """
 
     grid: RadialGrid
@@ -44,6 +45,13 @@ class LinearizedOperator:
     @property
     def size(self) -> int:
         return self.d.size
+
+    def apply(self, psi: np.ndarray) -> np.ndarray:
+        """The symmetric tridiagonal matrix times psi."""
+        out = self.d * psi
+        out[:-1] += self.e * psi[1:]
+        out[1:] += self.e * psi[:-1]
+        return out
 
 
 @dataclass
@@ -65,19 +73,9 @@ def assemble_operator(grid: RadialGrid, potential: RadialField) -> LinearizedOpe
     V = potential.values
     if np.min(V) < 0:
         raise ValueError("potential must be nonnegative")
-    beta, D = grid.face_weights, grid.cell_weights
-    if grid.origin:
-        # unknowns 0..M-1 (outer node eliminated)
-        Dk = D[:-1]
-        d = np.empty(Dk.size)
-        d[0] = beta[0] / Dk[0] - V[0]
-        d[1:] = (beta[:-1] + beta[1:]) / Dk[1:] - V[1:-1]
-        e = -beta[:-1] / np.sqrt(Dk[:-1] * Dk[1:])
-    else:
-        # unknowns 1..M-1
-        Dk = D[1:-1]
-        d = (beta[:-1] + beta[1:]) / Dk - V[1:-1]
-        e = -beta[1:-1] / np.sqrt(Dk[:-1] * Dk[1:])
+    Dk, diag, off = grid.stiffness
+    d = diag / Dk - V[grid.unknowns]
+    e = -off / np.sqrt(Dk[:-1] * Dk[1:])
     return LinearizedOperator(grid=grid, potential=potential, d=d, e=e, weights=Dk)
 
 
@@ -148,16 +146,11 @@ def first_eigenpair(op: LinearizedOperator) -> EigenPair:
             {"min": float(np.min(psi)), "max": float(np.max(psi))},
         )
     # residual in the symmetrized coordinates
-    Tpsi = op.d * psi
-    Tpsi[:-1] += op.e * psi[1:]
-    Tpsi[1:] += op.e * psi[:-1]
+    Tpsi = op.apply(psi)
     residual = float(np.linalg.norm(Tpsi - lam * psi)) / max(1.0, abs(lam))
     # back to nodal values and weighted-L2 normalization
     vals = np.zeros_like(op.grid.nodes)
-    if op.grid.origin:
-        vals[:-1] = psi / np.sqrt(op.weights)
-    else:
-        vals[1:-1] = psi / np.sqrt(op.weights)
+    vals[op.grid.unknowns] = psi / np.sqrt(op.weights)
     phi = RadialField(op.grid, vals)
     nrm = np.sqrt(integrate_weighted(phi, phi))
     phi.values /= nrm
@@ -166,14 +159,8 @@ def first_eigenpair(op: LinearizedOperator) -> EigenPair:
 
 def rayleigh_quotient(op: LinearizedOperator, phi: RadialField) -> float:
     """Quotient of the assembled form at a field (uses the symmetrizing weights)."""
-    if op.grid.origin:
-        psi = phi.values[:-1] * np.sqrt(op.weights)
-    else:
-        psi = phi.values[1:-1] * np.sqrt(op.weights)
-    Tpsi = op.d * psi
-    Tpsi[:-1] += op.e * psi[1:]
-    Tpsi[1:] += op.e * psi[:-1]
-    return float(psi @ Tpsi) / float(psi @ psi)
+    psi = phi.values[op.grid.unknowns] * np.sqrt(op.weights)
+    return float(psi @ op.apply(psi)) / float(psi @ psi)
 
 
 def limit_eigenpair(N: int, R: float, M: int) -> EigenPair:

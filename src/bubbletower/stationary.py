@@ -174,13 +174,12 @@ def _newton_refine(
     floor or on stall (no factor-2 progress over two steps).
     """
     g = u0.grid
-    beta_f, D = g.face_weights, g.cell_weights
-    Din = D[1:-1]
-    lo = beta_f[1:-1] / Din[1:]  # sub-diagonal entries (rows 2..)
-    up = beta_f[1:-1] / Din[:-1]  # super-diagonal entries (rows ..n-1)
-    diag_lap = -(beta_f[:-1] + beta_f[1:]) / Din
+    mass, diag, off = g.stiffness
+    lo = off / mass[1:]  # sub-diagonal entries (rows 2..)
+    up = off / mass[:-1]  # super-diagonal entries (rows ..n-1)
+    diag_lap = -diag / mass
     u = u0.values.copy()
-    n = Din.size
+    n = mass.size
     scale = max(1.0, float(np.max(np.abs(params.reaction(u)))))
 
     def resid(vals):

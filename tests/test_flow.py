@@ -151,6 +151,19 @@ def test_linearized_orthogonal_start_respects_gap(case_solutions, case_pairs):
     assert out["norm_rate"] <= 0.01 * (-pair.lam)
 
 
+def test_linearized_takes_exactly_ceil_t_end_over_dt_steps(case_solutions, case_pairs):
+    sol, pair = case_solutions[KEY], case_pairs[KEY]
+    t_end, dt = 1.0, 0.1
+    steps = int(np.ceil(t_end / dt))
+    clock = 0.0
+    for _ in range(steps):
+        clock += dt
+    assert clock < t_end  # a loop on the accumulated clock would take one more step
+    out = bt.linearized_evolve(sol, pair, pair.phi, t_end=t_end, dt=dt)
+    assert out["series"].shape[0] == steps
+    assert out["series"][-1, 0] == clock
+
+
 def test_linearized_rejects_zero_data(case_solutions, case_pairs):
     sol, pair = case_solutions[KEY], case_pairs[KEY]
     g = sol.field.grid
@@ -227,6 +240,16 @@ def test_comparison_monitor_equal_data_zero_violation():
     cfg = bt.FlowConfig(t_end=5e-3, dt_max=1e-4)
     out = bt.comparison_monitor(_bump(g), _bump(g), params, cfg)
     assert out["violation"] == 0.0
+
+
+def test_comparison_monitor_overflow_raises():
+    # the reaction overflows on the first step at dt_min; the NaN violation it
+    # leaves must not read as an ordered pair
+    g = bt.build_grid(0.5, 1.0, 256, N=4)
+    with pytest.raises(IntegratorFailure, match="overflow"):
+        bt.comparison_monitor(
+            _bump(g, 0.5e110), _bump(g, 1e110), bt.ProblemParams(4, 1, 0.5), bt.FlowConfig(t_end=1e-3)
+        )
 
 
 def test_comparison_monitor_rejects_unordered():

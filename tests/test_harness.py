@@ -296,6 +296,15 @@ def test_sweep_run(cfg_file, tmp_path):
     assert len(lines) == 3
 
 
+def test_sweep_manifest_names_the_solved_annuli(tmp_path):
+    argv = ["sweep", "--N", "3", "--k", "1", "--M", "256", "--eps-list", "0.1", "--lambda-list", "0.1"]
+    assert main(argv + ["--t-end", "0.01", "--out", str(tmp_path)]) == 0
+    (d,) = list(tmp_path.iterdir())
+    manifest = json.loads((d / "manifest.json").read_text())
+    assert manifest["grid"] == [{"M": 256, "grading": "log", "inner": 0.1, "outer": 1.0}]
+    assert manifest["config"]["eps"] == 0.001  # the config's eps, on which nothing was solved
+
+
 def test_sweep_flags_failed_cells(tmp_path):
     # a residual gate below the rounding floor: the solve fails, every
     # lambda cell for that eps is flagged rather than aborting the sweep

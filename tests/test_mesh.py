@@ -120,3 +120,42 @@ def test_ball_grid_origin_cell():
     assert g.origin
     h = g.nodes[1] - g.nodes[0]
     assert abs(g.cell_weights[0] - (0.5 * h) ** 3 / 3.0) <= 1e-18
+
+
+def test_stiffness_on_origin_grid_reproduces_the_regularity_row():
+    # reference: the operator (d, e) of -Delta - V written out row by row on the
+    # unknowns 0..M-1, the r=0 row carrying only its outer face
+    g = bt.build_ball_grid(30.0, 512, 5)
+    V = np.linspace(0.0, 1.0, g.nodes.size)
+    beta, D = g.face_weights, g.cell_weights
+    Dk = D[:-1]
+    d_ref = np.empty(Dk.size)
+    d_ref[0] = beta[0] / Dk[0] - V[0]
+    d_ref[1:] = (beta[:-1] + beta[1:]) / Dk[1:] - V[1:-1]
+    e_ref = -beta[:-1] / np.sqrt(Dk[:-1] * Dk[1:])
+
+    mass, diag, off = g.stiffness
+    assert g.unknowns == slice(0, g.M)
+    assert np.array_equal(mass, Dk)
+    d = diag / mass - V[g.unknowns]
+    e = -off / np.sqrt(mass[:-1] * mass[1:])
+    assert d.tobytes() == d_ref.tobytes()
+    assert e.tobytes() == e_ref.tobytes()
+    op = bt.assemble_operator(g, bt.RadialField(g, V))
+    assert op.d.tobytes() == d_ref.tobytes() and op.e.tobytes() == e_ref.tobytes()
+
+
+def test_stiffness_on_annulus_matches_the_laplacian():
+    # -mass^{-1} K w is the flux-form Laplacian on the interior nodes
+    g = bt.build_grid(0.1, 1.0, 64, N=4)
+    mass, diag, off = g.stiffness
+    assert g.unknowns == slice(1, g.M)
+    assert np.array_equal(mass, g.cell_weights[1:-1])
+    u = np.sin(3.0 * g.nodes)
+    u[0] = u[-1] = 0.0
+    w = u[g.unknowns]
+    kw = diag * w
+    kw[:-1] -= off * w[1:]
+    kw[1:] -= off * w[:-1]
+    lap = apply_radial_laplacian(bt.RadialField(g, u)).values[1:-1]
+    assert np.max(np.abs(-kw / mass - lap)) <= 1e-12 * np.max(np.abs(lap))
