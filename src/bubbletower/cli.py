@@ -1,6 +1,7 @@
 """Command-line entry point.
 
-Subcommands: tower, eig, limit, flow, sweep, verify, report.
+Subcommands: tower, eig, limit, flow, sweep, verify, report, one per entry
+of harness.OPERATIONS, which also names the config keys each takes as flags.
 Configuration comes from defaults, then an optional --config file (flat
 key=value lines), then CLI flags, in increasing precedence. Exit codes:
 0 success, 1 usage or configuration error, 2 solver failure.
@@ -11,72 +12,27 @@ import argparse
 import sys
 
 from .errors import SolverError
-from .harness import RUNNERS, fmt6, load_config, resolve_config
-
-# argparse dest -> config key
-_FLAG_KEYS = {
-    "N": "N",
-    "k": "k",
-    "eps": "eps",
-    "M": "M",
-    "lam": "lambda",
-    "eps_list": "eps_list",
-    "lambda_list": "lambda_list",
-    "radii": "radii",
-    "M_limit": "M_limit",
-    "t_end": "t_end",
-    "dt_max": "dt_max",
-    "integrator": "integrator",
-}
-
-
-def _float_list(raw: str) -> tuple:
-    try:
-        return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {raw!r}") from exc
+from .harness import OPERATIONS, fmt6, load_config, parse_value, resolve_config, run
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per operation; a flag --some-key sets config key some_key."""
     parser = argparse.ArgumentParser(
         prog="bubbletower",
         description="Sign-changing bubble-tower equilibria of the critical heat "
         "equation on annuli: stationary profiles, spectra, and flow runs.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help="flat key=value config file")
-    common.add_argument("--out", default="runs", help="output root directory (default: runs)")
-
-    problem = argparse.ArgumentParser(add_help=False)
-    problem.add_argument("--N", type=int, default=None, help="space dimension (>= 3)")
-    problem.add_argument("--k", type=int, default=None, help="number of tower layers")
-    problem.add_argument("--eps", type=float, default=None, help="inner radius of the annulus")
-    problem.add_argument("--M", type=int, default=None, help="number of grid cells")
-
+    defaults = resolve_config()
     sub = parser.add_subparsers(dest="op", required=True, metavar="SUBCOMMAND")
-    sub.add_parser("tower", parents=[common, problem], help="find the k-layer stationary solution")
-    sub.add_parser("eig", parents=[common, problem], help="first eigenpair and sign condition")
-
-    p_limit = sub.add_parser("limit", parents=[common], help="limit eigenvalue problem on balls")
-    p_limit.add_argument("--N", type=int, default=None, help="space dimension (>= 3)")
-    p_limit.add_argument("--radii", type=_float_list, default=None, help="ball radii, comma-separated")
-    p_limit.add_argument("--M-limit", dest="M_limit", type=int, default=None, help="cells at the largest radius")
-
-    p_flow = sub.add_parser("flow", parents=[common, problem], help="single parabolic run from lambda*phi")
-    p_flow.add_argument("--lambda", dest="lam", type=float, default=None, help="initial-data multiplier")
-    p_flow.add_argument("--t-end", dest="t_end", type=float, default=None, help="time horizon")
-    p_flow.add_argument("--dt-max", dest="dt_max", type=float, default=None, help="time-step ceiling")
-    p_flow.add_argument(
-        "--integrator", choices=("imex-be", "imex-cn", "reaction-only"), default=None
-    )
-
-    p_sweep = sub.add_parser("sweep", parents=[common, problem], help="eps x lambda classification table")
-    p_sweep.add_argument("--eps-list", dest="eps_list", type=_float_list, default=None)
-    p_sweep.add_argument("--lambda-list", dest="lambda_list", type=_float_list, default=None)
-    p_sweep.add_argument("--t-end", dest="t_end", type=float, default=None, help="time horizon")
-
-    sub.add_parser("verify", parents=[common], help="run the fast invariant suite")
-    sub.add_parser("report", parents=[common], help="collate run summaries under --out into CSV")
+    for op, (_, keys, text) in OPERATIONS.items():
+        p = sub.add_parser(op, help=text)
+        p.add_argument("--config", default=None, help="flat key=value config file")
+        p.add_argument("--out", default="runs", help="output root directory (default: runs)")
+        for key in keys:
+            shown = defaults[key]
+            if isinstance(shown, tuple):
+                shown = ",".join(map(str, shown))
+            p.add_argument("--" + key.replace("_", "-"), dest=key, default=None, help=f"default: {shown}")
     return parser
 
 
@@ -121,16 +77,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    overrides = {
-        key: getattr(args, dest)
-        for dest, key in _FLAG_KEYS.items()
-        if getattr(args, dest, None) is not None
-    }
+    flags = vars(args)
+    op, config, out = flags.pop("op"), flags.pop("config"), flags.pop("out")
     try:
-        file_cfg = load_config(args.config) if args.config else {}
+        overrides = {key: parse_value(key, raw) for key, raw in flags.items() if raw is not None}
+        file_cfg = load_config(config) if config else {}
         cfg = resolve_config(file_cfg, overrides)
-        outdir, summary = RUNNERS[args.op](cfg, args.out, config_path=args.config)
-        print(_console_summary(args.op, summary))
+        outdir, summary = run(op, cfg, out, config_path=config)
+        print(_console_summary(op, summary))
         print(f"outputs: {outdir}")
         return 0
     except SolverError as exc:

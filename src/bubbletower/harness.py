@@ -1,18 +1,21 @@
 """Experiment orchestration: config files, run directories, manifests, CSV output.
 
 Config files are flat key=value lines with # comments; unknown keys are
-rejected so typos cannot silently fall back to defaults. Every run writes
-into its own directory named <operation>-<hash8> where the hash covers the
-fully resolved configuration and the artifact version, so re-running the
-same configuration lands in the same directory and reproduces the same data
-files byte for byte (timestamps live only in the manifest). Data files carry
-17 significant digits; console summaries print 6.
+rejected so typos cannot silently fall back to defaults. OPERATIONS lists
+each operation with the config keys it takes as command-line flags, and
+run() executes one of them. Every successful run writes into its own
+directory named <operation>-<hash8> where the hash covers the fully resolved
+configuration and the artifact version, so re-running the same configuration
+lands in the same directory and reproduces the same data files byte for byte
+(timestamps live only in the manifest). Data files carry 17 significant
+digits; console summaries print 6.
 """
 from __future__ import annotations
 
 import dataclasses
 import datetime
 import hashlib
+import inspect
 import json
 import math
 from pathlib import Path
@@ -36,33 +39,30 @@ from .spectral import (
 )
 from .stationary import find_nodal_solution, stationary_residual
 
-# key -> (default, parser); list-valued keys hold comma-separated floats
+# key -> (default, parser); list-valued keys hold comma-separated floats.
+# The solver and flow keys take their defaults from find_nodal_solution and FlowConfig.
 _FLOATS = "floats"
+_SOLVER_KEYS = ("M", "ivp_rtol", "residual_tol")
 _SCHEMA = {
     "N": (4, int),
     "k": (2, int),
     "eps": (1e-3, float),
-    "M": (4096, int),
-    "ivp_rtol": (1e-10, float),
-    "residual_tol": (1e-8, float),
+    **{
+        key: (p.default, type(p.default))
+        for key, p in inspect.signature(find_nodal_solution).parameters.items()
+        if key in _SOLVER_KEYS
+    },
     "lambda": (1.0, float),
     "lambda_list": ((0.1, 0.95, 1.0, 1.05), _FLOATS),
     "eps_list": ((1e-2, 1e-3, 1e-4), _FLOATS),
     "radii": ((20.0, 40.0, 80.0), _FLOATS),
     "M_limit": (4096, int),
-    "dt_max": (1e-5, float),
-    "dt_min": (1e-12, float),
-    "t_end": (2.0, float),
-    "blow_threshold": (1e3, float),
-    "safety": (0.1, float),
-    "stationary_tol": (1e-4, float),
-    "integrator": ("imex-be", str),
+    **{f.name: (f.default, type(f.default)) for f in dataclasses.fields(FlowConfig)},
 }
-# operations that build the log-graded annulus grid (M, eps) of the tower
-_ANNULUS_OPS = ("tower", "eig", "flow", "sweep")
 
 
-def _parse_value(key: str, raw: str):
+def parse_value(key: str, raw: str):
+    """Parse one raw config value, from a file or a flag, by the schema's parser for key."""
     kind = _SCHEMA[key][1]
     try:
         if kind is _FLOATS:
@@ -86,7 +86,7 @@ def load_config(path) -> dict:
         key, raw = key.strip(), raw.strip()
         if key not in _SCHEMA:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        cfg[key] = _parse_value(key, raw)
+        cfg[key] = parse_value(key, raw)
     return cfg
 
 
@@ -106,9 +106,7 @@ def resolve_config(file_cfg: dict | None = None, overrides: dict | None = None) 
 
 
 def _flow_config(cfg: dict) -> FlowConfig:
-    """The FlowConfig fields that the schema holds, taken from cfg; the rest keep defaults."""
-    fields = (f.name for f in dataclasses.fields(FlowConfig))
-    return FlowConfig(**{name: cfg[name] for name in fields if name in _SCHEMA})
+    return FlowConfig(**{f.name: cfg[f.name] for f in dataclasses.fields(FlowConfig)})
 
 
 def _fmt17(x) -> str:
@@ -181,7 +179,8 @@ def _start_manifest(op: str, cfg: dict, config_path) -> dict:
         "input_hashes": {"config_file": _file_sha256(config_path)},
         "started": _now(),
     }
-    if op in _ANNULUS_OPS:
+    if "eps" in OPERATIONS[op][1]:
+        # an operation with an eps flag solves on log-graded annuli (M, eps);
         # a sweep solves on one annulus per entry of eps_list, none at eps
         inners = cfg["eps_list"] if op == "sweep" else [cfg["eps"]]
         grids = [{"M": cfg["M"], "grading": "log", "inner": float(eps), "outer": 1.0} for eps in inners]
@@ -189,26 +188,9 @@ def _start_manifest(op: str, cfg: dict, config_path) -> dict:
     return manifest
 
 
-def _finish(outdir: Path, manifest: dict, summary: dict) -> None:
-    manifest["finished"] = _now()
-    manifest["outcome"] = _sanitize(summary)
-    with open(outdir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(outdir / "summary.json", "w") as fh:
-        json.dump(_sanitize(summary), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _make_outdir(root, op: str, cfg: dict) -> Path:
-    outdir = Path(root) / f"{op}-{_hash8(op, cfg)}"
-    outdir.mkdir(parents=True, exist_ok=True)
-    return outdir
-
-
 def _build_solution(cfg: dict):
     params = ProblemParams(cfg["N"], cfg["k"], cfg["eps"])
-    return find_nodal_solution(params, M=cfg["M"], ivp_rtol=cfg["ivp_rtol"], residual_tol=cfg["residual_tol"])
+    return find_nodal_solution(params, **{key: cfg[key] for key in _SOLVER_KEYS})
 
 
 def _tower_summary(sol) -> dict:
@@ -231,34 +213,19 @@ def _tower_summary(sol) -> dict:
     }
 
 
-def run_tower(cfg: dict, root, config_path=None):
-    outdir = _make_outdir(root, "tower", cfg)
-    manifest = _start_manifest("tower", cfg, config_path)
+def _tower(cfg: dict, root):
     sol = _build_solution(cfg)
     res = stationary_residual(sol.field, sol.params)
-    write_csv(
-        outdir / "profile.csv",
-        ["r", "u", "residual"],
-        zip(sol.field.grid.nodes, sol.field.values, res.values),
-    )
-    summary = _tower_summary(sol)
-    _finish(outdir, manifest, summary)
-    return outdir, summary
+    profile = (["r", "u", "residual"], zip(sol.field.grid.nodes, sol.field.values, res.values))
+    return _tower_summary(sol), {"profile.csv": profile}
 
 
-def run_eig(cfg: dict, root, config_path=None):
-    outdir = _make_outdir(root, "eig", cfg)
-    manifest = _start_manifest("eig", cfg, config_path)
+def _eig(cfg: dict, root):
     sol = _build_solution(cfg)
     op = assemble_linearized(sol)
     pair = first_eigenpair(op)
     cond = sign_condition(sol, pair)
     delta_k = float(sol.deltas_measured[-1])
-    write_csv(
-        outdir / "eigenfunction.csv",
-        ["r", "phi1"],
-        zip(pair.phi.grid.nodes, pair.phi.values),
-    )
     summary = {
         **_tower_summary(sol),
         "lambda1": pair.lam,
@@ -269,21 +236,13 @@ def run_eig(cfg: dict, root, config_path=None):
         "reaction_inner_product": cond["reaction_inner_product"],
         "overlap_scaled": cond["overlap_scaled"],
     }
-    _finish(outdir, manifest, summary)
-    return outdir, summary
+    return summary, {"eigenfunction.csv": (["r", "phi1"], zip(pair.phi.grid.nodes, pair.phi.values))}
 
 
-def run_limit(cfg: dict, root, config_path=None):
-    outdir = _make_outdir(root, "limit", cfg)
-    manifest = _start_manifest("limit", cfg, config_path)
+def _limit(cfg: dict, root):
     N = cfg["N"]
     scan = limit_scan(N, radii=cfg["radii"], M_at_largest=cfg["M_limit"])
     pair = scan["pair"]
-    write_csv(
-        outdir / "limit_eigenfunction.csv",
-        ["r", "phi_star"],
-        zip(pair.phi.grid.nodes, pair.phi.values),
-    )
     summary = {
         "N": N,
         "lambda_star_R": {f"{R:g}": v for R, v in scan["lambda_star_R"].items()},
@@ -292,13 +251,10 @@ def run_limit(cfg: dict, root, config_path=None):
         "h_gap": scan["h_gap"],
         "overlap": limit_overlap(N, pair),
     }
-    _finish(outdir, manifest, summary)
-    return outdir, summary
+    return summary, {"limit_eigenfunction.csv": (["r", "phi_star"], zip(pair.phi.grid.nodes, pair.phi.values))}
 
 
-def run_flow(cfg: dict, root, config_path=None):
-    outdir = _make_outdir(root, "flow", cfg)
-    manifest = _start_manifest("flow", cfg, config_path)
+def _flow(cfg: dict, root):
     sol = _build_solution(cfg)
     lam = cfg["lambda"]
     fcfg = _flow_config(cfg)
@@ -306,7 +262,6 @@ def run_flow(cfg: dict, root, config_path=None):
         fcfg = stationary_horizon(fcfg, first_eigenpair(assemble_linearized(sol)))
     v0 = RadialField(sol.field.grid, lam * sol.field.values, dirichlet=True)
     res = evolve(v0, sol.params, fcfg)
-    write_csv(outdir / "series.csv", ["t", "sup", "energy", "dt"], res.series)
     summary = {
         "N": sol.params.N,
         "k": sol.params.k,
@@ -320,14 +275,11 @@ def run_flow(cfg: dict, root, config_path=None):
         "t_end": fcfg.t_end,
         "steps": int(res.series.shape[0]),
     }
-    _finish(outdir, manifest, summary)
-    return outdir, summary
+    return summary, {"series.csv": (["t", "sup", "energy", "dt"], res.series)}
 
 
-def run_sweep(cfg: dict, root, config_path=None):
+def _sweep(cfg: dict, root):
     """eps x lambda classification table; per-cell failures flagged, not fatal."""
-    outdir = _make_outdir(root, "sweep", cfg)
-    manifest = _start_manifest("sweep", cfg, config_path)
     fcfg = _flow_config(cfg)
     table = []
     for eps in cfg["eps_list"]:
@@ -344,27 +296,12 @@ def run_sweep(cfg: dict, root, config_path=None):
             continue
         for row in lambda_sweep(sol, cfg["lambda_list"], fcfg, pair):
             table.append({"eps": float(eps), **row})
-    write_csv(
-        outdir / "sweep.csv",
-        ["eps", "lambda", "status", "T_estimate", "sup_final", "drift_rel"],
-        (
-            [
-                r["eps"],
-                r["lambda"],
-                r["status"],
-                r.get("T_estimate"),
-                r.get("sup_final"),
-                r.get("drift_rel"),
-            ]
-            for r in table
-        ),
-    )
     counts = {}
     for r in table:
         counts[r["status"]] = counts.get(r["status"], 0) + 1
-    summary = {"cells": len(table), "status_counts": counts, "table": table}
-    _finish(outdir, manifest, summary)
-    return outdir, summary
+    cols = ["eps", "lambda", "status", "T_estimate", "sup_final", "drift_rel"]
+    rows = ([r.get(c) for c in cols] for r in table)
+    return {"cells": len(table), "status_counts": counts, "table": table}, {"sweep.csv": (cols, rows)}
 
 
 def _verify_checks() -> list:
@@ -464,24 +401,17 @@ def _verify_checks() -> list:
     return checks
 
 
-def run_verify(cfg: dict, root, config_path=None):
-    outdir = _make_outdir(root, "verify", cfg)
-    manifest = _start_manifest("verify", cfg, config_path)
+def _verify(cfg: dict, root):
     checks = _verify_checks()
     summary = {
         "checks": [{"name": n, "passed": bool(p), "detail": d} for n, p, d in checks],
         "passed": all(p for _, p, _ in checks),
     }
-    _finish(outdir, manifest, summary)
-    if not summary["passed"]:
-        failed = ", ".join(n for n, p, _ in checks if not p)
-        raise SolverError(f"invariant checks failed: {failed}", {"outdir": str(outdir)})
-    return outdir, summary
+    return summary, {}
 
 
-def run_report(cfg: dict, root, config_path=None):
+def _report(cfg: dict, root):
     """Collate summary.json files under root into report.csv; one version only."""
-    root = Path(root)
     rows = []
     versions = set()
     for mpath in sorted(root.glob("*/manifest.json")):
@@ -502,20 +432,53 @@ def run_report(cfg: dict, root, config_path=None):
     cols = ["run", "operation"]
     extra = sorted({k for row in rows for k in row} - set(cols))
     cols += extra
-    outdir = _make_outdir(root, "report", cfg)
-    manifest = _start_manifest("report", cfg, config_path)
-    write_csv(outdir / "report.csv", cols, ([row.get(c) for c in cols] for row in rows))
     summary = {"runs": len(rows), "version": versions.pop(), "columns": cols}
-    _finish(outdir, manifest, summary)
-    return outdir, summary
+    return summary, {"report.csv": (cols, ([row.get(c) for c in cols] for row in rows))}
 
 
-RUNNERS = {
-    "tower": run_tower,
-    "eig": run_eig,
-    "limit": run_limit,
-    "flow": run_flow,
-    "sweep": run_sweep,
-    "verify": run_verify,
-    "report": run_report,
+# operation -> (body, flag keys, help); a body maps (cfg, root) to its summary
+# and its CSV tables {filename: (header, rows)}
+OPERATIONS = {
+    "tower": (_tower, ("N", "k", "eps", "M"), "find the k-layer stationary solution"),
+    "eig": (_eig, ("N", "k", "eps", "M"), "first eigenpair and sign condition"),
+    "limit": (_limit, ("N", "radii", "M_limit"), "limit eigenvalue problem on balls"),
+    "flow": (
+        _flow,
+        ("N", "k", "eps", "M", "lambda", "t_end", "dt_max", "integrator"),
+        "single parabolic run from lambda*phi",
+    ),
+    "sweep": (
+        _sweep,
+        ("N", "k", "eps", "M", "eps_list", "lambda_list", "t_end"),
+        "eps x lambda classification table",
+    ),
+    "verify": (_verify, (), "run the fast invariant suite"),
+    "report": (_report, (), "collate run summaries under --out into CSV"),
 }
+
+
+def run(op: str, cfg: dict, root, config_path=None):
+    """Run one operation and return (outdir, summary).
+
+    The directory <op>-<hash8> under root is created only once the operation
+    has returned, so a failed run leaves nothing behind. It receives the CSV
+    tables, manifest.json and summary.json. A summary with a failed check is
+    still written, then raised as a SolverError naming the failed checks.
+    """
+    root = Path(root)
+    manifest = _start_manifest(op, cfg, config_path)
+    summary, tables = OPERATIONS[op][0](cfg, root)
+    outdir = root / f"{op}-{_hash8(op, cfg)}"
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        write_csv(outdir / name, header, rows)
+    manifest["finished"] = _now()
+    manifest["outcome"] = _sanitize(summary)
+    for name, doc in (("manifest.json", manifest), ("summary.json", manifest["outcome"])):
+        with open(outdir / name, "w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    failed = [c["name"] for c in summary.get("checks", ()) if not c["passed"]]
+    if failed:
+        raise SolverError(f"invariant checks failed: {', '.join(failed)}", {"outdir": str(outdir)})
+    return outdir, summary

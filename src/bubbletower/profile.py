@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import RadialField, RadialGrid
-from .params import ProblemParams, bubble_amplitude, critical_exponent
+from .params import ProblemParams, bubble_amplitude
 
 
 @dataclass(frozen=True)

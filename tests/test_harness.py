@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import bubbletower
-from bubbletower.cli import main
+from bubbletower.cli import build_parser, main
 from bubbletower.flow import FlowConfig
 from bubbletower.harness import (
     _SCHEMA,
@@ -113,6 +114,61 @@ def test_schema_keys():
     assert not {"scan_lo", "scan_hi", "per_decade", "collapse_run"} & set(_SCHEMA)
 
 
+DEFAULTS = {
+    "N": 4,
+    "k": 2,
+    "eps": 1e-3,
+    "M": 4096,
+    "ivp_rtol": 1e-10,
+    "residual_tol": 1e-8,
+    "lambda": 1.0,
+    "lambda_list": (0.1, 0.95, 1.0, 1.05),
+    "eps_list": (1e-2, 1e-3, 1e-4),
+    "radii": (20.0, 40.0, 80.0),
+    "M_limit": 4096,
+    "dt_max": 1e-5,
+    "dt_min": 1e-12,
+    "t_end": 2.0,
+    "blow_threshold": 1e3,
+    "safety": 0.1,
+    "stationary_tol": 1e-4,
+    "integrator": "imex-be",
+}
+
+
+def test_resolved_defaults_are_pinned():
+    cfg = resolve_config()
+    assert cfg == DEFAULTS
+    assert {k: type(v) for k, v in cfg.items()} == {k: type(v) for k, v in DEFAULTS.items()}
+
+
+# the flags of each subcommand besides -h, --config and --out
+CLI_FLAGS = {
+    "tower": "--N --k --eps --M",
+    "eig": "--N --k --eps --M",
+    "limit": "--N --radii --M-limit",
+    "flow": "--N --k --eps --M --lambda --t-end --dt-max --integrator",
+    "sweep": "--N --k --eps --M --eps-list --lambda-list --t-end",
+    "verify": "",
+    "report": "",
+}
+
+
+def test_cli_flags_are_pinned():
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(subparsers.choices) == list(CLI_FLAGS)
+    for op, flags in CLI_FLAGS.items():
+        got = {opt: a.dest for a in subparsers.choices[op]._actions for opt in a.option_strings}
+        want = {"-h": "help", "--help": "help", "--config": "config", "--out": "out"}
+        want.update({flag: flag[2:].replace("-", "_") for flag in flags.split()})
+        assert got == want, op
+
+
+def test_flag_values_are_parsed_by_the_schema(capsys):
+    assert main(["tower", "--N", "three"]) == 1
+    assert "config key 'N': cannot parse 'three'" in capsys.readouterr().err
+
+
 # a valid value other than the default for each FlowConfig field the schema holds
 FLOW_VALUES = {
     "dt_max": 2e-5,
@@ -212,7 +268,7 @@ def test_limit_run_writes_the_largest_rung_of_the_scan(tmp_path, monkeypatch):
     for module in (spectral, harness):  # wherever a caller may look it up
         monkeypatch.setattr(module, "limit_eigenpair", counted, raising=False)
     cfg = resolve_config(overrides={"radii": (20.0, 40.0), "M_limit": 512})
-    outdir, summary = harness.run_limit(cfg, tmp_path / "runs")
+    outdir, summary = harness.run("limit", cfg, tmp_path / "runs")
     assert calls == [(4, 20.0, 256), (4, 40.0, 512), (4, 40.0, 1024)]
     pair = real(4, 40.0, 512)
     write_csv(tmp_path / "fresh.csv", ["r", "phi_star"], zip(pair.phi.grid.nodes, pair.phi.values))
@@ -225,7 +281,7 @@ def test_limit_manifest_has_no_annulus_grid(tmp_path):
     from bubbletower import harness
 
     cfg = resolve_config(overrides={"radii": (20.0, 40.0), "M_limit": 256})
-    outdir, _ = harness.run_limit(cfg, tmp_path)
+    outdir, _ = harness.run("limit", cfg, tmp_path)
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["operation"] == "limit"
     assert "grid" not in manifest
@@ -380,6 +436,31 @@ def test_exit_code_solver_failure(tmp_path):
     cfg = tmp_path / "unmet.cfg"
     cfg.write_text("N = 3\nk = 2\neps = 0.1\nM = 1024\nresidual_tol = 1e-30\n")
     assert main(["tower", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 2
+
+
+def test_failed_runs_leave_no_directory(tmp_path):
+    cfg = tmp_path / "unmet.cfg"
+    cfg.write_text("N = 3\nk = 2\neps = 0.1\nM = 1024\nresidual_tol = 1e-30\n")
+    out = tmp_path / "runs"
+    out.mkdir()
+    assert main(["tower", "--config", str(cfg), "--out", str(out)]) == 2
+    assert main(["limit", "--radii", "10", "--out", str(out)]) == 1
+    assert list(out.iterdir()) == []
+
+
+def test_failed_verify_writes_its_directory_then_exits_2(tmp_path, monkeypatch, capsys):
+    from bubbletower import harness
+
+    checks = [("grid-log-midpoint", True, "ok"), ("eig-shift-exact", False, "|shift error|=1")]
+    monkeypatch.setattr(harness, "_verify_checks", lambda: checks)
+    assert main(["verify", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "invariant checks failed: eig-shift-exact" in err
+    assert "grid-log-midpoint" not in err
+    (d,) = list(tmp_path.iterdir())
+    summary = json.loads((d / "summary.json").read_text())
+    assert summary["passed"] is False
+    assert [c["passed"] for c in summary["checks"]] == [True, False]
 
 
 def test_console_entry_point():
