@@ -65,11 +65,14 @@ def parse_value(key: str, raw: str):
     """Parse one raw config value, from a file or a flag, by the schema's parser for key."""
     kind = _SCHEMA[key][1]
     try:
-        if kind is _FLOATS:
-            return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-        return kind(raw)
+        if kind is not _FLOATS:
+            return kind(raw)
+        values = tuple(float(tok) for tok in raw.split(",") if tok.strip())
     except ValueError as exc:
         raise ValueError(f"config key {key!r}: cannot parse {raw!r}") from exc
+    if not values:
+        raise ValueError(f"config key {key!r}: empty list")
+    return values
 
 
 def load_config(path) -> dict:

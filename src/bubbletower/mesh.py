@@ -154,9 +154,8 @@ def build_grid(eps: float, outer: float, M: int, grading: str = "log", N: int = 
     if M < 16:
         raise ValueError(f"M must be >= 16, got {M}")
     j = np.arange(M + 1)
-    if grading in ("log", "log-uniform"):
+    if grading == "log":
         nodes = eps * (outer / eps) ** (j / M)
-        grading = "log"
     elif grading == "uniform":
         nodes = eps + j * (outer - eps) / M
     else:

@@ -4,6 +4,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 def critical_exponent(N: int) -> float:
     """The Sobolev-critical power (N+2)/(N-2)."""
@@ -54,12 +56,8 @@ class ProblemParams:
 
     def reaction(self, u):
         """f(u) = |u|^{p-1} u, the odd critical nonlinearity."""
-        import numpy as np
-
         return np.abs(u) ** (self.p - 1) * u
 
     def reaction_derivative(self, u):
         """f'(u) = p |u|^{p-1} (nonnegative)."""
-        import numpy as np
-
         return self.p * np.abs(u) ** (self.p - 1)

@@ -22,6 +22,7 @@ from .profile import Bubble, bubble_eval, bubble_linearization
 from .stationary import StationarySolution
 
 _PIVOT_FLOOR = 1e-300
+_INVERSE_SWEEPS = 4  # inverse-iteration solves per eigenvector
 
 
 @dataclass(frozen=True)
@@ -31,13 +32,11 @@ class LinearizedOperator:
     d, e      : diagonal and off-diagonal of the symmetric tridiagonal matrix
     weights   : quadrature weights of the unknown nodes (the symmetrizer is
                 their square root)
-    potential : V >= 0 at the nodes (full grid)
     The unknowns are `grid.unknowns`: the interior nodes on annulus grids,
     and the r=0 node too, with the regularity row, on origin (ball) grids.
     """
 
     grid: RadialGrid
-    potential: RadialField
     d: np.ndarray
     e: np.ndarray
     weights: np.ndarray
@@ -76,7 +75,7 @@ def assemble_operator(grid: RadialGrid, potential: RadialField) -> LinearizedOpe
     Dk, diag, off = grid.stiffness
     d = diag / Dk - V[grid.unknowns]
     e = -off / np.sqrt(Dk[:-1] * Dk[1:])
-    return LinearizedOperator(grid=grid, potential=potential, d=d, e=e, weights=Dk)
+    return LinearizedOperator(grid=grid, d=d, e=e, weights=Dk)
 
 
 def assemble_linearized(sol: StationarySolution) -> LinearizedOperator:
@@ -120,7 +119,7 @@ def eigenvalue_k(op: LinearizedOperator, j: int = 1) -> float:
     return hi
 
 
-def _inverse_iteration(op: LinearizedOperator, lam: float, sweeps: int = 4) -> np.ndarray:
+def _inverse_iteration(op: LinearizedOperator, lam: float) -> np.ndarray:
     n = op.size
     shift = lam * (1.0 + 1e-14) + _PIVOT_FLOOR
     ab = np.zeros((3, n))
@@ -128,7 +127,7 @@ def _inverse_iteration(op: LinearizedOperator, lam: float, sweeps: int = 4) -> n
     ab[1, :] = op.d - shift
     ab[2, :-1] = op.e
     y = np.ones(n)
-    for _ in range(sweeps):
+    for _ in range(_INVERSE_SWEEPS):
         y = solve_banded((1, 1), ab, y)
         y /= np.linalg.norm(y)
     return y

@@ -15,15 +15,16 @@ The lobe is parametrized by y = a^2 / (beta w_max)^2 > 0: energy conservation
 at the turning point w_max becomes w_max^{p-1} = m0 (1 + y) with
 m0 = beta^2 (p+1)/2, free of the cancellation in a^2 << w_max^2, and both a
 and T (see _lobe_time) are explicit in y, a rising and T falling strictly, so
-the root is unique and Brent's method finds it in log y. One shot at s* then
-gives the orbit, which is projected to the grid and polished by a damped
-Newton iteration on the discrete boundary-value problem, so downstream
-spectral and flow work acts on an actual discrete solution.
+the root is unique and Brent's method finds it in log y. One shot at s*
+(`shoot`) integrates the oscillator and returns the orbit u = r^{-beta} w(log r)
+at the grid nodes. A damped Newton iteration then drives the discrete
+residual (`stationary_residual`) of that field to its rounding floor, so
+downstream spectral and flow work acts on an actual discrete solution.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
@@ -37,85 +38,34 @@ from .profile import extract_concentrations
 
 _TIME_RTOL = 1e-13  # relative tolerance of the lobe-time quadrature
 _LOG_Y_MAX = 512.0  # the root search in log y stops at |log y| = 512
+_NEWTON_FLOOR = 1e-13  # the Newton polish stops at this scaled residual
+_NEWTON_MAX_ITER = 50  # and takes at most this many steps
 
 
-@dataclass
-class ShootResult:
-    """One radial shot: interior zero count, terminal value, and the dense orbit."""
+def shoot(params: ProblemParams, s: float, grid: RadialGrid, rtol: float = 1e-10) -> RadialField:
+    """Integrate the radial IVP u(eps) = 0, u'(eps) = s and return the orbit on the grid.
 
-    slope: float
-    zero_count: int
-    terminal_value: float
-    _dense: object = field(default=None, repr=False)
-    _params: ProblemParams = field(default=None, repr=False)
-
-    def on_grid(self, grid: RadialGrid) -> RadialField:
-        """Evaluate the trajectory u(r) = r^{-beta} w(log r) at the grid nodes."""
-        if self._dense is None:
-            raise SolverError("shot carries no trajectory")
-        r = grid.nodes
-        beta = self._params.beta
-        w = self._dense(np.log(r))[0]
-        vals = r ** (-beta) * w
-        vals[0] = 0.0
-        vals[-1] = 0.0
-        return RadialField(grid, vals, dirichlet=True)
-
-
-def shoot(params: ProblemParams, s: float, rtol: float = 1e-10, atol: float = 1e-13) -> ShootResult:
-    """Integrate the radial IVP u(eps)=0, u'(eps)=s and report the nodal data.
-
-    The returned zero_count counts interior sign changes on (eps, 1);
-    terminal_value is u(1) (equal to w at s=0).
+    The orbit u(r) = r^{-beta} w(log r) is evaluated at the nodes of grid, a
+    grid on [eps, 1], and its two end values are set to exactly 0.
     """
     if not math.isfinite(s):
         raise ValueError(f"slope must be finite, got {s}")
     p, beta, eps = params.p, params.beta, params.eps
-    s0 = math.log(eps)
-    w0 = 0.0
-    dw0 = s * eps ** (beta + 1.0)  # chain rule: w'(log eps) from u'(eps)
-    if dw0 == 0.0:
-        # (0, 0) initial data rides the invariant zero solution; integrating it
-        # would trip the zero event at every accepted step
-        return ShootResult(
-            slope=s,
-            zero_count=0,
-            terminal_value=0.0,
-            _dense=lambda t: np.zeros((2,) + np.shape(t)),
-            _params=params,
-        )
 
     def rhs(t, y):
         w, dw = y
         return (dw, beta * beta * w - abs(w) ** (p - 1.0) * w)
 
-    def zero_event(t, y):
-        return y[0]
-
-    zero_event.direction = 0
-
+    dw0 = s * eps ** (beta + 1.0)  # chain rule: w'(log eps) from u'(eps)
     sol = solve_ivp(
-        rhs,
-        (s0, 0.0),
-        (w0, dw0),
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-        events=zero_event,
+        rhs, (math.log(eps), 0.0), (0.0, dw0), method="DOP853", rtol=rtol, atol=1e-13, dense_output=True
     )
     if not sol.success:
         raise SolverError(f"shooting integrator failed: {sol.message}")
-    guard = 1e-9 * abs(s0)
-    crossings = sol.t_events[0]
-    interior = crossings[(crossings > s0 + guard) & (crossings < -guard)]
-    return ShootResult(
-        slope=s,
-        zero_count=int(interior.size),
-        terminal_value=float(sol.sol(0.0)[0]),
-        _dense=sol.sol,
-        _params=params,
-    )
+    r = grid.nodes
+    vals = r ** (-beta) * sol.sol(np.log(r))[0]
+    vals[0] = vals[-1] = 0.0
+    return RadialField(grid, vals, dirichlet=True)
 
 
 @dataclass
@@ -162,16 +112,12 @@ def _scaled_residual_norm(u: RadialField, params: ProblemParams) -> float:
     return float(np.max(np.abs(res))) / scale
 
 
-def _newton_refine(
-    u0: RadialField,
-    params: ProblemParams,
-    floor: float = 1e-13,
-    max_iter: int = 50,
-) -> tuple[RadialField, list]:
+def _newton_refine(u0: RadialField, params: ProblemParams) -> tuple[RadialField, list]:
     """Damped Newton on the discrete BVP Delta_h u + f(u) = 0 (interior rows).
 
-    Backtracking line search on the scaled residual sup norm; stops at the
-    floor or on stall (no factor-2 progress over two steps).
+    Backtracking line search on the scaled residual sup norm; stops at
+    _NEWTON_FLOOR, after _NEWTON_MAX_ITER steps, or on stall (no factor-2
+    progress over two steps).
     """
     g = u0.grid
     mass, diag, off = g.stiffness
@@ -183,16 +129,14 @@ def _newton_refine(
     scale = max(1.0, float(np.max(np.abs(params.reaction(u)))))
 
     def resid(vals):
-        fld = RadialField(g, vals)
-        r = apply_radial_laplacian(fld).values[1:-1] + params.reaction(vals[1:-1])
-        return r
+        return -stationary_residual(RadialField(g, vals), params).values[1:-1]
 
     hist = []
     F = resid(u)
     res = float(np.max(np.abs(F))) / scale
     hist.append(res)
     it = 0
-    while res > floor and it < max_iter:
+    while res > _NEWTON_FLOOR and it < _NEWTON_MAX_ITER:
         ab = np.zeros((3, n))
         ab[0, 1:] = up
         ab[1, :] = diag_lap + params.reaction_derivative(u[1:-1])
@@ -207,7 +151,7 @@ def _newton_refine(
             trial[1:-1] += t * delta
             Ft = resid(trial)
             rest = float(np.max(np.abs(Ft))) / scale
-            if rest <= res * (1.0 - 0.25 * t) or rest <= floor:
+            if rest <= res * (1.0 - 0.25 * t) or rest <= _NEWTON_FLOOR:
                 u, F, res = trial, Ft, rest
                 break
             t *= 0.5
@@ -283,7 +227,6 @@ def _time_map_slope(params: ProblemParams) -> float:
 
 def find_nodal_solution(
     params: ProblemParams,
-    k: int | None = None,
     M: int = 4096,
     ivp_rtol: float = 1e-10,
     residual_tol: float = 1e-8,
@@ -299,17 +242,9 @@ def find_nodal_solution(
     Orientation: s* is positive, so the innermost lobe of the returned
     solution is positive; the mirrored solution is -field.
     """
-    if k is None:
-        k = params.k
-    elif k != params.k:
-        params = ProblemParams(params.N, k, params.eps)
-    target = k - 1
-
     s_star = _time_map_slope(params)
-    shot = shoot(params, s_star, rtol=ivp_rtol)
-
     grid = build_grid(params.eps, 1.0, M, "log", params.N)
-    u_shot = shot.on_grid(grid)
+    u_shot = shoot(params, s_star, grid, rtol=ivp_rtol)
     u, hist = _newton_refine(u_shot, params)
     res_norm = _scaled_residual_norm(u, params)
     if res_norm > residual_tol:
@@ -319,15 +254,15 @@ def find_nodal_solution(
         )
 
     zeros = _interior_zeros(u)
-    if zeros.size != target:
+    if zeros.size != params.k - 1:
         raise SolverError(
-            f"refined solution has {zeros.size} interior zeros, expected {target}",
+            f"refined solution has {zeros.size} interior zeros, expected {params.k - 1}",
             {"zeros": zeros.tolist()},
         )
     if norms(u)["l2_weighted"] < 1e-3:
         raise SolverError("solution collapsed toward zero (weighted L2 < 1e-3)")
 
-    deltas = extract_concentrations(u, k)
+    deltas = extract_concentrations(u, params.k)
     return StationarySolution(
         params=params,
         field=u,

@@ -448,6 +448,26 @@ def test_failed_runs_leave_no_directory(tmp_path):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "op, flag, key",
+    [("limit", "--radii", "radii"), ("sweep", "--eps-list", "eps_list"), ("sweep", "--lambda-list", "lambda_list")],
+)
+def test_empty_list_flag_exits_1_and_leaves_no_directory(tmp_path, capsys, op, flag, key):
+    out = tmp_path / "runs"
+    assert main([op, flag, ",,", "--out", str(out)]) == 1
+    assert f"config key {key!r}: empty list" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_empty_list_in_config_file_exits_1_and_leaves_no_directory(tmp_path, capsys):
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("N = 4\nradii =\n")
+    out = tmp_path / "runs"
+    assert main(["limit", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "config key 'radii': empty list" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_failed_verify_writes_its_directory_then_exits_2(tmp_path, monkeypatch, capsys):
     from bubbletower import harness
 

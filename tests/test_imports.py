@@ -1,7 +1,10 @@
-"""Every name a module of the package imports is read in that module.
+"""Static checks over the package's modules, since the repo has no linter.
 
-The package's __init__.py re-exports what it imports and is exempt, as are
-`from __future__` imports.
+Every name a module imports is read in that module (the package's
+__init__.py re-exports what it imports and is exempt, as are
+`from __future__` imports). Every defaulted parameter of a module-private
+function is passed, by position or by keyword, by some call in the package;
+a default no caller overrides is a constant and belongs in the body.
 """
 import ast
 from pathlib import Path
@@ -10,12 +13,14 @@ import pytest
 
 import bubbletower
 
-MODULES = sorted(p for p in Path(bubbletower.__file__).resolve().parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = Path(bubbletower.__file__).resolve().parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TREES = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_imported_name_is_read(path):
-    tree = ast.parse(path.read_text())
+    tree = TREES[path.name]
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -24,3 +29,46 @@ def test_every_imported_name_is_read(path):
             imported.update(a.asname or a.name for a in node.names)
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     assert not imported - read, f"{path.name} imports but never reads {sorted(imported - read)}"
+
+
+def _defaulted(fn: ast.FunctionDef) -> dict:
+    """Defaulted parameter name -> its position (None for keyword-only)."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    out = {a.arg: i for i, a in enumerate(positional) if i >= first}
+    out.update({a.arg: None for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None})
+    return out
+
+
+def _passes(call: ast.Call, name: str, pos: int | None) -> bool:
+    if any(kw.arg in (name, None) for kw in call.keywords):  # by keyword, or through **kwargs
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return pos is not None and len(call.args) > pos
+
+
+def _calls_to(name: str) -> list:
+    calls = []
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                if (isinstance(f, ast.Name) and f.id == name) or (isinstance(f, ast.Attribute) and f.attr == name):
+                    calls.append(node)
+    return calls
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_default_is_overridden_by_some_call(path):
+    unused = []
+    for node in ast.walk(TREES[path.name]):
+        is_private = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.startswith("_")
+        if not is_private or node.name.startswith("__"):
+            continue
+        calls = _calls_to(node.name)
+        bound = int(bool(node.args.args) and node.args.args[0].arg in ("self", "cls"))  # not passed by a caller
+        for name, pos in _defaulted(node).items():
+            if not any(_passes(c, name, None if pos is None else pos - bound) for c in calls):
+                unused.append(f"{node.name}({name})")
+    assert not unused, f"{path.name}: no call passes the defaulted parameters {unused}"

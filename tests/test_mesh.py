@@ -29,6 +29,8 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         bt.build_grid(0.1, 1.0, 64, grading="cubic")
     with pytest.raises(ValueError):
+        bt.build_grid(0.1, 1.0, 64, grading="log-uniform")
+    with pytest.raises(ValueError):
         bt.RadialGrid(np.array([0.1, 0.3, 0.2, 1.0]), N=3)  # not increasing
     with pytest.raises(ValueError):
         bt.RadialGrid(np.linspace(0.1, 1.0, 33), N=2)

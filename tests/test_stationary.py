@@ -6,7 +6,7 @@ from scipy.integrate import solve_ivp
 
 import bubbletower as bt
 from bubbletower.errors import SolverError
-from bubbletower.stationary import _lobe_time
+from bubbletower.stationary import _interior_zeros, _lobe_time
 
 from conftest import CASES
 from oracles import oracle_slope
@@ -20,30 +20,37 @@ FROZEN_SLOPES = {
 }
 
 
+def _shoot_grid(params, M=1024):
+    return bt.build_grid(params.eps, 1.0, M, "log", params.N)
+
+
 def test_shoot_zero_slope_is_trivial():
     params = bt.ProblemParams(3, 2, 1e-2)
-    res = bt.shoot(params, 0.0)
-    assert res.zero_count == 0
-    assert res.terminal_value == 0.0
+    orbit = bt.shoot(params, 0.0, _shoot_grid(params))
+    assert orbit.dirichlet
+    assert np.all(orbit.values == 0.0)
 
 
 def test_shoot_odd_symmetry():
     params = bt.ProblemParams(3, 2, 1e-2)
-    a = bt.shoot(params, 5.0)
-    b = bt.shoot(params, -5.0)
-    assert a.zero_count == b.zero_count
-    assert abs(a.terminal_value + b.terminal_value) <= 1e-13 * abs(a.terminal_value)
+    grid = _shoot_grid(params)
+    a = bt.shoot(params, 5.0, grid)
+    b = bt.shoot(params, -5.0, grid)
+    assert np.max(np.abs(a.values)) > 0
+    assert np.array_equal(b.values, -a.values)
 
 
 def test_shoot_rejects_nonfinite_slope():
+    params = bt.ProblemParams(3, 2, 1e-2)
     with pytest.raises(ValueError):
-        bt.shoot(bt.ProblemParams(3, 2, 1e-2), float("nan"))
+        bt.shoot(params, float("nan"), _shoot_grid(params))
 
 
 def test_zero_count_transitions_with_slope():
     # N=3, eps=0.1: small slopes die back without crossing, larger ones oscillate
     params = bt.ProblemParams(3, 1, 0.1)
-    counts = {bt.shoot(params, s).zero_count for s in np.geomspace(0.01, 1e4, 60)}
+    grid = _shoot_grid(params)
+    counts = {_interior_zeros(bt.shoot(params, s, grid)).size for s in np.geomspace(0.01, 1e4, 60)}
     assert 0 in counts
     assert any(c >= 1 for c in counts)
 
