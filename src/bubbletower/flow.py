@@ -197,15 +197,15 @@ def _adaptive_dt(cfg: FlowConfig, p: float):
     return dt_of
 
 
-def _fit_blowup_time(ts: np.ndarray, sups: np.ndarray, p: float, thr: float | None = None) -> float | None:
+def _fit_blowup_time(ts: np.ndarray, sups: np.ndarray, p: float, thr: float) -> float | None:
     finite = np.isfinite(sups)
     if not finite.any():
         return None
     top = np.max(sups[finite])
-    # anchor the window at the detection threshold when known: past it the
-    # clamped steps can multiply sup by orders of magnitude per step, leaving
-    # fewer than 3 samples within a decade of the maximum
-    level = top if thr is None else min(top, thr)
+    # anchor the window at the detection threshold: past it the clamped steps
+    # can multiply sup by orders of magnitude per step, leaving fewer than 3
+    # samples within a decade of the maximum
+    level = min(top, thr)
     # a clamped step can also jump from below the window straight past the
     # threshold (p = 5); widen one decade at a time until 3 samples fit
     lo, bottom = level / 10.0, np.min(sups[finite])
@@ -331,6 +331,9 @@ def linearized_evolve(
         t_end = 5.0 / abs(lam)
     if dt is None:
         dt = 0.002 / abs(lam)
+    n_steps = int(np.ceil(t_end / dt))
+    if n_steps < 3:  # the rate is fitted over the second half of the rows
+        raise ValueError(f"t_end={t_end:g} at dt={dt:g} gives {n_steps} steps; the rate fit needs at least 3")
     params = sol.params
     g = sol.field.grid
     stepper = _Stepper(g, params, "imex-be")
@@ -363,7 +366,7 @@ def linearized_evolve(
     rows = []
     # exactly ceil(t_end/dt) steps: the accumulated clock may fall just short of t_end
     steps = _march(advance, z, np.inf, lambda sup, rest: dt, 0.0)
-    for t, _, z, _, _ in islice(steps, int(np.ceil(t_end / dt))):
+    for t, _, z, _, _ in islice(steps, n_steps):
         pr = omega * float(np.sum(D * z * pair.phi.values))
         rows.append(
             (

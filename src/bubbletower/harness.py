@@ -33,6 +33,7 @@ from .spectral import (
     assemble_operator,
     eigenvalue_k,
     first_eigenpair,
+    limit_ladder,
     limit_overlap,
     limit_scan,
     sign_condition,
@@ -103,8 +104,15 @@ def resolve_config(file_cfg: dict | None = None, overrides: dict | None = None) 
             cfg[key] = val
     ProblemParams(cfg["N"], cfg["k"], cfg["eps"])
     _flow_config(cfg)
-    if cfg["M"] < 16 or cfg["M_limit"] < 16:
+    if cfg["M"] < 16:
         raise ValueError("grid resolution must be at least 16 cells")
+    if min(cfg["radii"]) <= 0:
+        raise ValueError(f"radii must be positive, got {cfg['radii']}")
+    for R, M in limit_ladder(cfg["radii"], cfg["M_limit"]):
+        if M < 16:
+            raise ValueError(
+                f"M_limit = {cfg['M_limit']} leaves the rung R = {R:g} with M = {M} cells; every rung needs at least 16"
+            )
     return cfg
 
 

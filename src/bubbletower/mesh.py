@@ -138,9 +138,6 @@ class RadialField:
         if self.dirichlet and (self.values[0] != 0.0 or self.values[-1] != 0.0):
             raise ValueError("dirichlet field must have exactly zero endpoint values")
 
-    def copy(self) -> "RadialField":
-        return RadialField(self.grid, self.values.copy(), self.dirichlet)
-
 
 def build_grid(eps: float, outer: float, M: int, grading: str = "log", N: int = 3) -> RadialGrid:
     """Annulus grid on [eps, outer] with M+1 nodes.

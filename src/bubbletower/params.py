@@ -30,14 +30,12 @@ class ProblemParams:
     k     : number of bubbles in the tower, >= 1
     eps   : inner hole radius of the annulus {eps < |x| < 1}, in (0, 1)
     p     : derived critical exponent (N+2)/(N-2)
-    alpha : derived bubble amplitude [N(N-2)]^{(N-2)/4}
     """
 
     N: int
     k: int = 1
     eps: float = 1e-2
     p: float = field(init=False)
-    alpha: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.N < 3:
@@ -47,7 +45,6 @@ class ProblemParams:
         if not (0.0 < self.eps < 1.0):
             raise ValueError(f"hole radius eps must lie in (0,1), got {self.eps}")
         object.__setattr__(self, "p", critical_exponent(self.N))
-        object.__setattr__(self, "alpha", bubble_amplitude(self.N))
 
     @property
     def beta(self) -> float:

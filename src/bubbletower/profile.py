@@ -124,45 +124,22 @@ def ef_peak_height(N: int) -> float:
     return bubble_amplitude(N) * 2.0 ** (-(N - 2) / 2)
 
 
-def _find_peaks(x: np.ndarray, prominence: float) -> np.ndarray:
-    """Indices of the local maxima of x with at least the given prominence.
-
-    Same rules as scipy.signal.find_peaks(x, prominence=...): a flat maximum is
-    reported at its midpoint (rounded down), a plateau touching either end is
-    no peak, and the prominence is the height above the higher of the two
-    minima taken on each side out to the nearest strictly higher sample (or
-    the end of the array).
-    """
-    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
-    ends = np.r_[starts[1:] - 1, x.size - 1]
-    level = x[starts]
-    runs = np.flatnonzero((level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])) + 1
-    peaks = []
-    for j in (starts[runs] + ends[runs]) // 2:
-        higher_left = np.flatnonzero(x[:j] > x[j])
-        higher_right = np.flatnonzero(x[j + 1 :] > x[j])
-        left = higher_left[-1] + 1 if higher_left.size else 0
-        right = j + 1 + higher_right[0] if higher_right.size else x.size
-        if x[j] - max(x[left : j + 1].min(), x[j:right].min()) >= prominence:
-            peaks.append(j)
-    return np.array(peaks, dtype=int)
-
-
 def extract_concentrations(u: RadialField, k: int) -> np.ndarray:
     """Measured scales delta_i = exp(s at the i-th peak of |w|), descending.
 
-    Peaks are local maxima of |w| in the transformed variables, kept only
-    above 10% of the universal single-bubble height to reject ripples; each
-    retained peak location is refined by a local quadratic fit. Raises when
-    fewer than k peaks survive.
+    Peaks are the interior local maxima of |w| in the transformed variables
+    (above the left neighbour, not below the right one) whose height is at
+    least 10% of the universal single-bubble height, which rejects ripples;
+    the k highest are kept and each location is refined by a local quadratic
+    fit. Raises when fewer than k peaks survive.
     """
     s, w = emden_fowler_transform(u)
     aw = np.abs(w)
-    prominence = 0.1 * ef_peak_height(u.grid.N)
-    idx = _find_peaks(aw, prominence)
+    mid = aw[1:-1]
+    idx = np.flatnonzero((mid > aw[:-2]) & (mid >= aw[2:]) & (mid >= 0.1 * ef_peak_height(u.grid.N))) + 1
     if idx.size < k:
         raise ValueError(f"found {idx.size} concentration peaks, expected {k}")
-    # keep the k most prominent by height
+    # keep the k highest
     order = np.argsort(aw[idx])[::-1][:k]
     idx = np.sort(idx[order])
     peaks_s = []

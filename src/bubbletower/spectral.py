@@ -5,15 +5,16 @@ stiffness (`RadialGrid.stiffness`), the same face/cell weights as the mesh
 module's Laplacian, so Rayleigh quotients, residuals, and the inner-product
 identity below are all consistent with `integrate_weighted`.
 Eigenvalues come from bisection on the Sturm sequence run down to machine
-interval width (no library eigensolver); eigenvectors from a short inverse
-iteration at the converged eigenvalue.
+interval width, written out here (no library eigensolver); eigenvectors from
+a short inverse iteration at the converged eigenvalue, whose shifted
+tridiagonal solves are the only LAPACK calls (dgttrf, dgttrs).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import SolverError
 from .mesh import RadialField, RadialGrid, build_ball_grid, integrate_weighted
@@ -30,16 +31,15 @@ class LinearizedOperator:
     """Symmetrized tridiagonal representation of -Delta - V with Dirichlet trace.
 
     d, e      : diagonal and off-diagonal of the symmetric tridiagonal matrix
-    weights   : quadrature weights of the unknown nodes (the symmetrizer is
-                their square root)
     The unknowns are `grid.unknowns`: the interior nodes on annulus grids,
     and the r=0 node too, with the regularity row, on origin (ball) grids.
+    The symmetrizer is the square root of their quadrature weights, the mass
+    of `grid.stiffness`.
     """
 
     grid: RadialGrid
     d: np.ndarray
     e: np.ndarray
-    weights: np.ndarray
 
     @property
     def size(self) -> int:
@@ -75,7 +75,7 @@ def assemble_operator(grid: RadialGrid, potential: RadialField) -> LinearizedOpe
     Dk, diag, off = grid.stiffness
     d = diag / Dk - V[grid.unknowns]
     e = -off / np.sqrt(Dk[:-1] * Dk[1:])
-    return LinearizedOperator(grid=grid, d=d, e=e, weights=Dk)
+    return LinearizedOperator(grid=grid, d=d, e=e)
 
 
 def assemble_linearized(sol: StationarySolution) -> LinearizedOperator:
@@ -120,15 +120,17 @@ def eigenvalue_k(op: LinearizedOperator, j: int = 1) -> float:
 
 
 def _inverse_iteration(op: LinearizedOperator, lam: float) -> np.ndarray:
-    n = op.size
+    """Unit eigenvector at lam: sweeps y <- (T - shift I)^{-1} y / norm from all ones, shift ~ lam.
+
+    LAPACK dgttrf factors the shifted matrix once (LU with partial pivoting); dgttrs runs each sweep.
+    """
     shift = lam * (1.0 + 1e-14) + _PIVOT_FLOOR
-    ab = np.zeros((3, n))
-    ab[0, 1:] = op.e
-    ab[1, :] = op.d - shift
-    ab[2, :-1] = op.e
-    y = np.ones(n)
+    *lu, info = dgttrf(op.e, op.d - shift, op.e)
+    if info > 0:
+        raise SolverError(f"inverse iteration: shifted matrix is singular (zero pivot in row {info})")
+    y = np.ones(op.size)
     for _ in range(_INVERSE_SWEEPS):
-        y = solve_banded((1, 1), ab, y)
+        y, _ = dgttrs(*lu, y)
         y /= np.linalg.norm(y)
     return y
 
@@ -149,7 +151,7 @@ def first_eigenpair(op: LinearizedOperator) -> EigenPair:
     residual = float(np.linalg.norm(Tpsi - lam * psi)) / max(1.0, abs(lam))
     # back to nodal values and weighted-L2 normalization
     vals = np.zeros_like(op.grid.nodes)
-    vals[op.grid.unknowns] = psi / np.sqrt(op.weights)
+    vals[op.grid.unknowns] = psi / np.sqrt(op.grid.stiffness[0])
     phi = RadialField(op.grid, vals)
     nrm = np.sqrt(integrate_weighted(phi, phi))
     phi.values /= nrm
@@ -158,7 +160,7 @@ def first_eigenpair(op: LinearizedOperator) -> EigenPair:
 
 def rayleigh_quotient(op: LinearizedOperator, phi: RadialField) -> float:
     """Quotient of the assembled form at a field (uses the symmetrizing weights)."""
-    psi = phi.values[op.grid.unknowns] * np.sqrt(op.weights)
+    psi = phi.values[op.grid.unknowns] * np.sqrt(op.grid.stiffness[0])
     return float(psi @ op.apply(psi)) / float(psi @ psi)
 
 
@@ -182,6 +184,12 @@ def limit_eigenpair(N: int, R: float, M: int) -> EigenPair:
     return pair
 
 
+def limit_ladder(radii, M_at_largest: int) -> list:
+    """(R, M) rungs in increasing R at matched spacing: M = M_at_largest R / R_max, rounded."""
+    radii = sorted(float(R) for R in radii)
+    return [(R, int(round(M_at_largest * R / radii[-1]))) for R in radii]
+
+
 def limit_scan(N: int, radii=(20.0, 40.0, 80.0), M_at_largest: int = 4096) -> dict:
     """lambda*_R over a radius ladder at matched spacing, plus the h-extrapolated limit.
 
@@ -191,11 +199,11 @@ def limit_scan(N: int, radii=(20.0, 40.0, 80.0), M_at_largest: int = 4096) -> di
     (order-2 stencil), and the radius-convergence estimate is the gap between
     the two largest radii. "pair" is the eigenpair at the largest radius.
     """
-    radii = tuple(sorted(float(R) for R in radii))
+    ladder = limit_ladder(radii, M_at_largest)
+    radii = [R for R, _ in ladder]
     R_max = radii[-1]
     out = {}
-    for R in radii:
-        M = int(round(M_at_largest * R / R_max))
+    for R, M in ladder:
         pair = limit_eigenpair(N, R, M)
         out[R] = pair.lam
     lam_h = out[R_max]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 from scipy.optimize import brentq
 
 from .errors import SolverError
@@ -125,7 +125,6 @@ def _newton_refine(u0: RadialField, params: ProblemParams) -> tuple[RadialField,
     up = off / mass[:-1]  # super-diagonal entries (rows ..n-1)
     diag_lap = -diag / mass
     u = u0.values.copy()
-    n = mass.size
     scale = max(1.0, float(np.max(np.abs(params.reaction(u)))))
 
     def resid(vals):
@@ -135,16 +134,13 @@ def _newton_refine(u0: RadialField, params: ProblemParams) -> tuple[RadialField,
     F = resid(u)
     res = float(np.max(np.abs(F))) / scale
     hist.append(res)
+    if not math.isfinite(res):  # accepted steps keep it finite: only the start can fail here
+        raise SolverError(f"non-finite Newton residual {res} at the initial field", {"history": hist})
     it = 0
     while res > _NEWTON_FLOOR and it < _NEWTON_MAX_ITER:
-        ab = np.zeros((3, n))
-        ab[0, 1:] = up
-        ab[1, :] = diag_lap + params.reaction_derivative(u[1:-1])
-        ab[2, :-1] = lo
-        try:
-            delta = solve_banded((1, 1), ab, -F, overwrite_ab=True, overwrite_b=False)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"singular Newton system: {exc}", {"history": hist})
+        *_, delta, info = dgtsv(lo, diag_lap + params.reaction_derivative(u[1:-1]), up, -F)
+        if info > 0:
+            raise SolverError(f"singular Newton system: zero pivot in row {info}", {"history": hist})
         t = 1.0
         for _ in range(30):
             trial = u.copy()

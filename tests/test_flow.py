@@ -164,6 +164,15 @@ def test_linearized_takes_exactly_ceil_t_end_over_dt_steps(case_solutions, case_
     assert out["series"][-1, 0] == clock
 
 
+@pytest.mark.parametrize("steps", [1, 2])
+def test_linearized_rejects_runs_too_short_for_the_rate_fit(case_solutions, case_pairs, steps):
+    # ceil(t_end/dt) < 3 leaves fewer than two rows for the fit over the second half
+    sol, pair = case_solutions[KEY], case_pairs[KEY]
+    dt = 0.002 / abs(pair.lam)
+    with pytest.raises(ValueError, match=rf"t_end=.* at dt=.* gives {steps} steps"):
+        bt.linearized_evolve(sol, pair, pair.phi, t_end=steps * dt, dt=dt)
+
+
 def test_linearized_rejects_zero_data(case_solutions, case_pairs):
     sol, pair = case_solutions[KEY], case_pairs[KEY]
     g = sol.field.grid

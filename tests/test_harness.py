@@ -445,7 +445,21 @@ def test_failed_runs_leave_no_directory(tmp_path):
     out.mkdir()
     assert main(["tower", "--config", str(cfg), "--out", str(out)]) == 2
     assert main(["limit", "--radii", "10", "--out", str(out)]) == 1
+    assert main(["limit", "--radii", "0", "--out", str(out)]) == 1
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "flags, R, M",
+    [(["--N", "4", "--M-limit", "32"], 20, 8), (["--radii", "20,80", "--M-limit", "60"], 20, 15)],
+)
+def test_too_coarse_limit_rung_exits_1_naming_M_limit(tmp_path, capsys, flags, R, M):
+    # M_limit >= 16 is not enough: the smallest rung gets round(M_limit R / R_max) cells
+    out = tmp_path / "runs"
+    assert main(["limit", *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "M_limit" in err and f"R = {R} with M = {M} cells" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,9 @@ Every name a module imports is read in that module (the package's
 __init__.py re-exports what it imports and is exempt, as are
 `from __future__` imports). Every defaulted parameter of a module-private
 function is passed, by position or by keyword, by some call in the package;
-a default no caller overrides is a constant and belongs in the body.
+a default no caller overrides is a constant and belongs in the body. And
+every such parameter is left at its default by some call; a default every
+caller overrides hides a dead branch, and the parameter should be required.
 """
 import ast
 from pathlib import Path
@@ -48,6 +50,17 @@ def _passes(call: ast.Call, name: str, pos: int | None) -> bool:
     return pos is not None and len(call.args) > pos
 
 
+def _private_functions(path) -> list:
+    """(function, calls to it, offset of a bound first parameter) per module-private function."""
+    out = []
+    for node in ast.walk(TREES[path.name]):
+        is_private = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.startswith("_")
+        if is_private and not node.name.startswith("__"):
+            bound = int(bool(node.args.args) and node.args.args[0].arg in ("self", "cls"))  # not passed by a caller
+            out.append((node, _calls_to(node.name), bound))
+    return out
+
+
 def _calls_to(name: str) -> list:
     calls = []
     for tree in TREES.values():
@@ -62,13 +75,19 @@ def _calls_to(name: str) -> list:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_private_default_is_overridden_by_some_call(path):
     unused = []
-    for node in ast.walk(TREES[path.name]):
-        is_private = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.startswith("_")
-        if not is_private or node.name.startswith("__"):
-            continue
-        calls = _calls_to(node.name)
-        bound = int(bool(node.args.args) and node.args.args[0].arg in ("self", "cls"))  # not passed by a caller
+    for node, calls, bound in _private_functions(path):
         for name, pos in _defaulted(node).items():
             if not any(_passes(c, name, None if pos is None else pos - bound) for c in calls):
                 unused.append(f"{node.name}({name})")
     assert not unused, f"{path.name}: no call passes the defaulted parameters {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_default_is_left_by_some_call(path):
+    always = []
+    for node, calls, bound in _private_functions(path):
+        for name, pos in _defaulted(node).items():
+            # strict: _passes counts a call through *args or **kwargs as passing
+            if all(_passes(c, name, None if pos is None else pos - bound) for c in calls):
+                always.append(f"{node.name}({name})")
+    assert not always, f"{path.name}: every call passes the defaulted parameters {always}"

@@ -9,7 +9,6 @@ import pytest
 
 import bubbletower as bt
 from bubbletower.params import bubble_amplitude, critical_exponent
-from bubbletower.profile import _find_peaks
 
 
 def test_bubble_scaling_identity():
@@ -126,23 +125,27 @@ def test_amplitude_constant():
     assert abs(bubble_amplitude(4) - math.sqrt(8.0)) <= 1e-15
 
 
-def test_find_peaks_matches_scipy_on_plateaus():
-    signal = pytest.importorskip("scipy.signal")
-    rng = np.random.default_rng(7)
-    for _ in range(500):
-        x = rng.integers(0, 5, size=int(rng.integers(1, 40))).astype(float)
-        for prom in (0.0, 0.5, 1.0, 2.0, 3.5):
-            assert np.array_equal(_find_peaks(x, prom), signal.find_peaks(x, prominence=prom)[0])
+def _ansatz_fields():
+    """The two tower ansatz fields of the roundtrip tests above, with their k."""
+    t4 = bt.TowerAnsatz.default(bt.ProblemParams(N=4, k=2, eps=1e-3))
+    t3 = bt.TowerAnsatz(bt.ProblemParams(N=3, k=2, eps=1e-4), (0.1, 0.001))
+    return [(bt.build_tower_ansatz(t, bt.build_grid(t.params.eps, 1.0, 4096, N=t.params.N)), 2) for t in (t4, t3)]
 
 
-def test_find_peaks_matches_scipy_on_towers(case_solutions):
+def test_concentrations_match_scipy_peaks(case_solutions):
+    # independent oracle: the k highest peaks of |w| that scipy finds at
+    # prominence 0.1 h; each measured scale lies within one local log-cell
     signal = pytest.importorskip("scipy.signal")
-    for sol in case_solutions.values():
-        _, w = bt.emden_fowler_transform(sol.field)
+    fields = [(sol.field, sol.params.k) for sol in case_solutions.values()] + _ansatz_fields()
+    for u, k in fields:
+        s, w = bt.emden_fowler_transform(u)
         aw = np.abs(w)
-        for prom in (0.0, 0.1 * bt.ef_peak_height(sol.params.N)):
-            want = signal.find_peaks(aw, prominence=prom)[0]
-            assert np.array_equal(_find_peaks(aw, prom), want)
+        idx = signal.find_peaks(aw, prominence=0.1 * bt.ef_peak_height(u.grid.N))[0]
+        idx = np.sort(idx[np.argsort(aw[idx])[::-1][:k]])[::-1]  # k highest, descending in s
+        cell = 0.5 * (s[idx + 1] - s[idx - 1])
+        got = np.log(bt.extract_concentrations(u, k))
+        assert got.size == k
+        assert np.all(np.abs(got - s[idx]) <= cell), (got, s[idx], cell)
 
 
 def test_import_leaves_scipy_signal_out():
