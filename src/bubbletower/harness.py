@@ -29,6 +29,7 @@ from .mesh import RadialField, apply_radial_laplacian, build_grid
 from .params import ProblemParams
 from .profile import Bubble, bubble_eval, ef_peak_height
 from .spectral import (
+    LinearizedOperator,
     assemble_linearized,
     assemble_operator,
     eigenvalue_k,
@@ -357,6 +358,13 @@ def _verify_checks() -> list:
     target = 4.0 * math.pi**2
     rel = abs(lam0 - target) / abs(target)
     checks.append(("eig-zero-potential", rel <= 1e-4, f"lambda1={lam0:.10g} rel_err={rel:.2e}"))
+    n = 31  # tridiag(-1, 2, -1): 2 - 2cos(j pi/(n+1)); a count at x = 2 meets zero pivots
+    path = LinearizedOperator(None, np.full(n, 2.0), np.full(n - 1, -1.0))
+    worst = max(
+        abs(eigenvalue_k(path, j) - (2.0 - 2.0 * math.cos(j * math.pi / (n + 1))))
+        for j in range(1, n + 1)
+    )
+    checks.append(("eig-path-laplacian", worst <= 1e-12, f"max |error| over {n} eigenvalues={worst:.2e}"))
     c = 7.25  # adding potential c shifts the spectrum of -Lap - V by -c
     opc = assemble_operator(g_eig, RadialField(g_eig, np.full(g_eig.nodes.size, c)))
     shift_err = abs((eigenvalue_k(opc) - lam0) + c)

@@ -5,16 +5,19 @@ stiffness (`RadialGrid.stiffness`), the same face/cell weights as the mesh
 module's Laplacian, so Rayleigh quotients, residuals, and the inner-product
 identity below are all consistent with `integrate_weighted`.
 Eigenvalues come from bisection on the Sturm sequence run down to machine
-interval width, written out here (no library eigensolver); eigenvectors from
-a short inverse iteration at the converged eigenvalue, whose shifted
-tridiagonal solves are the only LAPACK calls (dgttrf, dgttrs).
+interval width, written out here. LAPACK's own bisection (dstebz) only
+supplies the starting bracket, which two Sturm counts certify before it is
+used, so every eigenvalue is the one the count defines. Eigenvectors come
+from a short inverse iteration at the converged eigenvalue, whose shifted
+tridiagonal solves are LAPACK calls (dgttrf, dgttrs).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
 
 from .errors import SolverError
 from .mesh import RadialField, RadialGrid, build_ball_grid, integrate_weighted
@@ -23,6 +26,8 @@ from .profile import Bubble, bubble_eval, bubble_linearization
 from .stationary import StationarySolution
 
 _PIVOT_FLOOR = 1e-300
+_TINY = float(np.finfo(float).tiny)  # dstebz's absolute tolerance: bisect to rounding
+_BRACKET_REL = 1e-9  # half-width of the start bracket around LAPACK's value, relative
 _INVERSE_SWEEPS = 4  # inverse-iteration solves per eigenvector
 
 
@@ -70,6 +75,8 @@ class EigenPair:
 def assemble_operator(grid: RadialGrid, potential: RadialField) -> LinearizedOperator:
     """Build -Delta - V on the grid's unknown nodes (V entering with a minus sign)."""
     V = potential.values
+    if not np.all(np.isfinite(V)):
+        raise ValueError("potential must be finite (it holds NaN or inf)")
     if np.min(V) < 0:
         raise ValueError("potential must be nonnegative")
     Dk, diag, off = grid.stiffness
@@ -84,35 +91,60 @@ def assemble_linearized(sol: StationarySolution) -> LinearizedOperator:
     return assemble_operator(sol.field.grid, V)
 
 
-def _sturm_count(d: np.ndarray, e: np.ndarray, x: float) -> int:
-    """Number of eigenvalues of the tridiagonal (d, e) strictly below x."""
+def _sturm_count(d, e2, x: float) -> int:
+    """Number of eigenvalues at or below x of the tridiagonal (diagonal d, squared off-diagonal e2).
+
+    d and e2 are float sequences whose items are Python floats (lists, or
+    memoryviews of float64 arrays, which copy nothing): the recurrence does
+    the same IEEE operations as on numpy scalars, several times faster. A
+    pivot is counted when it is at or below 0, the sign the pivot floor then
+    gives it in the next row (LAPACK's convention).
+    """
     count = 0
-    q = d[0] - x
-    if q < 0:
+    rows = iter(d)
+    q = next(rows) - x
+    if q <= 0:
         count += 1
-    for i in range(1, d.size):
-        denom = q
-        if abs(denom) < _PIVOT_FLOOR:
-            denom = -_PIVOT_FLOOR if denom <= 0 else _PIVOT_FLOOR
-        q = d[i] - x - e[i - 1] * e[i - 1] / denom
-        if q < 0:
+    for di, e2i in zip(rows, e2):
+        if abs(q) < _PIVOT_FLOOR:
+            q = -_PIVOT_FLOOR if q <= 0 else _PIVOT_FLOOR
+        q = di - x - e2i / q
+        if q <= 0:
             count += 1
     return count
 
 
+def _lapack_eigenvalue(d: np.ndarray, e: np.ndarray, j: int) -> float:
+    """LAPACK dstebz's j-th smallest eigenvalue (its own bisection, tol = tiny), NaN if it fails."""
+    if d.size == 1:  # the dstebz wrapper wants an off-diagonal of length >= 1
+        return float(d[0])
+    m, w, _, _, info = dstebz(d, e, 2, 0.0, 0.0, j, j, _TINY, b"E")
+    return float(w[0]) if info == 0 and m == 1 else math.nan
+
+
 def eigenvalue_k(op: LinearizedOperator, j: int = 1) -> float:
-    """j-th smallest eigenvalue by Sturm bisection, run to machine interval width."""
+    """j-th smallest eigenvalue by Sturm bisection, run to machine interval width.
+
+    The bisection starts from LAPACK's value v widened by _BRACKET_REL |v| on
+    each side when two Sturm counts certify that this bracket holds the j-th
+    eigenvalue, count(lo) < j <= count(hi); otherwise (v = 0, v not finite,
+    or v too far off) from the Gershgorin interval. Both starts end at the
+    smallest float x with count(x) >= j, so LAPACK only picks where to start.
+    """
     if j < 1 or j > op.size:
         raise ValueError(f"eigenvalue index {j} out of range 1..{op.size}")
-    d, e = op.d, op.e
-    spread = 2.0 * float(np.max(np.abs(e))) if e.size else 0.0
-    lo = float(np.min(d)) - spread
-    hi = float(np.max(d)) + spread
+    v = _lapack_eigenvalue(op.d, op.e, j)
+    d, e2 = memoryview(op.d), memoryview(op.e * op.e)
+    lo, hi = v - _BRACKET_REL * abs(v), v + _BRACKET_REL * abs(v)
+    if not _sturm_count(d, e2, lo) < j <= _sturm_count(d, e2, hi):
+        spread = 2.0 * float(np.max(np.abs(op.e))) if op.e.size else 0.0
+        lo = float(np.min(op.d)) - spread
+        hi = float(np.max(op.d)) + spread
     while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if _sturm_count(d, e, mid) >= j:
+        if _sturm_count(d, e2, mid) >= j:
             hi = mid
         else:
             lo = mid

@@ -390,7 +390,7 @@ def test_verify_run(tmp_path):
     (d,) = list(tmp_path.iterdir())
     summary = json.loads((d / "summary.json").read_text())
     assert summary["passed"] is True
-    assert len(summary["checks"]) == 12
+    assert len(summary["checks"]) == 13
     assert all(c["passed"] for c in summary["checks"])
 
 

@@ -5,8 +5,10 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 import bubbletower as bt
+from bubbletower import spectral
 from bubbletower.errors import SolverError
-from bubbletower.spectral import eigenvalue_k, rayleigh_quotient
+from bubbletower.profile import Bubble, bubble_linearization
+from bubbletower.spectral import LinearizedOperator, eigenvalue_k, rayleigh_quotient
 
 from conftest import CASES, SWEEP_EPS
 
@@ -24,6 +26,83 @@ def _zero_potential_operator(M=4096):
     g = bt.build_grid(0.5, 1.0, M, N=3)
     V = bt.RadialField(g, np.zeros(g.nodes.size))
     return bt.assemble_operator(g, V)
+
+
+def _gershgorin_bisection(op, j):
+    """Reference: the same Sturm count, bisected from the Gershgorin interval."""
+    d, e2 = op.d.tolist(), (op.e * op.e).tolist()
+    spread = 2.0 * float(np.max(np.abs(op.e))) if op.e.size else 0.0
+    lo, hi = float(np.min(op.d)) - spread, float(np.max(op.d)) + spread
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return hi
+        if spectral._sturm_count(d, e2, mid) >= j:
+            hi = mid
+        else:
+            lo = mid
+
+
+def test_path_laplacian_closed_form():
+    # tridiag(-1, 2, -1) of size n has eigenvalues 2 - 2 cos(j pi / (n + 1)); a
+    # count at x = 2.0 (the Gershgorin midpoint) meets an exactly-zero pivot
+    for n in range(1, 41):
+        op = LinearizedOperator(None, np.full(n, 2.0), np.full(n - 1, -1.0))
+        for j in range(1, n + 1):
+            want = 2.0 - 2.0 * math.cos(j * math.pi / (n + 1))
+            assert abs(eigenvalue_k(op, j) - want) <= 1e-12, (n, j)
+
+
+def test_sturm_count_includes_a_zero_pivot():
+    # at x = 2 the first pivot of tridiag(-1, 2, -1) is exactly 0, and the rest
+    # alternate +1e300 and -1e-300 after the floor, so every other row counts; the
+    # eigenvalues at or below 2 are those with j <= (n + 1) / 2
+    for n in range(1, 41):
+        assert spectral._sturm_count([2.0] * n, [1.0] * (n - 1), 2.0) == (n + 1) // 2, n
+
+
+def test_small_integer_tridiagonals_match_eigvalsh():
+    rng = np.random.default_rng(10)
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        d = rng.integers(-3, 4, n).astype(float)
+        e = rng.integers(-2, 3, n - 1).astype(float)
+        want = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        op = LinearizedOperator(None, d, e)
+        got = [eigenvalue_k(op, j) for j in range(1, n + 1)]
+        assert np.max(np.abs(np.array(got) - want)) <= 1e-12, (d, e)
+
+
+@pytest.mark.parametrize("d0", [-2.5, 0.0, 3.0])
+def test_one_by_one_operator(d0):
+    assert eigenvalue_k(LinearizedOperator(None, np.array([d0]), np.zeros(0)), 1) == d0
+
+
+@pytest.mark.parametrize(
+    "fake",
+    [lambda v: v * (1.0 + 1e-6), lambda v: 0.0, lambda v: math.nan],
+    ids=["shifted-1e-6", "zero", "nan"],
+)
+def test_uncertified_lapack_value_falls_back_to_gershgorin(case_solutions, monkeypatch, fake):
+    op = bt.assemble_linearized(case_solutions[(4, 2, 1e-3)])
+    want = [_gershgorin_bisection(op, j) for j in (1, 2)]
+    real = spectral._lapack_eigenvalue
+    monkeypatch.setattr(spectral, "_lapack_eigenvalue", lambda d, e, j: fake(real(d, e, j)))
+    assert [eigenvalue_k(op, j) for j in (1, 2)] == want
+
+
+@pytest.mark.parametrize("key", CASES, ids=lambda c: f"N{c[0]}k{c[1]}eps{c[2]:g}")
+def test_certified_start_is_bit_identical(case_solutions, key):
+    op = bt.assemble_linearized(case_solutions[key])
+    for j in (1, 2):
+        assert eigenvalue_k(op, j) == _gershgorin_bisection(op, j)
+
+
+def test_certified_start_is_bit_identical_on_limit_rung():
+    g = bt.build_ball_grid(20.0, 1024, 4)
+    op = bt.assemble_operator(g, bt.RadialField(g, bubble_linearization(Bubble(1.0, 4), g.nodes)))
+    assert bt.limit_eigenpair(4, 20.0, 1024).lam == _gershgorin_bisection(op, 1)
+    assert eigenvalue_k(op, 2) == _gershgorin_bisection(op, 2)
 
 
 def test_zero_potential_first_eigenvalue():
@@ -46,6 +125,15 @@ def test_assemble_rejects_negative_potential():
     g = bt.build_grid(0.5, 1.0, 64, N=3)
     with pytest.raises(ValueError):
         bt.assemble_operator(g, bt.RadialField(g, -np.ones(g.nodes.size)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_assemble_rejects_non_finite_potential(bad):
+    g = bt.build_grid(0.5, 1.0, 64, N=3)
+    V = np.zeros(g.nodes.size)
+    V[10] = bad
+    with pytest.raises(ValueError, match="finite"):
+        bt.assemble_operator(g, bt.RadialField(g, V))
 
 
 def test_eigenvalue_index_bounds():
