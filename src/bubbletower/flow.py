@@ -23,9 +23,19 @@ AND the time step has collapsed to dt_min while the norm keeps growing.
 A converged stationary solution is an exact fixed point of the IMEX step by
 construction (the grid Newton solver and the stepper share the same discrete
 operator), so stationarity holds to roundoff over the usable horizon.
+
+Each step is one allocation-light pass: the stepper builds the reaction and
+the right-hand side in scratch arrays it owns and solves in place into a
+fresh output, and `evolve` takes the energy and the drift into scratch
+arrays of its own, with the same operations in the same order as the plain
+array expressions, so every output is bit-identical to theirs. Overflow is
+reported by `_march` from the sup norm, not by numpy: each caller runs its
+whole loop under one np.errstate, entered outside the generator so that a
+loop left early leaves no error state behind.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from itertools import islice
 
@@ -54,14 +64,19 @@ class FlowConfig:
     stationary_tol: float = 1e-4
 
     def __post_init__(self) -> None:
+        # written as `not (ok)` so that NaN, which fails every comparison, is rejected too
+        for name in ("dt_max", "dt_min", "t_end", "safety"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not (math.isfinite(self.stationary_tol) and self.stationary_tol >= 0):
+            raise ValueError(f"stationary_tol must be finite and >= 0, got {self.stationary_tol}")
+        if not (math.isfinite(self.blow_threshold) and self.blow_threshold >= 1e2):
+            raise ValueError(f"blow_threshold must be finite and >= 100, got {self.blow_threshold}")
         if not self.dt_min < self.dt_max:
             raise ValueError(f"need dt_min < dt_max, got {self.dt_min} >= {self.dt_max}")
-        if self.blow_threshold < 1e2:
-            raise ValueError(f"blow_threshold must be >= 100, got {self.blow_threshold}")
         if self.integrator not in _INTEGRATORS:
             raise ValueError(f"integrator must be one of {_INTEGRATORS}, got {self.integrator!r}")
-        if self.safety <= 0 or self.t_end <= 0:
-            raise ValueError("safety and t_end must be positive")
 
 
 @dataclass
@@ -90,13 +105,31 @@ class FlowResult:
     message: str = ""
 
 
+def _energy_scratch(grid) -> tuple:
+    """Scratch arrays for `_energy_parts` on grid: lengths M, M and M + 1."""
+    return np.empty(grid.M), np.empty(grid.M), np.empty(grid.M + 1)
+
+
+def _energy_parts(v: np.ndarray, grid, p: float, scratch: tuple) -> tuple:
+    """(grad2, pot) at nodal values v: sum beta (v_{j+1} - v_j)^2 and sum D |v|^{p+1}.
+
+    The differences, the weighted differences and |v|^{p+1} are written into
+    scratch (from `_energy_scratch`), so a caller that evaluates every step
+    allocates nothing. Overflow is left to the caller's np.errstate.
+    """
+    du, fdu, pw = scratch
+    np.subtract(v[1:], v[:-1], out=du)
+    np.multiply(grid.face_weights, du, out=fdu)
+    np.multiply(v, v, out=pw)
+    pw **= 0.5 * (p + 1.0)
+    return float(np.dot(fdu, du)), float(np.dot(grid.cell_weights, pw))
+
+
 def energy(u: RadialField, params: ProblemParams) -> float:
     """Dissipated functional: 1/2 |grad u|^2 - |u|^{p+1}/(p+1), weighted volume integral."""
     g = u.grid
-    du = np.diff(u.values)
-    grad2 = float(np.dot(g.face_weights * du, du))
     with np.errstate(over="ignore", invalid="ignore"):
-        pot = float(np.dot(g.cell_weights, (u.values * u.values) ** (0.5 * (params.p + 1.0))))
+        grad2, pot = _energy_parts(u.values, g, params.p, _energy_scratch(g))
     return sphere_area(g.N) * (0.5 * grad2 - pot / (params.p + 1.0))
 
 
@@ -108,7 +141,15 @@ class _Stepper:
     implicit solve (I + s D^{-1} K) x = b is done as (D + s K) x = D b, whose
     matrix is symmetric positive definite for s >= 0. Its L D L^T factor
     (dpttrf) is kept until the scale s changes, so a run at a fixed dt factors
-    once and then pays one dpttrs solve per step.
+    once and then pays one dpttrs solve per step; the linear step likewise
+    keeps 1 + dt V until dt or V changes.
+
+    The stepper owns scratch arrays for the reaction, the imex-cn Laplacian
+    and the reaction-only map, and fills them with `out=` ufuncs. Each step
+    returns a freshly allocated array with zero endpoints, on whose unknown
+    slice dpttrs solves in place, so a returned state is never overwritten
+    by a later step. The steps enter no np.errstate: overflow becomes inf or
+    NaN in the state, which the caller's loop detects.
     """
 
     def __init__(self, grid, params: ProblemParams, integrator: str):
@@ -118,9 +159,20 @@ class _Stepper:
         self.mass, self.k_diag, self.k_off = grid.stiffness
         self._scale = None
         self._factor = None
+        self._gain_key = None  # (dt, V) of the cached 1 + dt V
+        self._gain = None
+        n = self.mass.size
+        self._react = np.empty(n)  # dt |w|^{p-1} w
+        if integrator == "imex-cn":  # Delta_h w, then (dt/2) Delta_h w; off-diagonal products
+            self._lap_w, self._off_w = np.empty(n), np.empty(n - 1)
+        elif integrator == "reaction-only":  # 1 - (p-1)|v|^{p-1} dt; v |base|^{-1/(p-1)}
+            self._base, self._mapped = np.empty(grid.M + 1), np.empty(grid.M + 1)
 
-    def _solve(self, scale: float, rhs: np.ndarray) -> np.ndarray:
-        """x with (I + scale D^{-1} K) x = rhs; non-finite rhs entries give non-finite x."""
+    def _solve(self, scale: float, out: np.ndarray) -> np.ndarray:
+        """Overwrite out's unknowns, which hold rhs, with x: (I + scale D^{-1} K) x = rhs.
+
+        Non-finite rhs entries give non-finite x.
+        """
         if scale != self._scale:
             d, e, info = dpttrf(self.mass + scale * self.k_diag, -scale * self.k_off, overwrite_d=1, overwrite_e=1)
             if info != 0:
@@ -129,38 +181,68 @@ class _Stepper:
                     {"info": info, "scale": scale},
                 )
             self._scale, self._factor = scale, (d, e)
-        x, _ = dpttrs(*self._factor, self.mass * rhs, overwrite_b=1)
-        return x
+        b = out[self.unknowns]
+        b *= self.mass
+        dpttrs(*self._factor, b, overwrite_b=1)
+        return out
 
     def _lap(self, w: np.ndarray) -> np.ndarray:
-        kw = self.k_diag * w
-        kw[:-1] -= self.k_off * w[1:]
-        kw[1:] -= self.k_off * w[:-1]
-        return -kw / self.mass
+        """Delta_h w = -D^{-1} K w on the unknowns, in the stepper's scratch array."""
+        kw, off = self._lap_w, self._off_w
+        np.multiply(self.k_diag, w, out=kw)
+        kw[:-1] -= np.multiply(self.k_off, w[1:], out=off)
+        kw[1:] -= np.multiply(self.k_off, w[:-1], out=off)
+        np.negative(kw, out=kw)
+        kw /= self.mass
+        return kw
 
     def step(self, v: np.ndarray, dt: float) -> np.ndarray:
         """v holds the full nodal array; endpoints stay pinned to zero."""
         p = self.params.p
         if self.integrator == "reaction-only":
-            with np.errstate(over="ignore", invalid="ignore"):
-                base = 1.0 - (p - 1.0) * np.abs(v) ** (p - 1.0) * dt
-                mapped = np.where(base > 0.0, v * np.abs(base) ** (-1.0 / (p - 1.0)), np.sign(v) * np.inf)
-            return mapped
+            return self._reaction_map(v, dt)
         w = v[self.unknowns]
-        with np.errstate(over="ignore", invalid="ignore"):
-            react = np.abs(w) ** (p - 1.0) * w
-            out = np.zeros_like(v)
-            if self.integrator == "imex-be":
-                out[self.unknowns] = self._solve(dt, w + dt * react)
-            else:  # imex-cn
-                out[self.unknowns] = self._solve(0.5 * dt, w + 0.5 * dt * self._lap(w) + dt * react)
+        react = self._react
+        np.abs(w, out=react)
+        react **= p - 1.0
+        react *= w
+        react *= dt
+        out = np.zeros(v.shape)  # calloc'd zeros; np.zeros_like would fill them
+        rhs = out[self.unknowns]
+        if self.integrator == "imex-be":
+            np.add(w, react, out=rhs)
+            return self._solve(dt, out)
+        # imex-cn
+        lap = self._lap(w)
+        lap *= 0.5 * dt
+        np.add(w, lap, out=rhs)
+        rhs += react
+        return self._solve(0.5 * dt, out)
+
+    def _reaction_map(self, v: np.ndarray, dt: float) -> np.ndarray:
+        """Exact flow of v' = |v|^{p-1} v over dt at every node; +-inf where it diverges within the step."""
+        p = self.params.p
+        base, mapped = self._base, self._mapped
+        np.abs(v, out=base)
+        base **= p - 1.0
+        base *= p - 1.0
+        base *= dt
+        np.subtract(1.0, base, out=base)
+        np.abs(base, out=mapped)
+        mapped **= -1.0 / (p - 1.0)
+        mapped *= v
+        out = np.sign(v)
+        out *= np.inf
+        np.copyto(out, mapped, where=base > 0.0)
         return out
 
     def linear_step(self, z: np.ndarray, dt: float, V: np.ndarray) -> np.ndarray:
         """Backward-Euler diffusion with the explicit frozen potential: z_t = Delta z + V z, V on the unknowns."""
-        out = np.zeros_like(z)
-        out[self.unknowns] = self._solve(dt, z[self.unknowns] * (1.0 + dt * V))
-        return out
+        if self._gain_key is None or self._gain_key[0] != dt or self._gain_key[1] is not V:
+            self._gain_key, self._gain = (dt, V), 1.0 + dt * V
+        out = np.zeros(z.shape)
+        np.multiply(z[self.unknowns], self._gain, out=out[self.unknowns])
+        return self._solve(dt, out)
 
 
 def _march(advance, v: np.ndarray, t_end: float, dt_of, dt_min: float):
@@ -227,20 +309,26 @@ def evolve(v0: RadialField, params: ProblemParams, cfg: FlowConfig) -> FlowResul
     """Integrate v_t = Delta v + |v|^{p-1}v from v0 and classify the trajectory."""
     if cfg.integrator != "reaction-only" and not v0.dirichlet:
         raise ValueError("diffusive runs need zero-trace initial data")
-    stepper = _Stepper(v0.grid, params, cfg.integrator)
+    g, p = v0.grid, params.p
+    stepper = _Stepper(g, params, cfg.integrator)
     sup0 = float(np.max(np.abs(v0.values)))
     thr = cfg.blow_threshold * sup0
-    v, series, drift, crossed_at, blowup = v0.values.copy(), [], 0.0, None, None
+    omega, scratch = sphere_area(g.N), _energy_scratch(g)
+    lo, hi = v0.values.copy(), v0.values.copy()  # node-wise min and max of the state over the run
+    v, series, crossed_at, blowup = v0.values.copy(), [], None, None
     try:
-        for t, dt, v, sup, collapse in _march(stepper.step, v, cfg.t_end, _adaptive_dt(cfg, params.p), cfg.dt_min):
-            drift = max(drift, float(np.max(np.abs(v - v0.values))))
-            series.append((t, sup, energy(RadialField(v0.grid, v), params), dt))
-            if sup0 > 0.0 and sup > thr:
-                if crossed_at is None:
-                    crossed_at = t
-                if collapse >= _COLLAPSE_RUN:
-                    blowup = ((crossed_at, t), "")
-                    break
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t, dt, v, sup, collapse in _march(stepper.step, v, cfg.t_end, _adaptive_dt(cfg, p), cfg.dt_min):
+                np.minimum(lo, v, out=lo)
+                np.maximum(hi, v, out=hi)
+                grad2, pot = _energy_parts(v, g, p, scratch)
+                series.append((t, sup, omega * (0.5 * grad2 - pot / (p + 1.0)), dt))
+                if sup0 > 0.0 and sup > thr:
+                    if crossed_at is None:
+                        crossed_at = t
+                    if collapse >= _COLLAPSE_RUN:
+                        blowup = ((crossed_at, t), "")
+                        break
     except IntegratorFailure as exc:
         if cfg.integrator != "reaction-only":
             raise
@@ -249,6 +337,9 @@ def evolve(v0: RadialField, params: ProblemParams, cfg: FlowConfig) -> FlowResul
         # accumulated clock roundoff
         t, dt, v = (exc.diagnostics[key] for key in ("t", "dt", "last_state"))
         blowup = ((t - dt, t), "exact reaction map diverged within the step")
+    # the drift max_t |v - v0|: rounding of v - v0 is monotone in v, so the
+    # extremes of v give the same value as the differences taken every step
+    drift = float(max(np.max(hi - v0.values), np.max(v0.values - lo)))
     arr = np.asarray(series) if series else np.zeros((0, 4))
     final = RadialField(v0.grid, v, v0.dirichlet)
     if blowup is not None:
@@ -337,21 +428,17 @@ def linearized_evolve(
     params = sol.params
     g = sol.field.grid
     stepper = _Stepper(g, params, "imex-be")
-    V = params.reaction_derivative(sol.field.values)[g.unknowns]
     D = g.cell_weights
     omega = sphere_area(g.N)
+    buf = np.empty_like(D)  # D z z and D z phi, summed by np.sum
 
     def wnorm(vals):
-        return float(np.sqrt(omega * np.sum(D * vals * vals)))
+        np.multiply(np.multiply(D, vals, out=buf), vals, out=buf)
+        return float(np.sqrt(omega * np.sum(buf)))
 
-    z = z0.values.copy()
-    n0 = wnorm(z)
-    if n0 == 0.0:
-        raise ValueError("zero initial data for the linearized flow")
-    z /= n0
-    pr0 = omega * float(np.sum(D * z * pair.phi.values))
-    orthogonal_start = abs(pr0) <= 1e-12
-    log_growth = 0.0
+    def projection(vals):
+        np.multiply(np.multiply(D, vals, out=buf), pair.phi.values, out=buf)
+        return omega * float(np.sum(buf))
 
     def advance(z, dt):
         # renormalize every step and keep the log of the growth apart
@@ -361,22 +448,30 @@ def linearized_evolve(
         if not (np.isfinite(nn) and nn > 0.0):
             return np.full_like(zn, np.nan)  # reported by the engine as a non-finite step
         log_growth += np.log(nn)
-        return zn / nn
+        zn /= nn
+        return zn
 
-    rows = []
-    # exactly ceil(t_end/dt) steps: the accumulated clock may fall just short of t_end
-    steps = _march(advance, z, np.inf, lambda sup, rest: dt, 0.0)
-    for t, _, z, _, _ in islice(steps, n_steps):
-        pr = omega * float(np.sum(D * z * pair.phi.values))
-        rows.append(
-            (
-                t,
-                log_growth + np.log(max(abs(pr), 1e-300)),
-                np.sign(pr),
-                np.arccos(min(1.0, abs(pr))),
-                log_growth,
+    z = z0.values.copy()
+    n0 = wnorm(z)
+    if n0 == 0.0:
+        raise ValueError("zero initial data for the linearized flow")
+    z /= n0
+    orthogonal_start = abs(projection(z)) <= 1e-12
+    log_growth, rows = 0.0, []
+    with np.errstate(over="ignore", invalid="ignore"):
+        V = params.reaction_derivative(sol.field.values)[g.unknowns]
+        # exactly ceil(t_end/dt) steps: the accumulated clock may fall just short of t_end
+        for t, _, z, _, _ in islice(_march(advance, z, np.inf, lambda sup, rest: dt, 0.0), n_steps):
+            pr = projection(z)
+            rows.append(
+                (
+                    t,
+                    log_growth + np.log(max(abs(pr), 1e-300)),
+                    np.sign(pr),
+                    np.arccos(min(1.0, abs(pr))),
+                    log_growth,
+                )
             )
-        )
     arr = np.asarray(rows)
     half = arr.shape[0] // 2
     A = np.vstack([np.ones(arr.shape[0] - half), arr[half:, 0]]).T
@@ -418,23 +513,24 @@ def linear_nonlinear_consistency(
         t_end = 8.0 / abs(pair.lam)
     dt = 0.002 / abs(pair.lam)
     stepper = _Stepper(g, params, "imex-be")
-    V = params.reaction_derivative(phi)[g.unknowns]
     sup_phi = float(np.max(np.abs(phi)))
     t, max_err, rows = 0.0, 0.0, []
-    steps = _march(
-        lambda s, h: np.array([stepper.step(s[0], h), stepper.linear_step(s[1], h, V)]),
-        np.array([lam * phi, phi]),
-        t_end,
-        lambda sup, rest: dt,  # the last step is not clipped to t_end
-        0.0,
-    )
-    for t, _, (v, z), _, _ in steps:
-        dv = v - phi
-        if float(np.max(np.abs(dv))) > linear_window * sup_phi:
-            break
-        err = float(np.max(np.abs(dv / (lam - 1.0) - z))) / max(float(np.max(np.abs(z))), 1e-300)
-        max_err = max(max_err, err)
-        rows.append((t, err))
+    with np.errstate(over="ignore", invalid="ignore"):
+        V = params.reaction_derivative(phi)[g.unknowns]
+        steps = _march(
+            lambda s, h: np.array([stepper.step(s[0], h), stepper.linear_step(s[1], h, V)]),
+            np.array([lam * phi, phi]),
+            t_end,
+            lambda sup, rest: dt,  # the last step is not clipped to t_end
+            0.0,
+        )
+        for t, _, (v, z), _, _ in steps:
+            dv = v - phi
+            if float(np.max(np.abs(dv))) > linear_window * sup_phi:
+                break
+            err = float(np.max(np.abs(dv / (lam - 1.0) - z))) / max(float(np.max(np.abs(z))), 1e-300)
+            max_err = max(max_err, err)
+            rows.append((t, err))
     return {"max_rel_err": max_err, "t_final": t, "series": np.asarray(rows)}
 
 
@@ -467,24 +563,25 @@ def find_separation_time(
     nstep, best_frac, best_t, proj_sign = 0, 0.0, 0.0, 0.0
     reason, blowup = "horizon reached without full separation", {}
     steps = _march(stepper.step, v, cfg.t_end, _adaptive_dt(cfg, params.p), cfg.dt_min)
-    for nstep, (t, _, v, sup, collapse) in enumerate(steps, start=1):
-        dv = v[1:-1] - phi[1:-1]
-        if proj_sign == 0.0:
-            proj_sign = float(np.sign(omega * np.sum(D[1:-1] * dv * pair.phi.values[1:-1])))
-        if nstep > 10:
-            frac = float(np.mean(want * dv > 0.0))
-            if frac > best_frac:
-                best_frac, best_t = frac, t
-            if frac == 1.0:
-                margin = float(np.min(np.abs(dv))) / max(float(np.max(np.abs(phi))), 1e-300)
-                return {
-                    "t0": t,
-                    "margin": margin,
-                    "diagnostics": {"steps": nstep, "projection_sign": proj_sign},
-                }
-        if sup > thr and collapse >= _COLLAPSE_RUN:
-            reason, blowup = "blow-up preempted full separation", {"t_blowup": t}
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for nstep, (t, _, v, sup, collapse) in enumerate(steps, start=1):
+            dv = v[1:-1] - phi[1:-1]
+            if proj_sign == 0.0:
+                proj_sign = float(np.sign(omega * np.sum(D[1:-1] * dv * pair.phi.values[1:-1])))
+            if nstep > 10:
+                frac = float(np.mean(want * dv > 0.0))
+                if frac > best_frac:
+                    best_frac, best_t = frac, t
+                if frac == 1.0:
+                    margin = float(np.min(np.abs(dv))) / max(float(np.max(np.abs(phi))), 1e-300)
+                    return {
+                        "t0": t,
+                        "margin": margin,
+                        "diagnostics": {"steps": nstep, "projection_sign": proj_sign},
+                    }
+            if sup > thr and collapse >= _COLLAPSE_RUN:
+                reason, blowup = "blow-up preempted full separation", {"t_blowup": t}
+                break
     return {
         "t0": None,
         "margin": 0.0,
@@ -588,11 +685,12 @@ def comparison_monitor(
         _adaptive_dt(cfg, params.p),
         cfg.dt_min,
     )
-    for t, _, (va, vb), sup, _ in steps:
-        viol = float(np.max(np.maximum(va - vb, 0.0)))
-        violation = max(violation, viol)
-        rows.append((t, viol))
-        if sup > thr:
-            stopped = "blow-up threshold"
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, _, (va, vb), sup, _ in steps:
+            viol = float(np.max(np.maximum(va - vb, 0.0)))
+            violation = max(violation, viol)
+            rows.append((t, viol))
+            if sup > thr:
+                stopped = "blow-up threshold"
+                break
     return {"violation": violation, "series": np.asarray(rows), "stopped": stopped, "t_final": t}

@@ -267,9 +267,9 @@ def _limit(cfg: dict, root):
 
 
 def _flow(cfg: dict, root):
+    fcfg = _flow_config(cfg)  # a bad flow setting fails before the solve
     sol = _build_solution(cfg)
     lam = cfg["lambda"]
-    fcfg = _flow_config(cfg)
     if lam == 1.0:
         fcfg = stationary_horizon(fcfg, first_eigenpair(assemble_linearized(sol)))
     v0 = RadialField(sol.field.grid, lam * sol.field.values, dirichlet=True)

@@ -28,6 +28,14 @@ from .stationary import StationarySolution
 _PIVOT_FLOOR = 1e-300
 _TINY = float(np.finfo(float).tiny)  # dstebz's absolute tolerance: bisect to rounding
 _BRACKET_REL = 1e-9  # half-width of the start bracket around LAPACK's value, relative
+# The second start bracket, tried when the relative one fails, has the half-width
+# _BRACKET_FLOOR eps_mach G, with G the Gershgorin bound on |eigenvalue|. dstebz's
+# value lies up to 0.05 eps_mach G off the count's boundary (measured on the ball
+# and tower operators), which no relative bracket covers for an eigenvalue small
+# against G (lambda_2 ~ 1.25e-4 at G ~ 2.7e4 on the R = 80 ball); a quarter leaves
+# a 5x margin.
+_BRACKET_FLOOR = 0.25
+_EPS = float(np.finfo(float).eps)
 _INVERSE_SWEEPS = 4  # inverse-iteration solves per eigenvector
 
 
@@ -127,19 +135,26 @@ def eigenvalue_k(op: LinearizedOperator, j: int = 1) -> float:
 
     The bisection starts from LAPACK's value v widened by _BRACKET_REL |v| on
     each side when two Sturm counts certify that this bracket holds the j-th
-    eigenvalue, count(lo) < j <= count(hi); otherwise (v = 0, v not finite,
-    or v too far off) from the Gershgorin interval. Both starts end at the
-    smallest float x with count(x) >= j, so LAPACK only picks where to start.
+    eigenvalue, count(lo) < j <= count(hi); failing that, from v widened by
+    the floor _BRACKET_FLOOR eps_mach G, with G the larger end of the
+    Gershgorin interval in magnitude, when that is wider and certified;
+    otherwise (v not finite, or v too far off) from the Gershgorin interval.
+    Every start ends at the smallest float x with count(x) >= j, so LAPACK
+    only picks where to start.
     """
     if j < 1 or j > op.size:
         raise ValueError(f"eigenvalue index {j} out of range 1..{op.size}")
     v = _lapack_eigenvalue(op.d, op.e, j)
     d, e2 = memoryview(op.d), memoryview(op.e * op.e)
-    lo, hi = v - _BRACKET_REL * abs(v), v + _BRACKET_REL * abs(v)
-    if not _sturm_count(d, e2, lo) < j <= _sturm_count(d, e2, hi):
-        spread = 2.0 * float(np.max(np.abs(op.e))) if op.e.size else 0.0
-        lo = float(np.min(op.d)) - spread
-        hi = float(np.max(op.d)) + spread
+    spread = 2.0 * float(np.max(np.abs(op.e))) if op.e.size else 0.0
+    g_lo, g_hi = float(np.min(op.d)) - spread, float(np.max(op.d)) + spread
+    rel = _BRACKET_REL * abs(v)
+    for half in (rel, max(rel, _BRACKET_FLOOR * _EPS * max(abs(g_lo), abs(g_hi)))):
+        lo, hi = v - half, v + half
+        if _sturm_count(d, e2, lo) < j <= _sturm_count(d, e2, hi):
+            break
+    else:
+        lo, hi = g_lo, g_hi
     while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:

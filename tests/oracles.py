@@ -6,8 +6,21 @@ classical RK4 and geometrically graded fixed steps (no error control, no
 library integrator, no change of unknowns), and refines the zero of the
 terminal map on a shrinking candidate grid. It shares nothing with the
 package's shooting route except the ODE itself.
+
+The flow references are the allocating IMEX step, energy and bookkeeping
+loops that `bubbletower.flow` replaced with scratch arrays: the same
+operations in the same order as plain array expressions, kept verbatim so
+that tests can require the buffered code to reproduce them bit for bit.
 """
+from itertools import islice
+
 import numpy as np
+from scipy.linalg.lapack import dpttrf, dpttrs
+
+from bubbletower.errors import IntegratorFailure
+from bubbletower.flow import _COLLAPSE_RUN, FlowResult, _adaptive_dt, _fit_blowup_time, _march
+from bubbletower.mesh import RadialField
+from bubbletower.params import sphere_area
 
 _HARD_STEP_CAP = 4_000_000
 
@@ -88,3 +101,138 @@ def oracle_slope(N, k, eps, s_center, span=0.01, m=33, rounds=3, steps_per_scale
         "zeros": zeros_at_root,
         "self_check_rel": self_check,
     }
+
+
+def reference_energy(u, params):
+    """Dissipated functional: 1/2 |grad u|^2 - |u|^{p+1}/(p+1), weighted volume integral."""
+    g = u.grid
+    du = np.diff(u.values)
+    grad2 = float(np.dot(g.face_weights * du, du))
+    with np.errstate(over="ignore", invalid="ignore"):
+        pot = float(np.dot(g.cell_weights, (u.values * u.values) ** (0.5 * (params.p + 1.0))))
+    return sphere_area(g.N) * (0.5 * grad2 - pot / (params.p + 1.0))
+
+
+class ReferenceStepper:
+    """The allocating IMEX step: every intermediate is a fresh array."""
+
+    def __init__(self, grid, params, integrator):
+        self.params = params
+        self.integrator = integrator
+        self.unknowns = grid.unknowns
+        self.mass, self.k_diag, self.k_off = grid.stiffness
+        self._scale = None
+        self._factor = None
+
+    def _solve(self, scale, rhs):
+        """x with (I + scale D^{-1} K) x = rhs; non-finite rhs entries give non-finite x."""
+        if scale != self._scale:
+            d, e, info = dpttrf(self.mass + scale * self.k_diag, -scale * self.k_off, overwrite_d=1, overwrite_e=1)
+            if info != 0:
+                raise IntegratorFailure(
+                    f"diffusion matrix at scale {scale:.6e} is not positive definite (dpttrf info={info})",
+                    {"info": info, "scale": scale},
+                )
+            self._scale, self._factor = scale, (d, e)
+        x, _ = dpttrs(*self._factor, self.mass * rhs, overwrite_b=1)
+        return x
+
+    def _lap(self, w):
+        kw = self.k_diag * w
+        kw[:-1] -= self.k_off * w[1:]
+        kw[1:] -= self.k_off * w[:-1]
+        return -kw / self.mass
+
+    def step(self, v, dt):
+        """v holds the full nodal array; endpoints stay pinned to zero."""
+        p = self.params.p
+        if self.integrator == "reaction-only":
+            with np.errstate(over="ignore", invalid="ignore"):
+                base = 1.0 - (p - 1.0) * np.abs(v) ** (p - 1.0) * dt
+                mapped = np.where(base > 0.0, v * np.abs(base) ** (-1.0 / (p - 1.0)), np.sign(v) * np.inf)
+            return mapped
+        w = v[self.unknowns]
+        with np.errstate(over="ignore", invalid="ignore"):
+            react = np.abs(w) ** (p - 1.0) * w
+            out = np.zeros_like(v)
+            if self.integrator == "imex-be":
+                out[self.unknowns] = self._solve(dt, w + dt * react)
+            else:  # imex-cn
+                out[self.unknowns] = self._solve(0.5 * dt, w + 0.5 * dt * self._lap(w) + dt * react)
+        return out
+
+    def linear_step(self, z, dt, V):
+        """Backward-Euler diffusion with the explicit frozen potential: z_t = Delta z + V z, V on the unknowns."""
+        out = np.zeros_like(z)
+        out[self.unknowns] = self._solve(dt, z[self.unknowns] * (1.0 + dt * V))
+        return out
+
+
+def reference_evolve(v0, params, cfg):
+    """`bubbletower.evolve` with the allocating step, a drift difference and a RadialField energy per step."""
+    if cfg.integrator != "reaction-only" and not v0.dirichlet:
+        raise ValueError("diffusive runs need zero-trace initial data")
+    stepper = ReferenceStepper(v0.grid, params, cfg.integrator)
+    sup0 = float(np.max(np.abs(v0.values)))
+    thr = cfg.blow_threshold * sup0
+    v, series, drift, crossed_at, blowup = v0.values.copy(), [], 0.0, None, None
+    try:
+        for t, dt, v, sup, collapse in _march(stepper.step, v, cfg.t_end, _adaptive_dt(cfg, params.p), cfg.dt_min):
+            drift = max(drift, float(np.max(np.abs(v - v0.values))))
+            series.append((t, sup, reference_energy(RadialField(v0.grid, v), params), dt))
+            if sup0 > 0.0 and sup > thr:
+                if crossed_at is None:
+                    crossed_at = t
+                if collapse >= _COLLAPSE_RUN:
+                    blowup = ((crossed_at, t), "")
+                    break
+    except IntegratorFailure as exc:
+        if cfg.integrator != "reaction-only":
+            raise
+        t, dt, v = (exc.diagnostics[key] for key in ("t", "dt", "last_state"))
+        blowup = ((t - dt, t), "exact reaction map diverged within the step")
+    arr = np.asarray(series) if series else np.zeros((0, 4))
+    final = RadialField(v0.grid, v, v0.dirichlet)
+    if blowup is not None:
+        T = _fit_blowup_time(arr[:, 0], arr[:, 1], params.p, thr) if arr.size else None
+        return FlowResult("BlowUp", arr, final, sup0, drift, T, *blowup)
+    if crossed_at is not None:
+        status, msg = "Undetermined", "threshold crossed without time-step collapse"
+    elif sup0 > 0.0 and drift <= cfg.stationary_tol * sup0:
+        status, msg = "Stationary", ""
+    else:
+        status, msg = "GlobalBounded", ""
+    return FlowResult(status=status, series=arr, final=final, sup0=sup0, drift=drift, message=msg)
+
+
+def reference_linearized_series(sol, pair, z0, t_end, dt):
+    """The series of `bubbletower.linearized_evolve`, with allocating norms, projections and steps."""
+    n_steps = int(np.ceil(t_end / dt))
+    params = sol.params
+    g = sol.field.grid
+    stepper = ReferenceStepper(g, params, "imex-be")
+    V = params.reaction_derivative(sol.field.values)[g.unknowns]
+    D = g.cell_weights
+    omega = sphere_area(g.N)
+
+    def wnorm(vals):
+        return float(np.sqrt(omega * np.sum(D * vals * vals)))
+
+    z = z0.values.copy()
+    z /= wnorm(z)
+    log_growth = 0.0
+
+    def advance(z, dt):
+        nonlocal log_growth
+        zn = stepper.linear_step(z, dt, V)
+        nn = wnorm(zn)
+        if not (np.isfinite(nn) and nn > 0.0):
+            return np.full_like(zn, np.nan)
+        log_growth += np.log(nn)
+        return zn / nn
+
+    rows = []
+    for t, _, z, _, _ in islice(_march(advance, z, np.inf, lambda sup, rest: dt, 0.0), n_steps):
+        pr = omega * float(np.sum(D * z * pair.phi.values))
+        rows.append((t, log_growth + np.log(max(abs(pr), 1e-300)), np.sign(pr), np.arccos(min(1.0, abs(pr))), log_growth))
+    return np.asarray(rows)

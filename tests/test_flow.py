@@ -1,9 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 import bubbletower as bt
+from bubbletower import flow
 from bubbletower.errors import IntegratorFailure
 from bubbletower.flow import _Stepper
+
+from oracles import ReferenceStepper, reference_energy, reference_evolve, reference_linearized_series
+
+# numpy's overflow and invalid warnings must not escape a flow loop (each runs
+# under one np.errstate); a misplaced errstate shows here as a failure
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 KEY = (4, 2, 1e-3)
 
@@ -23,6 +32,30 @@ def test_flow_config_validation():
         bt.FlowConfig(integrator="rk4")
     with pytest.raises(ValueError):
         bt.FlowConfig(t_end=0.0)
+
+
+@pytest.mark.parametrize("value", (math.inf, math.nan, 0.0, -1e-3))
+@pytest.mark.parametrize("field", ("dt_max", "dt_min", "t_end", "safety"))
+def test_flow_config_rejects_non_finite_or_non_positive_steps_and_horizon(field, value):
+    # t_end = inf used to march forever, and t_end = nan to stop at once as Stationary
+    with pytest.raises(ValueError, match=rf"^{field} must be finite and positive, got {value}"):
+        bt.FlowConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("stationary_tol", -1e-3),
+    ("stationary_tol", math.nan),
+    ("stationary_tol", math.inf),
+    ("blow_threshold", math.nan),
+    ("blow_threshold", math.inf),
+])
+def test_flow_config_rejects_bad_tolerance_and_threshold(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be finite and >= "):
+        bt.FlowConfig(**{field: value})
+
+
+def test_flow_config_accepts_a_zero_stationary_tolerance():
+    assert bt.FlowConfig(stationary_tol=0.0).stationary_tol == 0.0
 
 
 def test_zero_data_is_globally_bounded():
@@ -363,14 +396,12 @@ def test_overflow_in_separation_search_raises(overflowing_state):
         bt.find_separation_time(sol, pair, 2.0, bt.FlowConfig(t_end=1e-3))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_overflow_in_linearized_flow_raises(overflowing_state):
     sol, pair = overflowing_state
     with pytest.raises(IntegratorFailure):
         bt.linearized_evolve(sol, pair, pair.phi)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_overflow_in_linear_nonlinear_consistency_raises(overflowing_state):
     sol, pair = overflowing_state
     with pytest.raises(IntegratorFailure, match="overflow"):
@@ -388,3 +419,151 @@ def test_blowup_time_for_p5_clamped_jump(case_solutions):
     assert res.T_estimate is not None and np.isfinite(res.T_estimate)
     lo, hi = res.T_bracket
     assert lo - 10 * cfg.dt_min <= res.T_estimate <= hi + 10 * cfg.dt_min
+
+
+def _assert_same_run(got, want):
+    assert got.status == want.status
+    assert np.array_equal(got.series, want.series)
+    assert np.array_equal(got.final.values, want.final.values)
+    assert got.drift == want.drift
+    assert got.T_estimate == want.T_estimate
+    assert got.T_bracket == want.T_bracket
+
+
+@pytest.mark.parametrize(
+    "lam, integrator, t_end",
+    [
+        (0.1, "imex-be", 5e-3),  # 500 steps at the fixed dt = dt_max
+        (1.05, "imex-be", 0.01),  # adaptive dt down to dt_min and blow-up detection
+        (0.1, "imex-cn", 2e-3),
+        (1.05, "imex-cn", 0.01),
+    ],
+)
+def test_evolve_is_bit_identical_to_the_allocating_reference(case_solutions, lam, integrator, t_end):
+    sol = case_solutions[KEY]
+    v0 = bt.RadialField(sol.field.grid, lam * sol.field.values, dirichlet=True)
+    cfg = bt.FlowConfig(t_end=t_end, integrator=integrator)
+    got = bt.evolve(v0, sol.params, cfg)
+    assert got.series.shape[0] >= 100
+    _assert_same_run(got, reference_evolve(v0, sol.params, cfg))
+
+
+def test_reaction_only_evolve_is_bit_identical_to_the_allocating_reference():
+    g = bt.build_grid(0.5, 1.0, 16, N=3)
+    v0 = bt.RadialField(g, np.ones(g.nodes.size))
+    params, cfg = bt.ProblemParams(3, 1, 0.5), bt.FlowConfig(integrator="reaction-only", t_end=0.5, dt_max=1e-4)
+    got = bt.evolve(v0, params, cfg)
+    assert got.message == "exact reaction map diverged within the step"
+    _assert_same_run(got, reference_evolve(v0, params, cfg))
+
+
+# N = 3, 4, 5, 6, 8 give p - 1 = 4, 2, 4/3, 1, 2/3 and (p + 1)/2 = 3, 2, 5/3, 3/2, 4/3:
+# every exponent path of numpy's power, including the square and copy shortcuts
+DIMENSIONS = (3, 4, 5, 6, 8)
+
+
+@pytest.mark.parametrize("integrator", flow._INTEGRATORS)
+@pytest.mark.parametrize("N", DIMENSIONS)
+def test_bump_evolve_is_bit_identical_to_the_allocating_reference(N, integrator):
+    g = bt.build_grid(0.5, 1.0, 256, N=N)
+    params, cfg = bt.ProblemParams(N, 1, 0.5), bt.FlowConfig(t_end=0.05, dt_max=1e-4, integrator=integrator)
+    got = bt.evolve(_bump(g, 3.0), params, cfg)
+    _assert_same_run(got, reference_evolve(_bump(g, 3.0), params, cfg))
+
+
+@pytest.mark.parametrize("N", DIMENSIONS)
+def test_in_place_powers_match_the_operator(N):
+    # the scratch arrays are raised with `**=`; check, not assume, that it rounds like `**`
+    # and like np.power with out= for every exponent the flow and its energy use
+    p = bt.ProblemParams(N, 1, 0.5).p
+    x = np.abs(_bump(bt.build_grid(0.5, 1.0, 256, N=N), 3.0).values[1:-1])
+    for e in (p - 1.0, 0.5 * (p + 1.0), -1.0 / (p - 1.0)):
+        y = x.copy()
+        y **= e
+        assert np.array_equal(y, x**e), e
+        assert np.array_equal(np.power(x, e, out=np.empty_like(x)), x**e), e
+
+
+def test_energy_is_bit_identical_to_the_reference(case_solutions):
+    fields = [(sol.field, sol.params) for sol in case_solutions.values()]
+    sol = case_solutions[KEY]
+    fields.append((bt.RadialField(sol.field.grid, 0.1 * sol.field.values), sol.params))
+    for N in DIMENSIONS:
+        fields.append((_bump(bt.build_grid(0.5, 1.0, 256, N=N), 3.0), bt.ProblemParams(N, 1, 0.5)))
+    for u, params in fields:
+        assert bt.energy(u, params) == reference_energy(u, params)
+
+
+def test_linearized_series_is_bit_identical_to_the_reference(case_solutions, case_pairs):
+    sol, pair = case_solutions[KEY], case_pairs[KEY]
+    t_end, dt = 1.0 / abs(pair.lam), 0.002 / abs(pair.lam)
+    for z0 in (pair.phi, sol.field):
+        got = bt.linearized_evolve(sol, pair, z0, t_end=t_end, dt=dt)["series"]
+        assert np.array_equal(got, reference_linearized_series(sol, pair, z0, t_end, dt))
+
+
+@pytest.mark.parametrize("integrator", flow._INTEGRATORS)
+def test_steps_return_fresh_arrays(integrator):
+    g = bt.build_grid(0.1, 1.0, 64, N=3)
+    params = bt.ProblemParams(3, 1, 0.1)
+    v = _bump(g, 1.5).values
+    stepper = _Stepper(g, params, integrator)
+    with np.errstate(invalid="ignore"):  # as in the flow loops: reaction-only forms 0 * inf at the endpoints
+        a = stepper.step(v, 1e-3)
+        b = stepper.step(a, 1e-3)
+    assert not np.shares_memory(a, b)
+    assert not np.shares_memory(a, v) and not np.shares_memory(b, v)
+    # the second step left the first result alone
+    assert np.array_equal(a, ReferenceStepper(g, params, integrator).step(v, 1e-3))
+    V = np.ones(g.M - 1)
+    za = stepper.linear_step(v, 1e-3, V)
+    zb = stepper.linear_step(za, 1e-3, V)
+    assert not np.shares_memory(za, zb) and not np.shares_memory(za, v)
+    assert np.array_equal(za, ReferenceStepper(g, params, integrator).linear_step(v, 1e-3, V))
+
+
+def test_linear_step_follows_a_new_dt_or_potential():
+    g = bt.build_grid(0.1, 1.0, 64, N=3)
+    params = bt.ProblemParams(3, 1, 0.1)
+    z = _bump(g).values
+    shared, ref = _Stepper(g, params, "imex-be"), ReferenceStepper(g, params, "imex-be")
+    for dt, V in ((1e-3, np.ones(g.M - 1)), (3e-5, np.ones(g.M - 1)), (3e-5, np.full(g.M - 1, 2.0))):
+        assert np.array_equal(shared.linear_step(z, dt, V), ref.linear_step(z, dt, V))
+
+
+def test_lockstep_callers_match_the_allocating_stepper(case_solutions, case_pairs, monkeypatch):
+    sol, pair = case_solutions[KEY], case_pairs[KEY]
+    g = bt.build_grid(0.5, 1.0, 128, N=3)
+    params, cfg = bt.ProblemParams(3, 1, 0.5), bt.FlowConfig(t_end=5e-3, dt_max=1e-4)
+
+    def run():
+        return (
+            bt.comparison_monitor(_bump(g, 0.8), _bump(g, 1.0), params, cfg),
+            bt.linear_nonlinear_consistency(sol, pair, lam=1.001),
+        )
+
+    got = run()
+    monkeypatch.setattr(flow, "_Stepper", ReferenceStepper)
+    want = run()
+    for g_out, w_out in zip(got, want):
+        assert g_out.keys() == w_out.keys()
+        for key in w_out:
+            assert np.array_equal(np.asarray(g_out[key]), np.asarray(w_out[key])), key
+
+
+@pytest.mark.parametrize("case", ("horizon", "blow-up", "failure"))
+def test_evolve_leaves_the_error_state_as_it_found_it(case):
+    # "blow-up" breaks out of the loop and leaves the marching generator suspended;
+    # the state is set here so that a leak from an earlier test cannot hide one
+    with np.errstate(over="warn", invalid="warn", divide="warn", under="ignore"):
+        before = np.geterr()
+        if case == "failure":
+            g = bt.build_grid(0.5, 1.0, 256, N=4)
+            with pytest.raises(IntegratorFailure, match="overflow"):
+                bt.evolve(_bump(g, 1e110), bt.ProblemParams(4, 1, 0.5), bt.FlowConfig(t_end=1e-3))
+        else:
+            g = bt.build_grid(0.5, 1.0, 256, N=3)
+            amp = 3.0 if case == "blow-up" else 0.5
+            res = bt.evolve(_bump(g, amp), bt.ProblemParams(3, 1, 0.5), bt.FlowConfig(t_end=0.05, dt_max=1e-4))
+            assert res.status == ("BlowUp" if case == "blow-up" else "GlobalBounded")
+        assert np.geterr() == before

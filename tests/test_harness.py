@@ -482,6 +482,40 @@ def test_empty_list_in_config_file_exits_1_and_leaves_no_directory(tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["flow", "--t-end", "inf"], "t_end"),  # used to march forever
+        (["flow", "--t-end", "nan"], "t_end"),  # used to report Stationary after 0 steps
+        (["flow", "--dt-max", "nan"], "dt_max"),
+        (["flow", "--dt-max", "0"], "dt_max"),
+        (["sweep", "--t-end", "-1"], "t_end"),
+    ],
+)
+def test_bad_flow_flag_exits_1_naming_the_field(tmp_path, capsys, argv, field):
+    out = tmp_path / "runs"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert f"error: {field} must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("dt_min = 0", "dt_min must be finite and positive"),
+        ("safety = inf", "safety must be finite and positive"),
+        ("stationary_tol = -1e-4", "stationary_tol must be finite and >= 0"),
+    ],
+)
+def test_bad_flow_setting_in_config_file_exits_1(tmp_path, capsys, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"N = 3\nk = 1\neps = 0.1\nM = 256\n{line}\n")
+    out = tmp_path / "runs"
+    assert main(["flow", "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_failed_verify_writes_its_directory_then_exits_2(tmp_path, monkeypatch, capsys):
     from bubbletower import harness
 

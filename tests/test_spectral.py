@@ -98,11 +98,55 @@ def test_certified_start_is_bit_identical(case_solutions, key):
         assert eigenvalue_k(op, j) == _gershgorin_bisection(op, j)
 
 
+def _limit_operator(N, R, M):
+    g = bt.build_ball_grid(R, M, N)
+    return bt.assemble_operator(g, bt.RadialField(g, bubble_linearization(Bubble(1.0, N), g.nodes)))
+
+
 def test_certified_start_is_bit_identical_on_limit_rung():
-    g = bt.build_ball_grid(20.0, 1024, 4)
-    op = bt.assemble_operator(g, bt.RadialField(g, bubble_linearization(Bubble(1.0, 4), g.nodes)))
+    op = _limit_operator(4, 20.0, 1024)
     assert bt.limit_eigenpair(4, 20.0, 1024).lam == _gershgorin_bisection(op, 1)
     assert eigenvalue_k(op, 2) == _gershgorin_bisection(op, 2)
+
+
+def _count_sturm_calls(monkeypatch) -> list:
+    calls = [0]
+    real = spectral._sturm_count
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(spectral, "_sturm_count", counted)
+    return calls
+
+
+# the operators of `limit --N 4`: the radius ladder at matched spacing and its 2M rung
+LIMIT_RUNGS = ((20.0, 1024), (40.0, 2048), (80.0, 4096), (80.0, 8192))
+
+
+def test_small_eigenvalue_certifies_from_the_floored_bracket(monkeypatch):
+    # lambda_2 ~ 1.25e-4 is small against the operator's Gershgorin bound (~2.7e4):
+    # dstebz's value misses the +-1e-9 |v| bracket, which used to cost a Gershgorin
+    # start and 81 counts
+    op = _limit_operator(4, 80.0, 4096)
+    want = _gershgorin_bisection(op, 2)
+    calls = _count_sturm_calls(monkeypatch)
+    assert eigenvalue_k(op, 2) == want
+    assert calls[0] <= 35
+
+
+def test_counts_are_unchanged_where_the_relative_bracket_certifies(case_solutions, monkeypatch):
+    # the floored bracket is only a second try: on the towers it would be far wider than
+    # 1e-9 |lambda_2| and cost 7-9 more counts
+    cases = [(bt.assemble_linearized(sol), j) for sol in case_solutions.values() for j in (1, 2)]
+    cases += [(_limit_operator(4, R, M), 1) for R, M in LIMIT_RUNGS]
+    wants = [_gershgorin_bisection(op, j) for op, j in cases]
+    calls = _count_sturm_calls(monkeypatch)
+    for (op, j), want in zip(cases, wants):
+        calls[0] = 0
+        assert eigenvalue_k(op, j) == want
+        assert 25 <= calls[0] <= 26, (op.size, j)
 
 
 def test_zero_potential_first_eigenvalue():
