@@ -8,14 +8,15 @@ IntegratorFailure once a step leaves the floats. Its five callers (`evolve`,
 and `comparison_monitor`) keep only their stopping rules and bookkeeping; the
 two lockstep callers march a stacked 2 x n state.
 
-The default integrator is first-order IMEX: backward Euler on the diffusion
-and explicit reaction, which keeps the discrete maximum principle
-unconditionally on the diffusion side and therefore supports the comparison
-diagnostics. The diffusion solve is posed in its symmetric form
-(D + dt K) x = D b, with D and K the grid's mass and stiffness
-(`RadialGrid.stiffness`); that matrix is symmetric positive definite and
-tridiagonal, so it is factored once per time step size (LAPACK dpttrf) and
-every step at that size is one dpttrs solve. The reaction step is bounded by
+Every diffusive run takes the one IMEX step, `_Stepper`: backward Euler on
+the diffusion and explicit reaction. It keeps the discrete maximum principle
+on the diffusion side, which the comparison diagnostics need, and it is first
+order in time, as the explicit reaction makes any such scheme. `evolve` alone
+also runs `reaction-only`, the closed-form map of v' = |v|^{p-1} v without
+diffusion. The diffusion solve (D + dt K) x = D b, with D and K the grid's
+mass and stiffness (`RadialGrid.stiffness`), is symmetric positive definite
+and tridiagonal: it is factored once per step size (LAPACK dpttrf), and every
+step at that size is one dpttrs solve. Each step is bounded by
 dt <= safety / sup|v|^{p-1}, which resolves the reaction-dominated ramp into
 blow-up; blow-up is declared only when the sup norm has crossed the threshold
 AND the time step has collapsed to dt_min while the norm keeps growing.
@@ -24,14 +25,12 @@ A converged stationary solution is an exact fixed point of the IMEX step by
 construction (the grid Newton solver and the stepper share the same discrete
 operator), so stationarity holds to roundoff over the usable horizon.
 
-Each step is one allocation-light pass: the stepper builds the reaction and
-the right-hand side in scratch arrays it owns and solves in place into a
-fresh output, and `evolve` takes the energy and the drift into scratch
-arrays of its own, with the same operations in the same order as the plain
-array expressions, so every output is bit-identical to theirs. Overflow is
-reported by `_march` from the sup norm, not by numpy: each caller runs its
-whole loop under one np.errstate, entered outside the generator so that a
-loop left early leaves no error state behind.
+Each IMEX step is one allocation-light pass into a fresh output, and `evolve`
+takes the energy and the drift into scratch arrays, with the same operations
+in the same order as the plain array expressions, so every output is
+bit-identical to theirs. Overflow is reported by `_march` from the sup norm,
+not by numpy: each caller runs its whole loop under one np.errstate, entered
+outside the generator so that a loop left early leaves no error state behind.
 """
 from __future__ import annotations
 
@@ -48,7 +47,7 @@ from .params import ProblemParams, sphere_area
 from .spectral import EigenPair
 from .stationary import StationarySolution, stationary_residual
 
-_INTEGRATORS = ("imex-be", "imex-cn", "reaction-only")
+_INTEGRATORS = ("imex-be", "reaction-only")
 # consecutive steps at dt_min with a growing sup norm that count as a dt collapse
 _COLLAPSE_RUN = 5
 
@@ -134,7 +133,7 @@ def energy(u: RadialField, params: ProblemParams) -> float:
 
 
 class _Stepper:
-    """One IMEX step on the unknown nodes of a zero-trace field.
+    """The IMEX-BE step on the unknown nodes of a zero-trace field.
 
     The discrete Laplacian on the unknowns is -D^{-1} K, with D and K the
     mass and the symmetric stiffness matrix of `RadialGrid.stiffness`. The
@@ -144,29 +143,22 @@ class _Stepper:
     once and then pays one dpttrs solve per step; the linear step likewise
     keeps 1 + dt V until dt or V changes.
 
-    The stepper owns scratch arrays for the reaction, the imex-cn Laplacian
-    and the reaction-only map, and fills them with `out=` ufuncs. Each step
+    The reaction goes into a scratch array the stepper owns. Each step
     returns a freshly allocated array with zero endpoints, on whose unknown
     slice dpttrs solves in place, so a returned state is never overwritten
     by a later step. The steps enter no np.errstate: overflow becomes inf or
     NaN in the state, which the caller's loop detects.
     """
 
-    def __init__(self, grid, params: ProblemParams, integrator: str):
+    def __init__(self, grid, params: ProblemParams):
         self.params = params
-        self.integrator = integrator
         self.unknowns = grid.unknowns
         self.mass, self.k_diag, self.k_off = grid.stiffness
         self._scale = None
         self._factor = None
         self._gain_key = None  # (dt, V) of the cached 1 + dt V
         self._gain = None
-        n = self.mass.size
-        self._react = np.empty(n)  # dt |w|^{p-1} w
-        if integrator == "imex-cn":  # Delta_h w, then (dt/2) Delta_h w; off-diagonal products
-            self._lap_w, self._off_w = np.empty(n), np.empty(n - 1)
-        elif integrator == "reaction-only":  # 1 - (p-1)|v|^{p-1} dt; v |base|^{-1/(p-1)}
-            self._base, self._mapped = np.empty(grid.M + 1), np.empty(grid.M + 1)
+        self._react = np.empty(self.mass.size)  # dt |w|^{p-1} w
 
     def _solve(self, scale: float, out: np.ndarray) -> np.ndarray:
         """Overwrite out's unknowns, which hold rhs, with x: (I + scale D^{-1} K) x = rhs.
@@ -186,21 +178,9 @@ class _Stepper:
         dpttrs(*self._factor, b, overwrite_b=1)
         return out
 
-    def _lap(self, w: np.ndarray) -> np.ndarray:
-        """Delta_h w = -D^{-1} K w on the unknowns, in the stepper's scratch array."""
-        kw, off = self._lap_w, self._off_w
-        np.multiply(self.k_diag, w, out=kw)
-        kw[:-1] -= np.multiply(self.k_off, w[1:], out=off)
-        kw[1:] -= np.multiply(self.k_off, w[:-1], out=off)
-        np.negative(kw, out=kw)
-        kw /= self.mass
-        return kw
-
     def step(self, v: np.ndarray, dt: float) -> np.ndarray:
         """v holds the full nodal array; endpoints stay pinned to zero."""
         p = self.params.p
-        if self.integrator == "reaction-only":
-            return self._reaction_map(v, dt)
         w = v[self.unknowns]
         react = self._react
         np.abs(w, out=react)
@@ -208,33 +188,8 @@ class _Stepper:
         react *= w
         react *= dt
         out = np.zeros(v.shape)  # calloc'd zeros; np.zeros_like would fill them
-        rhs = out[self.unknowns]
-        if self.integrator == "imex-be":
-            np.add(w, react, out=rhs)
-            return self._solve(dt, out)
-        # imex-cn
-        lap = self._lap(w)
-        lap *= 0.5 * dt
-        np.add(w, lap, out=rhs)
-        rhs += react
-        return self._solve(0.5 * dt, out)
-
-    def _reaction_map(self, v: np.ndarray, dt: float) -> np.ndarray:
-        """Exact flow of v' = |v|^{p-1} v over dt at every node; +-inf where it diverges within the step."""
-        p = self.params.p
-        base, mapped = self._base, self._mapped
-        np.abs(v, out=base)
-        base **= p - 1.0
-        base *= p - 1.0
-        base *= dt
-        np.subtract(1.0, base, out=base)
-        np.abs(base, out=mapped)
-        mapped **= -1.0 / (p - 1.0)
-        mapped *= v
-        out = np.sign(v)
-        out *= np.inf
-        np.copyto(out, mapped, where=base > 0.0)
-        return out
+        np.add(w, react, out=out[self.unknowns])
+        return self._solve(dt, out)
 
     def linear_step(self, z: np.ndarray, dt: float, V: np.ndarray) -> np.ndarray:
         """Backward-Euler diffusion with the explicit frozen potential: z_t = Delta z + V z, V on the unknowns."""
@@ -245,6 +200,17 @@ class _Stepper:
         return self._solve(dt, out)
 
 
+def _reaction_map(v: np.ndarray, dt: float, p: float) -> np.ndarray:
+    """Exact flow of v' = |v|^{p-1} v over dt at every node; +-inf where it diverges within the step."""
+    base = 1.0 - np.abs(v) ** (p - 1.0) * (p - 1.0) * dt
+    return np.where(base > 0.0, np.abs(base) ** (-1.0 / (p - 1.0)) * v, np.sign(v) * np.inf)
+
+
+def _sup_norm(v: np.ndarray) -> float:
+    """max |v| without a |v| temporary; the + 0.0 turns an all-zero state's -0.0 into 0.0."""
+    return float(max(v.max(), -v.min())) + 0.0
+
+
 def _march(advance, v: np.ndarray, t_end: float, dt_of, dt_min: float):
     """Step v <- advance(v, dt) from t = 0 while t < t_end, yielding (t, dt, v, sup, collapse) after each step.
 
@@ -253,12 +219,12 @@ def _march(advance, v: np.ndarray, t_end: float, dt_of, dt_min: float):
     grew the sup norm. A step whose state is not finite raises
     IntegratorFailure carrying t, dt and the last finite state.
     """
-    t, sup, collapse = 0.0, float(np.max(np.abs(v))), 0
+    t, sup, collapse = 0.0, _sup_norm(v), 0
     while t < t_end:
         dt = dt_of(sup, t_end - t)
         v_new = advance(v, dt)
         t += dt
-        sup_new = float(np.max(np.abs(v_new)))
+        sup_new = _sup_norm(v_new)
         if not np.isfinite(sup_new):
             raise IntegratorFailure(f"overflow at t={t:.6e} (step dt={dt:.6e})", {"t": t, "dt": dt, "last_state": v})
         collapse = collapse + 1 if dt <= dt_min * (1.0 + 1e-9) and sup_new > sup else 0
@@ -307,10 +273,11 @@ def _fit_blowup_time(ts: np.ndarray, sups: np.ndarray, p: float, thr: float) -> 
 
 def evolve(v0: RadialField, params: ProblemParams, cfg: FlowConfig) -> FlowResult:
     """Integrate v_t = Delta v + |v|^{p-1}v from v0 and classify the trajectory."""
-    if cfg.integrator != "reaction-only" and not v0.dirichlet:
+    reaction_only = cfg.integrator == "reaction-only"
+    if not (reaction_only or v0.dirichlet):
         raise ValueError("diffusive runs need zero-trace initial data")
     g, p = v0.grid, params.p
-    stepper = _Stepper(g, params, cfg.integrator)
+    advance = (lambda v, dt: _reaction_map(v, dt, p)) if reaction_only else _Stepper(g, params).step
     sup0 = float(np.max(np.abs(v0.values)))
     thr = cfg.blow_threshold * sup0
     omega, scratch = sphere_area(g.N), _energy_scratch(g)
@@ -318,7 +285,7 @@ def evolve(v0: RadialField, params: ProblemParams, cfg: FlowConfig) -> FlowResul
     v, series, crossed_at, blowup = v0.values.copy(), [], None, None
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            for t, dt, v, sup, collapse in _march(stepper.step, v, cfg.t_end, _adaptive_dt(cfg, p), cfg.dt_min):
+            for t, dt, v, sup, collapse in _march(advance, v, cfg.t_end, _adaptive_dt(cfg, p), cfg.dt_min):
                 np.minimum(lo, v, out=lo)
                 np.maximum(hi, v, out=hi)
                 grad2, pot = _energy_parts(v, g, p, scratch)
@@ -330,7 +297,7 @@ def evolve(v0: RadialField, params: ProblemParams, cfg: FlowConfig) -> FlowResul
                         blowup = ((crossed_at, t), "")
                         break
     except IntegratorFailure as exc:
-        if cfg.integrator != "reaction-only":
+        if not reaction_only:
             raise
         # the closed-form map diverges exactly when the ODE blow-up time falls
         # inside this step (in the step clock), so the step brackets T up to
@@ -427,7 +394,7 @@ def linearized_evolve(
         raise ValueError(f"t_end={t_end:g} at dt={dt:g} gives {n_steps} steps; the rate fit needs at least 3")
     params = sol.params
     g = sol.field.grid
-    stepper = _Stepper(g, params, "imex-be")
+    stepper = _Stepper(g, params)
     D = g.cell_weights
     omega = sphere_area(g.N)
     buf = np.empty_like(D)  # D z z and D z phi, summed by np.sum
@@ -512,7 +479,7 @@ def linear_nonlinear_consistency(
     if t_end is None:
         t_end = 8.0 / abs(pair.lam)
     dt = 0.002 / abs(pair.lam)
-    stepper = _Stepper(g, params, "imex-be")
+    stepper = _Stepper(g, params)
     sup_phi = float(np.max(np.abs(phi)))
     t, max_err, rows = 0.0, 0.0, []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -547,7 +514,8 @@ def find_separation_time(
     horizon is reached or the run blows up first; diagnostics then carry the
     best single-signed node fraction achieved, its time, the sign of the
     projection of v - phi on the first eigenfunction (which stabilizes almost
-    immediately), and the preempting blow-up time if any.
+    immediately), and the preempting blow-up time if any. The flow always
+    takes the IMEX-BE step; cfg.integrator is not read.
     """
     if lam == 1.0:
         return {"t0": None, "margin": 0.0, "diagnostics": {"note": "difference identically ~0 at lambda=1"}}
@@ -555,7 +523,7 @@ def find_separation_time(
     params = sol.params
     g = sol.field.grid
     phi = sol.field.values
-    stepper = _Stepper(g, params, cfg.integrator if cfg.integrator != "reaction-only" else "imex-be")
+    stepper = _Stepper(g, params)
     D = g.cell_weights
     omega = sphere_area(g.N)
     v = lam * phi
@@ -669,12 +637,13 @@ def comparison_monitor(
     Both trajectories take the same step sizes (driven by the larger sup
     norm); monitoring stops at the horizon or when either flow crosses the
     blow-up threshold. A step that overflows either flow raises
-    IntegratorFailure. The IMEX-BE step is monotone, so the violation should
-    sit at roundoff level.
+    IntegratorFailure. Both flows always take the IMEX-BE step, which is
+    monotone, so the violation should sit at roundoff level; cfg.integrator is
+    not read.
     """
     if float(np.max(vA0.values - vB0.values)) > 0.0:
         raise ValueError("initial data are not ordered: need vA0 <= vB0 pointwise")
-    stepper = _Stepper(vA0.grid, params, "imex-be")
+    stepper = _Stepper(vA0.grid, params)
     pair0 = np.array([vA0.values, vB0.values])
     thr = cfg.blow_threshold * max(float(np.max(np.abs(pair0))), 1e-300)
     t, violation, rows, stopped = 0.0, 0.0, [], "horizon"

@@ -96,7 +96,7 @@ def load_config(path) -> dict:
 
 
 def resolve_config(file_cfg: dict | None = None, overrides: dict | None = None) -> dict:
-    """defaults <- file <- CLI flags, then range validation."""
+    """defaults <- file <- CLI flags, then range validation of every value and list entry."""
     cfg = {k: v for k, (v, _) in _SCHEMA.items()}
     for layer in (file_cfg or {}, overrides or {}):
         for key, val in layer.items():
@@ -104,11 +104,20 @@ def resolve_config(file_cfg: dict | None = None, overrides: dict | None = None) 
                 raise ValueError(f"unknown config key {key!r}")
             cfg[key] = val
     ProblemParams(cfg["N"], cfg["k"], cfg["eps"])
+    for eps in cfg["eps_list"]:
+        try:
+            ProblemParams(cfg["N"], cfg["k"], eps)
+        except ValueError as exc:
+            raise ValueError(f"eps_list entry {eps}: {exc}") from exc
     _flow_config(cfg)
     if cfg["M"] < 16:
         raise ValueError("grid resolution must be at least 16 cells")
-    if min(cfg["radii"]) <= 0:
-        raise ValueError(f"radii must be positive, got {cfg['radii']}")
+    if not math.isfinite(cfg["lambda"]):
+        raise ValueError(f"lambda must be finite, got {cfg['lambda']}")
+    if not all(map(math.isfinite, cfg["lambda_list"])):
+        raise ValueError(f"lambda_list entries must be finite, got {cfg['lambda_list']}")
+    if not all(math.isfinite(R) and R > 0 for R in cfg["radii"]):
+        raise ValueError(f"radii must be finite and positive, got {cfg['radii']}")
     for R, M in limit_ladder(cfg["radii"], cfg["M_limit"]):
         if M < 16:
             raise ValueError(

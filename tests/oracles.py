@@ -7,11 +7,12 @@ library integrator, no change of unknowns), and refines the zero of the
 terminal map on a shrinking candidate grid. It shares nothing with the
 package's shooting route except the ODE itself.
 
-The flow references are the allocating IMEX step, energy and bookkeeping
-loops that `bubbletower.flow` replaced with scratch arrays: the same
-operations in the same order as plain array expressions, kept verbatim so
-that tests can require the buffered code to reproduce them bit for bit.
+The flow references are the allocating IMEX-BE step, reaction-only map,
+energy and bookkeeping loops: the same operations in the same order as
+`bubbletower.flow`, written as plain array expressions and kept verbatim so
+that tests can require the package to reproduce them bit for bit.
 """
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -114,11 +115,10 @@ def reference_energy(u, params):
 
 
 class ReferenceStepper:
-    """The allocating IMEX step: every intermediate is a fresh array."""
+    """The allocating IMEX-BE step: every intermediate is a fresh array."""
 
-    def __init__(self, grid, params, integrator):
+    def __init__(self, grid, params):
         self.params = params
-        self.integrator = integrator
         self.unknowns = grid.unknowns
         self.mass, self.k_diag, self.k_off = grid.stiffness
         self._scale = None
@@ -137,28 +137,14 @@ class ReferenceStepper:
         x, _ = dpttrs(*self._factor, self.mass * rhs, overwrite_b=1)
         return x
 
-    def _lap(self, w):
-        kw = self.k_diag * w
-        kw[:-1] -= self.k_off * w[1:]
-        kw[1:] -= self.k_off * w[:-1]
-        return -kw / self.mass
-
     def step(self, v, dt):
         """v holds the full nodal array; endpoints stay pinned to zero."""
         p = self.params.p
-        if self.integrator == "reaction-only":
-            with np.errstate(over="ignore", invalid="ignore"):
-                base = 1.0 - (p - 1.0) * np.abs(v) ** (p - 1.0) * dt
-                mapped = np.where(base > 0.0, v * np.abs(base) ** (-1.0 / (p - 1.0)), np.sign(v) * np.inf)
-            return mapped
         w = v[self.unknowns]
         with np.errstate(over="ignore", invalid="ignore"):
             react = np.abs(w) ** (p - 1.0) * w
             out = np.zeros_like(v)
-            if self.integrator == "imex-be":
-                out[self.unknowns] = self._solve(dt, w + dt * react)
-            else:  # imex-cn
-                out[self.unknowns] = self._solve(0.5 * dt, w + 0.5 * dt * self._lap(w) + dt * react)
+            out[self.unknowns] = self._solve(dt, w + dt * react)
         return out
 
     def linear_step(self, z, dt, V):
@@ -168,16 +154,24 @@ class ReferenceStepper:
         return out
 
 
+def reference_reaction_map(v, dt, p):
+    """Exact flow of v' = |v|^{p-1} v over dt at every node; +-inf where it diverges within the step."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = 1.0 - (p - 1.0) * np.abs(v) ** (p - 1.0) * dt
+        return np.where(base > 0.0, v * np.abs(base) ** (-1.0 / (p - 1.0)), np.sign(v) * np.inf)
+
+
 def reference_evolve(v0, params, cfg):
     """`bubbletower.evolve` with the allocating step, a drift difference and a RadialField energy per step."""
-    if cfg.integrator != "reaction-only" and not v0.dirichlet:
+    reaction_only = cfg.integrator == "reaction-only"
+    if not (reaction_only or v0.dirichlet):
         raise ValueError("diffusive runs need zero-trace initial data")
-    stepper = ReferenceStepper(v0.grid, params, cfg.integrator)
+    advance = partial(reference_reaction_map, p=params.p) if reaction_only else ReferenceStepper(v0.grid, params).step
     sup0 = float(np.max(np.abs(v0.values)))
     thr = cfg.blow_threshold * sup0
     v, series, drift, crossed_at, blowup = v0.values.copy(), [], 0.0, None, None
     try:
-        for t, dt, v, sup, collapse in _march(stepper.step, v, cfg.t_end, _adaptive_dt(cfg, params.p), cfg.dt_min):
+        for t, dt, v, sup, collapse in _march(advance, v, cfg.t_end, _adaptive_dt(cfg, params.p), cfg.dt_min):
             drift = max(drift, float(np.max(np.abs(v - v0.values))))
             series.append((t, sup, reference_energy(RadialField(v0.grid, v), params), dt))
             if sup0 > 0.0 and sup > thr:
@@ -187,7 +181,7 @@ def reference_evolve(v0, params, cfg):
                     blowup = ((crossed_at, t), "")
                     break
     except IntegratorFailure as exc:
-        if cfg.integrator != "reaction-only":
+        if not reaction_only:
             raise
         t, dt, v = (exc.diagnostics[key] for key in ("t", "dt", "last_state"))
         blowup = ((t - dt, t), "exact reaction map diverged within the step")
@@ -210,7 +204,7 @@ def reference_linearized_series(sol, pair, z0, t_end, dt):
     n_steps = int(np.ceil(t_end / dt))
     params = sol.params
     g = sol.field.grid
-    stepper = ReferenceStepper(g, params, "imex-be")
+    stepper = ReferenceStepper(g, params)
     V = params.reaction_derivative(sol.field.values)[g.unknowns]
     D = g.cell_weights
     omega = sphere_area(g.N)

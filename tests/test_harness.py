@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,13 +12,15 @@ import pytest
 
 import bubbletower
 from bubbletower.cli import build_parser, main
-from bubbletower.flow import FlowConfig
+from bubbletower.flow import _INTEGRATORS, FlowConfig
 from bubbletower.harness import (
     _SCHEMA,
+    OPERATIONS,
     _flow_config,
     _fmt17,
     fmt6,
     load_config,
+    parse_value,
     resolve_config,
     write_csv,
 )
@@ -176,7 +179,7 @@ FLOW_VALUES = {
     "t_end": 0.25,
     "blow_threshold": 1e4,
     "safety": 0.05,
-    "integrator": "imex-cn",
+    "integrator": "reaction-only",
     "stationary_tol": 1e-6,
 }
 
@@ -514,6 +517,60 @@ def test_bad_flow_setting_in_config_file_exits_1(tmp_path, capsys, line, message
     assert main(["flow", "--config", str(cfg), "--out", str(out)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+# (subcommand, flag, value, the message's start); each used to be accepted by
+# resolve_config and to fail late, after a solve, or with a message naming no key
+BAD_VALUES = [
+    ("flow", "lambda", "nan", "lambda must be finite, got nan"),
+    ("flow", "lambda", "inf", "lambda must be finite, got inf"),
+    ("sweep", "lambda_list", "0.1,nan", "lambda_list entries must be finite, got (0.1, nan)"),
+    ("sweep", "eps_list", "1e-2,2", "eps_list entry 2.0: hole radius eps must lie in (0,1)"),
+    ("sweep", "eps_list", "1e-2,nan", "eps_list entry nan: hole radius eps must lie in (0,1)"),
+    ("limit", "radii", "20,nan", "radii must be finite and positive, got (20.0, nan)"),
+    ("limit", "radii", "20,inf", "radii must be finite and positive, got (20.0, inf)"),
+    ("flow", "integrator", "imex-cn", "integrator must be one of ('imex-be', 'reaction-only'), got 'imex-cn'"),
+]
+
+
+@pytest.mark.parametrize("op, key, raw, message", BAD_VALUES)
+@pytest.mark.parametrize("via", ("flag", "config file"))
+def test_bad_value_exits_1_before_any_solve(tmp_path, capsys, op, key, raw, message, via):
+    out = tmp_path / "runs"
+    if via == "flag":
+        argv = [op, "--" + key.replace("_", "-"), raw]
+    else:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"N = 3\nk = 1\neps = 0.1\nM = 256\n{key} = {raw}\n")
+        argv = [op, "--config", str(cfg)]
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}"), err
+    assert "Warning" not in err
+    assert not out.exists()
+
+
+def _readme_config_table() -> dict:
+    """key -> (default, meaning, flag-on cell) from the README's table of config keys."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = {}
+    for line in readme.read_text().splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if line.startswith("| `") and len(cells) == 4:
+            rows[cells[0].strip("`")] = tuple(cells[1:])
+    return rows
+
+
+def test_readme_config_table_matches_the_schema():
+    rows = _readme_config_table()
+    assert sorted(rows) == sorted(_SCHEMA)
+    defaults = resolve_config()
+    for key, (default, _, flag_on) in rows.items():
+        assert parse_value(key, default) == defaults[key], key
+        ops = [f"`{op}`" for op, (_, keys, _) in OPERATIONS.items() if key in keys]
+        assert flag_on == (", ".join(ops) or "—"), key
+    # the one key with a fixed set of values names exactly those values
+    assert re.findall(r"`([^`]+)`", rows["integrator"][1]) == list(_INTEGRATORS)
 
 
 def test_failed_verify_writes_its_directory_then_exits_2(tmp_path, monkeypatch, capsys):
