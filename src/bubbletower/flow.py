@@ -50,6 +50,11 @@ from .stationary import StationarySolution, stationary_residual
 _INTEGRATORS = ("imex-be", "reaction-only")
 # consecutive steps at dt_min with a growing sup norm that count as a dt collapse
 _COLLAPSE_RUN = 5
+# linear_nonlinear_consistency: the horizon in units of 1/|lambda_1|, and the end of the
+# linear window as a fraction of sup|phi|
+_CONSISTENCY_HORIZON = 8.0
+_LINEAR_WINDOW = 0.02
+_ONESIDED_CANDIDATES = np.logspace(-7, -2, 11)  # the eps' values find_onesided_window scans
 
 
 @dataclass(frozen=True)
@@ -212,15 +217,18 @@ def _sup_norm(v: np.ndarray) -> float:
 
 
 def _march(advance, v: np.ndarray, t_end: float, dt_of, dt_min: float):
-    """Step v <- advance(v, dt) from t = 0 while t < t_end, yielding (t, dt, v, sup, collapse) after each step.
+    """Step v <- advance(v, dt) from t = 0 until t_end, yielding (t, dt, v, sup, collapse) after each step.
 
     dt_of(sup, t_end - t) picks each step from the sup norm of the state it
     starts from; collapse counts the consecutive steps taken at dt_min that
-    grew the sup norm. A step whose state is not finite raises
-    IntegratorFailure carrying t, dt and the last finite state.
+    grew the sup norm. The march goes on while t_end - t > dt_min, so no
+    step is shorter than dt_min: a clock that falls a rounding short of t_end
+    ends the march instead of taking a sliver step.
+    A step whose state is not finite raises IntegratorFailure carrying t, dt
+    and the last finite state.
     """
     t, sup, collapse = 0.0, _sup_norm(v), 0
-    while t < t_end:
+    while t_end - t > dt_min:
         dt = dt_of(sup, t_end - t)
         v_new = advance(v, dt)
         t += dt
@@ -458,8 +466,6 @@ def linear_nonlinear_consistency(
     sol: StationarySolution,
     pair: EigenPair,
     lam: float = 1.001,
-    t_end: float | None = None,
-    linear_window: float = 0.02,
 ) -> dict:
     """Compare (v^lam - phi)/(lam - 1) against the linearized flow z with z0 = phi.
 
@@ -469,15 +475,14 @@ def linear_nonlinear_consistency(
     order in lam - 1 step by step. The quadratic remainder grows at twice the
     exponential rate of z, so the comparison is meaningful only while the
     perturbation is small; the window ends when sup|v - phi| exceeds
-    linear_window * sup|phi|.
+    _LINEAR_WINDOW * sup|phi|, or at t = _CONSISTENCY_HORIZON / |lambda_1|.
     """
     if lam == 1.0:
         raise ValueError("need lam != 1 to form the difference quotient")
     params = sol.params
     g = sol.field.grid
     phi = sol.field.values
-    if t_end is None:
-        t_end = 8.0 / abs(pair.lam)
+    t_end = _CONSISTENCY_HORIZON / abs(pair.lam)
     dt = 0.002 / abs(pair.lam)
     stepper = _Stepper(g, params)
     sup_phi = float(np.max(np.abs(phi)))
@@ -493,7 +498,7 @@ def linear_nonlinear_consistency(
         )
         for t, _, (v, z), _, _ in steps:
             dv = v - phi
-            if float(np.max(np.abs(dv))) > linear_window * sup_phi:
+            if float(np.max(np.abs(dv))) > _LINEAR_WINDOW * sup_phi:
                 break
             err = float(np.max(np.abs(dv / (lam - 1.0) - z))) / max(float(np.max(np.abs(z))), 1e-300)
             max_err = max(max_err, err)
@@ -594,22 +599,20 @@ def subsupersolution_residual(
 def find_onesided_window(
     sol: StationarySolution,
     pair: EigenPair,
-    candidates=None,
 ) -> dict:
     """Scan eps' for values where psi +/- eps' phi1 pass the one-sided residual checks.
 
     The pass tolerance is twice the eps'=0 residual floor (the converged
     solution's own stationary residual defines what 'numerically zero' means
-    on this grid; below that floor one-sidedness is not measurable).
+    on this grid; below that floor one-sidedness is not measurable). The
+    candidates are _ONESIDED_CANDIDATES.
     """
     params = sol.params
     floor = float(np.max(np.abs(stationary_residual(sol.field, params).values[1:-1])))
     tol = 2.0 * floor
-    if candidates is None:
-        candidates = np.logspace(-7, -2, 11)
     rows = []
     passing = []
-    for ep in candidates:
+    for ep in _ONESIDED_CANDIDATES:
         sub = subsupersolution_residual(sol.field, pair.phi, float(ep), params)
         sup = subsupersolution_residual(sol.field, pair.phi, -float(ep), params)
         ok = sub["max_wrong_sign"] <= tol and sup["max_wrong_sign"] <= tol

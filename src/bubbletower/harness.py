@@ -367,7 +367,7 @@ def _verify_checks() -> list:
     target = 4.0 * math.pi**2
     rel = abs(lam0 - target) / abs(target)
     checks.append(("eig-zero-potential", rel <= 1e-4, f"lambda1={lam0:.10g} rel_err={rel:.2e}"))
-    n = 31  # tridiag(-1, 2, -1): 2 - 2cos(j pi/(n+1)); a count at x = 2 meets zero pivots
+    n = 31  # tridiag(-1, 2, -1): 2 - 2cos(j pi/(n+1)), checking dstebz; a Sturm count at x = 2 meets zero pivots
     path = LinearizedOperator(None, np.full(n, 2.0), np.full(n - 1, -1.0))
     worst = max(
         abs(eigenvalue_k(path, j) - (2.0 - 2.0 * math.cos(j * math.pi / (n + 1))))

@@ -4,16 +4,14 @@ The symmetrized tridiagonal form is assembled from the grid's mass and
 stiffness (`RadialGrid.stiffness`), the same face/cell weights as the mesh
 module's Laplacian, so Rayleigh quotients, residuals, and the inner-product
 identity below are all consistent with `integrate_weighted`.
-Eigenvalues come from bisection on the Sturm sequence run down to machine
-interval width, written out here. LAPACK's own bisection (dstebz) only
-supplies the starting bracket, which two Sturm counts certify before it is
-used, so every eigenvalue is the one the count defines. Eigenvectors come
-from a short inverse iteration at the converged eigenvalue, whose shifted
-tridiagonal solves are LAPACK calls (dgttrf, dgttrs).
+Eigenvalues come from LAPACK's Sturm-sequence bisection (dstebz, Kahan's
+bisection), selected by index with absolute tolerance tiny, so it stops only
+at its relative floor: a bracket two ulps wide. Eigenvectors come from a
+short inverse iteration at that eigenvalue, whose shifted tridiagonal solves
+are LAPACK calls (dgttrf, dgttrs).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,15 +25,6 @@ from .stationary import StationarySolution
 
 _PIVOT_FLOOR = 1e-300
 _TINY = float(np.finfo(float).tiny)  # dstebz's absolute tolerance: bisect to rounding
-_BRACKET_REL = 1e-9  # half-width of the start bracket around LAPACK's value, relative
-# The second start bracket, tried when the relative one fails, has the half-width
-# _BRACKET_FLOOR eps_mach G, with G the Gershgorin bound on |eigenvalue|. dstebz's
-# value lies up to 0.05 eps_mach G off the count's boundary (measured on the ball
-# and tower operators), which no relative bracket covers for an eigenvalue small
-# against G (lambda_2 ~ 1.25e-4 at G ~ 2.7e4 on the R = 80 ball); a quarter leaves
-# a 5x margin.
-_BRACKET_FLOOR = 0.25
-_EPS = float(np.finfo(float).eps)
 _INVERSE_SWEEPS = 4  # inverse-iteration solves per eigenvector
 
 
@@ -99,71 +88,24 @@ def assemble_linearized(sol: StationarySolution) -> LinearizedOperator:
     return assemble_operator(sol.field.grid, V)
 
 
-def _sturm_count(d, e2, x: float) -> int:
-    """Number of eigenvalues at or below x of the tridiagonal (diagonal d, squared off-diagonal e2).
-
-    d and e2 are float sequences whose items are Python floats (lists, or
-    memoryviews of float64 arrays, which copy nothing): the recurrence does
-    the same IEEE operations as on numpy scalars, several times faster. A
-    pivot is counted when it is at or below 0, the sign the pivot floor then
-    gives it in the next row (LAPACK's convention).
-    """
-    count = 0
-    rows = iter(d)
-    q = next(rows) - x
-    if q <= 0:
-        count += 1
-    for di, e2i in zip(rows, e2):
-        if abs(q) < _PIVOT_FLOOR:
-            q = -_PIVOT_FLOOR if q <= 0 else _PIVOT_FLOOR
-        q = di - x - e2i / q
-        if q <= 0:
-            count += 1
-    return count
-
-
-def _lapack_eigenvalue(d: np.ndarray, e: np.ndarray, j: int) -> float:
-    """LAPACK dstebz's j-th smallest eigenvalue (its own bisection, tol = tiny), NaN if it fails."""
-    if d.size == 1:  # the dstebz wrapper wants an off-diagonal of length >= 1
-        return float(d[0])
-    m, w, _, _, info = dstebz(d, e, 2, 0.0, 0.0, j, j, _TINY, b"E")
-    return float(w[0]) if info == 0 and m == 1 else math.nan
-
-
 def eigenvalue_k(op: LinearizedOperator, j: int = 1) -> float:
-    """j-th smallest eigenvalue by Sturm bisection, run to machine interval width.
+    """j-th smallest eigenvalue by LAPACK dstebz's Sturm bisection (absolute tolerance tiny).
 
-    The bisection starts from LAPACK's value v widened by _BRACKET_REL |v| on
-    each side when two Sturm counts certify that this bracket holds the j-th
-    eigenvalue, count(lo) < j <= count(hi); failing that, from v widened by
-    the floor _BRACKET_FLOOR eps_mach G, with G the larger end of the
-    Gershgorin interval in magnitude, when that is wider and certified;
-    otherwise (v not finite, or v too far off) from the Gershgorin interval.
-    Every start ends at the smallest float x with count(x) >= j, so LAPACK
-    only picks where to start.
+    A 1x1 operator is its own eigenvalue (the dstebz wrapper wants an
+    off-diagonal of length >= 1). A dstebz failure, info != 0 or other than
+    one eigenvalue returned, raises SolverError naming both values.
     """
     if j < 1 or j > op.size:
         raise ValueError(f"eigenvalue index {j} out of range 1..{op.size}")
-    v = _lapack_eigenvalue(op.d, op.e, j)
-    d, e2 = memoryview(op.d), memoryview(op.e * op.e)
-    spread = 2.0 * float(np.max(np.abs(op.e))) if op.e.size else 0.0
-    g_lo, g_hi = float(np.min(op.d)) - spread, float(np.max(op.d)) + spread
-    rel = _BRACKET_REL * abs(v)
-    for half in (rel, max(rel, _BRACKET_FLOOR * _EPS * max(abs(g_lo), abs(g_hi)))):
-        lo, hi = v - half, v + half
-        if _sturm_count(d, e2, lo) < j <= _sturm_count(d, e2, hi):
-            break
-    else:
-        lo, hi = g_lo, g_hi
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if _sturm_count(d, e2, mid) >= j:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    if op.size == 1:
+        return float(op.d[0])
+    m, w, _, _, info = dstebz(op.d, op.e, 2, 0.0, 0.0, j, j, _TINY, b"E")
+    if info != 0 or m != 1:
+        raise SolverError(
+            f"LAPACK dstebz failed on eigenvalue {j}: info = {info}, m = {m}",
+            {"info": int(info), "m": int(m)},
+        )
+    return float(w[0])
 
 
 def _inverse_iteration(op: LinearizedOperator, lam: float) -> np.ndarray:
@@ -183,7 +125,7 @@ def _inverse_iteration(op: LinearizedOperator, lam: float) -> np.ndarray:
 
 
 def first_eigenpair(op: LinearizedOperator) -> EigenPair:
-    """Smallest eigenvalue (Sturm bisection) + positive eigenvector (inverse iteration)."""
+    """Smallest eigenvalue (dstebz bisection) + positive eigenvector (inverse iteration)."""
     lam = eigenvalue_k(op, 1)
     psi = _inverse_iteration(op, lam)
     if psi[np.argmax(np.abs(psi))] < 0:

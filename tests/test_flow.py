@@ -351,6 +351,17 @@ def test_imex_be_is_first_order_in_time():
     assert all(0.95 <= q <= 1.05 for q in orders), orders
 
 
+@pytest.mark.parametrize("i", range(3))
+def test_evolve_takes_no_step_shorter_than_dt_min(i):
+    # t_end is a whole number of dt_max steps and the accumulated clock falls a
+    # rounding short of it: the march ends there instead of taking a ~1e-17 step
+    g = bt.build_grid(0.5, 1.0, 64, N=3)
+    cfg = bt.FlowConfig(dt_max=1e-4 / 2**i, t_end=0.01)
+    res = bt.evolve(_bump(g), bt.ProblemParams(3, 1, 0.5), cfg)
+    assert np.all(res.series[:, 3] >= cfg.dt_min)
+    assert res.series.shape[0] == 100 * 2**i
+
+
 def test_stepper_refactors_when_dt_changes():
     # a stale factor from an earlier dt would show as a mismatch at the last step
     g = bt.build_grid(0.1, 1.0, 64, N=3)

@@ -7,6 +7,8 @@ function is passed, by position or by keyword, by some call in the package;
 a default no caller overrides is a constant and belongs in the body. And
 every such parameter is left at its default by some call; a default every
 caller overrides hides a dead branch, and the parameter should be required.
+Every defaulted parameter of a public function is passed by some call in the
+package or in its tests, for the same reason as a private one.
 """
 import ast
 from pathlib import Path
@@ -18,6 +20,7 @@ import bubbletower
 PACKAGE = Path(bubbletower.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TREES = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+TEST_TREES = [ast.parse(p.read_text()) for p in sorted(Path(__file__).resolve().parent.glob("*.py"))]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -50,20 +53,26 @@ def _passes(call: ast.Call, name: str, pos: int | None) -> bool:
     return pos is not None and len(call.args) > pos
 
 
-def _private_functions(path) -> list:
-    """(function, calls to it, offset of a bound first parameter) per module-private function."""
+def _functions(path, private: bool) -> list:
+    """(function, calls to it, offset of a bound first parameter) per private or public function.
+
+    Calls to a private function are looked for in the package, and calls to
+    a public one in the package and its tests.
+    """
     out = []
     for node in ast.walk(TREES[path.name]):
-        is_private = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.startswith("_")
-        if is_private and not node.name.startswith("__"):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node.name.startswith("__"):
+            continue
+        if node.name.startswith("_") == private:
             bound = int(bool(node.args.args) and node.args.args[0].arg in ("self", "cls"))  # not passed by a caller
-            out.append((node, _calls_to(node.name), bound))
+            trees = list(TREES.values()) if private else list(TREES.values()) + TEST_TREES
+            out.append((node, _calls_to(node.name, trees), bound))
     return out
 
 
-def _calls_to(name: str) -> list:
+def _calls_to(name: str, trees: list) -> list:
     calls = []
-    for tree in TREES.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 f = node.func
@@ -72,20 +81,31 @@ def _calls_to(name: str) -> list:
     return calls
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_every_private_default_is_overridden_by_some_call(path):
+def _never_passed(path, private: bool) -> list:
     unused = []
-    for node, calls, bound in _private_functions(path):
+    for node, calls, bound in _functions(path, private):
         for name, pos in _defaulted(node).items():
             if not any(_passes(c, name, None if pos is None else pos - bound) for c in calls):
                 unused.append(f"{node.name}({name})")
+    return unused
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_default_is_overridden_by_some_call(path):
+    unused = _never_passed(path, private=True)
     assert not unused, f"{path.name}: no call passes the defaulted parameters {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_public_default_is_overridden_by_some_call(path):
+    unused = _never_passed(path, private=False)
+    assert not unused, f"{path.name}: no call in the package or its tests passes the defaulted parameters {unused}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_private_default_is_left_by_some_call(path):
     always = []
-    for node, calls, bound in _private_functions(path):
+    for node, calls, bound in _functions(path, private=True):
         for name, pos in _defaulted(node).items():
             # strict: _passes counts a call through *args or **kwargs as passing
             if all(_passes(c, name, None if pos is None else pos - bound) for c in calls):

@@ -28,21 +28,6 @@ def _zero_potential_operator(M=4096):
     return bt.assemble_operator(g, V)
 
 
-def _gershgorin_bisection(op, j):
-    """Reference: the same Sturm count, bisected from the Gershgorin interval."""
-    d, e2 = op.d.tolist(), (op.e * op.e).tolist()
-    spread = 2.0 * float(np.max(np.abs(op.e))) if op.e.size else 0.0
-    lo, hi = float(np.min(op.d)) - spread, float(np.max(op.d)) + spread
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return hi
-        if spectral._sturm_count(d, e2, mid) >= j:
-            hi = mid
-        else:
-            lo = mid
-
-
 def test_path_laplacian_closed_form():
     # tridiag(-1, 2, -1) of size n has eigenvalues 2 - 2 cos(j pi / (n + 1)); a
     # count at x = 2.0 (the Gershgorin midpoint) meets an exactly-zero pivot
@@ -51,14 +36,6 @@ def test_path_laplacian_closed_form():
         for j in range(1, n + 1):
             want = 2.0 - 2.0 * math.cos(j * math.pi / (n + 1))
             assert abs(eigenvalue_k(op, j) - want) <= 1e-12, (n, j)
-
-
-def test_sturm_count_includes_a_zero_pivot():
-    # at x = 2 the first pivot of tridiag(-1, 2, -1) is exactly 0, and the rest
-    # alternate +1e300 and -1e-300 after the floor, so every other row counts; the
-    # eigenvalues at or below 2 are those with j <= (n + 1) / 2
-    for n in range(1, 41):
-        assert spectral._sturm_count([2.0] * n, [1.0] * (n - 1), 2.0) == (n + 1) // 2, n
 
 
 def test_small_integer_tridiagonals_match_eigvalsh():
@@ -78,75 +55,30 @@ def test_one_by_one_operator(d0):
     assert eigenvalue_k(LinearizedOperator(None, np.array([d0]), np.zeros(0)), 1) == d0
 
 
-@pytest.mark.parametrize(
-    "fake",
-    [lambda v: v * (1.0 + 1e-6), lambda v: 0.0, lambda v: math.nan],
-    ids=["shifted-1e-6", "zero", "nan"],
-)
-def test_uncertified_lapack_value_falls_back_to_gershgorin(case_solutions, monkeypatch, fake):
-    op = bt.assemble_linearized(case_solutions[(4, 2, 1e-3)])
-    want = [_gershgorin_bisection(op, j) for j in (1, 2)]
-    real = spectral._lapack_eigenvalue
-    monkeypatch.setattr(spectral, "_lapack_eigenvalue", lambda d, e, j: fake(real(d, e, j)))
-    assert [eigenvalue_k(op, j) for j in (1, 2)] == want
-
-
-@pytest.mark.parametrize("key", CASES, ids=lambda c: f"N{c[0]}k{c[1]}eps{c[2]:g}")
-def test_certified_start_is_bit_identical(case_solutions, key):
-    op = bt.assemble_linearized(case_solutions[key])
-    for j in (1, 2):
-        assert eigenvalue_k(op, j) == _gershgorin_bisection(op, j)
-
-
 def _limit_operator(N, R, M):
     g = bt.build_ball_grid(R, M, N)
     return bt.assemble_operator(g, bt.RadialField(g, bubble_linearization(Bubble(1.0, N), g.nodes)))
 
 
-def test_certified_start_is_bit_identical_on_limit_rung():
-    op = _limit_operator(4, 20.0, 1024)
-    assert bt.limit_eigenpair(4, 20.0, 1024).lam == _gershgorin_bisection(op, 1)
-    assert eigenvalue_k(op, 2) == _gershgorin_bisection(op, 2)
+@pytest.mark.parametrize("N", [4, 3])
+def test_ball_eigenvalues_match_dense_eigvalsh(N):
+    # an independent dense route (Householder reduction and QR, no Sturm count) on the
+    # R = 20, M = 1024 limit rung; measured worst 0.54 eps_mach G, G the Gershgorin bound
+    op = _limit_operator(N, 20.0, 1024)
+    want = np.linalg.eigvalsh(np.diag(op.d) + np.diag(op.e, 1) + np.diag(op.e, -1))
+    spread = 2.0 * float(np.max(np.abs(op.e)))
+    G = max(abs(float(np.min(op.d)) - spread), abs(float(np.max(op.d)) + spread))
+    for j in (1, 2):
+        assert abs(eigenvalue_k(op, j) - want[j - 1]) <= 2.0 * np.finfo(float).eps * G, (N, j)
 
 
-def _count_sturm_calls(monkeypatch) -> list:
-    calls = [0]
-    real = spectral._sturm_count
-
-    def counted(*args):
-        calls[0] += 1
-        return real(*args)
-
-    monkeypatch.setattr(spectral, "_sturm_count", counted)
-    return calls
-
-
-# the operators of `limit --N 4`: the radius ladder at matched spacing and its 2M rung
-LIMIT_RUNGS = ((20.0, 1024), (40.0, 2048), (80.0, 4096), (80.0, 8192))
-
-
-def test_small_eigenvalue_certifies_from_the_floored_bracket(monkeypatch):
-    # lambda_2 ~ 1.25e-4 is small against the operator's Gershgorin bound (~2.7e4):
-    # dstebz's value misses the +-1e-9 |v| bracket, which used to cost a Gershgorin
-    # start and 81 counts
-    op = _limit_operator(4, 80.0, 4096)
-    want = _gershgorin_bisection(op, 2)
-    calls = _count_sturm_calls(monkeypatch)
-    assert eigenvalue_k(op, 2) == want
-    assert calls[0] <= 35
-
-
-def test_counts_are_unchanged_where_the_relative_bracket_certifies(case_solutions, monkeypatch):
-    # the floored bracket is only a second try: on the towers it would be far wider than
-    # 1e-9 |lambda_2| and cost 7-9 more counts
-    cases = [(bt.assemble_linearized(sol), j) for sol in case_solutions.values() for j in (1, 2)]
-    cases += [(_limit_operator(4, R, M), 1) for R, M in LIMIT_RUNGS]
-    wants = [_gershgorin_bisection(op, j) for op, j in cases]
-    calls = _count_sturm_calls(monkeypatch)
-    for (op, j), want in zip(cases, wants):
-        calls[0] = 0
-        assert eigenvalue_k(op, j) == want
-        assert 25 <= calls[0] <= 26, (op.size, j)
+@pytest.mark.parametrize("info, m", [(1, 1), (0, 0)], ids=["info-1", "m-0"])
+def test_dstebz_failure_raises(monkeypatch, info, m):
+    op = _zero_potential_operator(M=64)
+    monkeypatch.setattr(spectral, "dstebz", lambda *args: (m, np.zeros(op.size), None, None, info))
+    with pytest.raises(SolverError, match=f"info = {info}, m = {m}") as err:
+        eigenvalue_k(op, 1)
+    assert err.value.diagnostics == {"info": info, "m": m}
 
 
 def test_zero_potential_first_eigenvalue():
