@@ -39,12 +39,12 @@ from .spectral import (
     limit_scan,
     sign_condition,
 )
-from .stationary import find_nodal_solution, stationary_residual
+from .stationary import IVP_RTOL, find_nodal_solution, stationary_residual
 
-# key -> (default, parser); list-valued keys hold comma-separated floats.
-# The solver and flow keys take their defaults from find_nodal_solution and FlowConfig.
+# key -> (default, parser); list-valued keys hold comma-separated floats. The solver,
+# limit and flow keys take their defaults from find_nodal_solution, limit_scan and FlowConfig.
 _FLOATS = "floats"
-_SOLVER_KEYS = ("M", "ivp_rtol", "residual_tol")
+_SOLVER_KEYS = ("M", "residual_tol")
 _SCHEMA = {
     "N": (4, int),
     "k": (2, int),
@@ -57,8 +57,8 @@ _SCHEMA = {
     "lambda": (1.0, float),
     "lambda_list": ((0.1, 0.95, 1.0, 1.05), _FLOATS),
     "eps_list": ((1e-2, 1e-3, 1e-4), _FLOATS),
-    "radii": ((20.0, 40.0, 80.0), _FLOATS),
-    "M_limit": (4096, int),
+    "radii": (inspect.signature(limit_scan).parameters["radii"].default, _FLOATS),
+    "M_limit": (inspect.signature(limit_scan).parameters["M_at_largest"].default, int),
     **{f.name: (f.default, type(f.default)) for f in dataclasses.fields(FlowConfig)},
 }
 
@@ -193,9 +193,9 @@ def _start_manifest(op: str, cfg: dict, config_path) -> dict:
         "operation": op,
         "config": _sanitize(cfg),
         "tolerances": {
-            "ivp_rtol": cfg["ivp_rtol"],
+            "ivp_rtol": IVP_RTOL,
             "residual_tol": cfg["residual_tol"],
-            "stationary_tol": cfg["stationary_tol"],
+            "stationary_tol": FlowConfig.stationary_tol,
         },
         "input_hashes": {"config_file": _file_sha256(config_path)},
         "started": _now(),

@@ -23,7 +23,6 @@ class RadialGrid:
 
     nodes   : array of M+1 radii; r_0 is the inner radius, r_M the outer
     N       : space dimension (weights carry r^{N-1})
-    grading : 'uniform' or 'log'
     origin  : True when r_0 == 0 (ball grids for the whole-space limit);
               the r=0 cell then carries its exact mass (h/2)^N / N and the
               operator row encodes the regularity condition u'(0) = 0.
@@ -31,7 +30,6 @@ class RadialGrid:
 
     nodes: np.ndarray
     N: int
-    grading: str = "log"
     origin: bool = False
 
     def __post_init__(self) -> None:
@@ -111,12 +109,6 @@ class RadialGrid:
             diag = np.concatenate((beta[:1], diag))
         return self.cell_weights[u], diag, beta[u.start : self.M - 1]
 
-    @property
-    def nodes_per_decade(self) -> float:
-        if self.origin or self.grading != "log":
-            raise ValueError("nodes_per_decade is defined for log annulus grids")
-        return self.M / np.log10(self.outer / self.inner)
-
 
 @dataclass
 class RadialField:
@@ -158,7 +150,7 @@ def build_grid(eps: float, outer: float, M: int, grading: str = "log", N: int = 
     else:
         raise ValueError(f"unknown grading {grading!r}")
     nodes[0], nodes[-1] = eps, outer
-    return RadialGrid(nodes=nodes, N=N, grading=grading)
+    return RadialGrid(nodes=nodes, N=N)
 
 
 def build_ball_grid(R: float, M: int, N: int) -> RadialGrid:
@@ -169,7 +161,7 @@ def build_ball_grid(R: float, M: int, N: int) -> RadialGrid:
         raise ValueError(f"M must be >= 16, got {M}")
     nodes = np.arange(M + 1) * (R / M)
     nodes[-1] = R
-    return RadialGrid(nodes=nodes, N=N, grading="uniform", origin=True)
+    return RadialGrid(nodes=nodes, N=N, origin=True)
 
 
 def _same_grid(u: RadialField, v: RadialField) -> None:

@@ -187,6 +187,9 @@ def limit_scan(N: int, radii=(20.0, 40.0, 80.0), M_at_largest: int = 4096) -> di
     extrapolated value combines the largest radius with Richardson in h
     (order-2 stencil), and the radius-convergence estimate is the gap between
     the two largest radii. "pair" is the eigenpair at the largest radius.
+
+    On the default ladder the gap is exactly 0.0 for N = 3 and 4: phi* decays
+    like exp(-sqrt|lambda*| R), below 1e-16 at R = 20, so the rungs agree bit for bit.
     """
     ladder = limit_ladder(radii, M_at_largest)
     radii = [R for R, _ in ladder]

@@ -37,12 +37,13 @@ from .params import ProblemParams
 from .profile import extract_concentrations
 
 _TIME_RTOL = 1e-13  # relative tolerance of the lobe-time quadrature
+IVP_RTOL = 1e-10  # relative tolerance of the shooting integrator
 _LOG_Y_MAX = 512.0  # the root search in log y stops at |log y| = 512
 _NEWTON_FLOOR = 1e-13  # the Newton polish stops at this scaled residual
 _NEWTON_MAX_ITER = 50  # and takes at most this many steps
 
 
-def shoot(params: ProblemParams, s: float, grid: RadialGrid, rtol: float = 1e-10) -> RadialField:
+def shoot(params: ProblemParams, s: float, grid: RadialGrid) -> RadialField:
     """Integrate the radial IVP u(eps) = 0, u'(eps) = s and return the orbit on the grid.
 
     The orbit u(r) = r^{-beta} w(log r) is evaluated at the nodes of grid, a
@@ -58,7 +59,7 @@ def shoot(params: ProblemParams, s: float, grid: RadialGrid, rtol: float = 1e-10
 
     dw0 = s * eps ** (beta + 1.0)  # chain rule: w'(log eps) from u'(eps)
     sol = solve_ivp(
-        rhs, (math.log(eps), 0.0), (0.0, dw0), method="DOP853", rtol=rtol, atol=1e-13, dense_output=True
+        rhs, (math.log(eps), 0.0), (0.0, dw0), method="DOP853", rtol=IVP_RTOL, atol=1e-13, dense_output=True
     )
     if not sol.success:
         raise SolverError(f"shooting integrator failed: {sol.message}")
@@ -224,7 +225,6 @@ def _time_map_slope(params: ProblemParams) -> float:
 def find_nodal_solution(
     params: ProblemParams,
     M: int = 4096,
-    ivp_rtol: float = 1e-10,
     residual_tol: float = 1e-8,
 ) -> StationarySolution:
     """Find the k-lobe stationary solution: time map, one shot, grid Newton.
@@ -240,7 +240,7 @@ def find_nodal_solution(
     """
     s_star = _time_map_slope(params)
     grid = build_grid(params.eps, 1.0, M, "log", params.N)
-    u_shot = shoot(params, s_star, grid, rtol=ivp_rtol)
+    u_shot = shoot(params, s_star, grid)
     u, hist = _newton_refine(u_shot, params)
     res_norm = _scaled_residual_norm(u, params)
     if res_norm > residual_tol:

@@ -113,8 +113,12 @@ def test_resolve_config_validates_ranges():
 
 
 def test_schema_keys():
-    assert len(_SCHEMA) == 18
+    assert list(_SCHEMA) == [
+        "N", "k", "eps", "M", "residual_tol", "lambda", "lambda_list", "eps_list", "radii", "M_limit",
+        "dt_max", "t_end", "safety", "integrator",
+    ]
     assert not {"scan_lo", "scan_hi", "per_decade", "collapse_run"} & set(_SCHEMA)
+    assert not {"ivp_rtol", "dt_min", "blow_threshold", "stationary_tol"} & set(_SCHEMA)
 
 
 DEFAULTS = {
@@ -122,7 +126,6 @@ DEFAULTS = {
     "k": 2,
     "eps": 1e-3,
     "M": 4096,
-    "ivp_rtol": 1e-10,
     "residual_tol": 1e-8,
     "lambda": 1.0,
     "lambda_list": (0.1, 0.95, 1.0, 1.05),
@@ -130,11 +133,8 @@ DEFAULTS = {
     "radii": (20.0, 40.0, 80.0),
     "M_limit": 4096,
     "dt_max": 1e-5,
-    "dt_min": 1e-12,
     "t_end": 2.0,
-    "blow_threshold": 1e3,
     "safety": 0.1,
-    "stationary_tol": 1e-4,
     "integrator": "imex-be",
 }
 
@@ -175,12 +175,9 @@ def test_flag_values_are_parsed_by_the_schema(capsys):
 # a valid value other than the default for each FlowConfig field the schema holds
 FLOW_VALUES = {
     "dt_max": 2e-5,
-    "dt_min": 1e-13,
     "t_end": 0.25,
-    "blow_threshold": 1e4,
     "safety": 0.05,
     "integrator": "reaction-only",
-    "stationary_tol": 1e-6,
 }
 
 
@@ -395,6 +392,10 @@ def test_verify_run(tmp_path):
     assert summary["passed"] is True
     assert len(summary["checks"]) == 13
     assert all(c["passed"] for c in summary["checks"])
+    # the README's subcommand table states the count
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (row,) = [line for line in readme.splitlines() if line.startswith("| `verify` |")]
+    assert int(re.search(r"\((\d+) checks\)", row).group(1)) == len(summary["checks"])
 
 
 def test_report_collates(cli_root, capsys):
@@ -505,9 +506,12 @@ def test_bad_flow_flag_exits_1_naming_the_field(tmp_path, capsys, argv, field):
 @pytest.mark.parametrize(
     "line, message",
     [
-        ("dt_min = 0", "dt_min must be finite and positive"),
         ("safety = inf", "safety must be finite and positive"),
-        ("stationary_tol = -1e-4", "stationary_tol must be finite and >= 0"),
+        # the classification constants and the shooting tolerance are not config keys
+        ("dt_min = 0", "bad.cfg:5: unknown config key 'dt_min'"),
+        ("stationary_tol = -1e-4", "bad.cfg:5: unknown config key 'stationary_tol'"),
+        ("blow_threshold = 1e4", "bad.cfg:5: unknown config key 'blow_threshold'"),
+        ("ivp_rtol = 1e-12", "bad.cfg:5: unknown config key 'ivp_rtol'"),
     ],
 )
 def test_bad_flow_setting_in_config_file_exits_1(tmp_path, capsys, line, message):
@@ -515,7 +519,8 @@ def test_bad_flow_setting_in_config_file_exits_1(tmp_path, capsys, line, message
     cfg.write_text(f"N = 3\nk = 1\neps = 0.1\nM = 256\n{line}\n")
     out = tmp_path / "runs"
     assert main(["flow", "--config", str(cfg), "--out", str(out)]) == 1
-    assert f"error: {message}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
     assert not out.exists()
 
 

@@ -12,7 +12,7 @@ def test_log_grid_midpoint_and_endpoints():
     assert g.nodes[0] == 1e-2
     assert g.nodes[-1] == 1.0
     assert abs(g.nodes[100] - 0.1) <= 1e-15
-    assert abs(g.nodes_per_decade - 100.0) <= 1e-10
+    assert np.max(np.abs(np.diff(np.log10(g.nodes)) - 0.01)) <= 1e-12  # 100 nodes per decade
 
 
 def test_uniform_grid_formula_exact():

@@ -12,7 +12,8 @@ from conftest import CASES
 from oracles import oracle_slope
 
 # converged shooting slopes, frozen from a slope scan + Brent on the terminal
-# value at ivp_rtol=1e-10 (the time map reproduces them to about 3e-11)
+# value at the shooting tolerance stationary.IVP_RTOL = 1e-10 (the time map
+# reproduces them to about 3e-11)
 FROZEN_SLOPES = {
     (3, 2, 1e-3): 2.4268142479e4,
     (4, 2, 1e-3): 9.6575040361e5,
