@@ -8,7 +8,10 @@ directory named <operation>-<hash8> where the hash covers the fully resolved
 configuration and the artifact version, so re-running the same configuration
 lands in the same directory and reproduces the same data files byte for byte
 (timestamps live only in the manifest). Data files carry 17 significant
-digits; console summaries print 6.
+digits; console summaries print 6. A numeric table (a 2-D float array) is
+written through one row template of "%.17g" fields, streamed in blocks of
+_ROW_BLOCK rows, byte-identical to the per-cell rendering that mixed tables
+(None, str, bool, int and float cells) take.
 """
 from __future__ import annotations
 
@@ -78,8 +81,8 @@ def parse_value(key: str, raw: str):
 
 
 def load_config(path) -> dict:
-    """Parse a flat key=value file; unknown keys and malformed lines are errors."""
-    cfg = {}
+    """Parse a flat key=value file; unknown, repeated and malformed lines are errors."""
+    cfg, first_set = {}, {}
     text = Path(path).read_text()
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -91,6 +94,9 @@ def load_config(path) -> dict:
         key, raw = key.strip(), raw.strip()
         if key not in _SCHEMA:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in first_set:
+            raise ValueError(f"{path}:{lineno}: duplicate config key {key!r} (first set on line {first_set[key]})")
+        first_set[key] = lineno
         cfg[key] = parse_value(key, raw)
     return cfg
 
@@ -130,6 +136,9 @@ def _flow_config(cfg: dict) -> FlowConfig:
     return FlowConfig(**{f.name: cfg[f.name] for f in dataclasses.fields(FlowConfig)})
 
 
+_ROW_BLOCK = 4096  # rows per formatted block of a numeric table
+
+
 def _fmt17(x) -> str:
     if x is None:
         return ""
@@ -150,8 +159,17 @@ def fmt6(x) -> str:
 
 
 def write_csv(path, header, rows) -> None:
+    """Write a header line and rows: a 2-D float array through one "%.17g" row
+    template, block by block so no whole-table string or list is held; any
+    other iterable of rows cell by cell through _fmt17. Both give the same bytes
+    for a float, since "%.17g" % x == format(x, ".17g") (signed zeros, inf and nan too)."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
+        if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
+            fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+            for start in range(0, rows.shape[0], _ROW_BLOCK):
+                fh.writelines(map(fmt.__mod__, map(tuple, rows[start : start + _ROW_BLOCK].tolist())))
+            return
         for row in rows:
             fh.write(",".join(_fmt17(x) for x in row) + "\n")
 
@@ -237,8 +255,8 @@ def _tower_summary(sol) -> dict:
 def _tower(cfg: dict, root):
     sol = _build_solution(cfg)
     res = stationary_residual(sol.field, sol.params)
-    profile = (["r", "u", "residual"], zip(sol.field.grid.nodes, sol.field.values, res.values))
-    return _tower_summary(sol), {"profile.csv": profile}
+    profile = np.column_stack((sol.field.grid.nodes, sol.field.values, res.values))
+    return _tower_summary(sol), {"profile.csv": (["r", "u", "residual"], profile)}
 
 
 def _eig(cfg: dict, root):
@@ -257,7 +275,8 @@ def _eig(cfg: dict, root):
         "reaction_inner_product": cond["reaction_inner_product"],
         "overlap_scaled": cond["overlap_scaled"],
     }
-    return summary, {"eigenfunction.csv": (["r", "phi1"], zip(pair.phi.grid.nodes, pair.phi.values))}
+    table = np.column_stack((pair.phi.grid.nodes, pair.phi.values))
+    return summary, {"eigenfunction.csv": (["r", "phi1"], table)}
 
 
 def _limit(cfg: dict, root):
@@ -272,7 +291,8 @@ def _limit(cfg: dict, root):
         "h_gap": scan["h_gap"],
         "overlap": limit_overlap(N, pair),
     }
-    return summary, {"limit_eigenfunction.csv": (["r", "phi_star"], zip(pair.phi.grid.nodes, pair.phi.values))}
+    table = np.column_stack((pair.phi.grid.nodes, pair.phi.values))
+    return summary, {"limit_eigenfunction.csv": (["r", "phi_star"], table)}
 
 
 def _flow(cfg: dict, root):

@@ -1,19 +1,23 @@
 import argparse
 import dataclasses
 import json
+import math
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bubbletower
 from bubbletower.cli import build_parser, main
 from bubbletower.flow import _INTEGRATORS, FlowConfig
 from bubbletower.harness import (
+    _ROW_BLOCK,
     _SCHEMA,
     OPERATIONS,
     _flow_config,
@@ -75,6 +79,17 @@ def test_load_config_rejects_unknown_key(tmp_path):
     path.write_text("N = 3\nwibble = 7\n")
     with pytest.raises(ValueError, match="bad.cfg:2"):
         load_config(path)
+
+
+def test_load_config_rejects_duplicate_key(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text("N = 3\nk = 1\n# N = 4\nN = 5\n")
+    with pytest.raises(ValueError, match=r"bad.cfg:4: duplicate config key 'N' \(first set on line 1\)"):
+        load_config(path)
+    out = tmp_path / "runs"
+    assert main(["tower", "--config", str(path), "--out", str(out)]) == 1
+    assert "duplicate config key 'N'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_load_config_rejects_malformed_line(tmp_path):
@@ -199,6 +214,72 @@ def test_fmt17_roundtrip():
     assert _fmt17(True) == "True"
     assert _fmt17(42) == "42"
     assert _fmt17("BlowUp") == "BlowUp"
+
+
+def _assert_per_cell_csv(path, header, rows):
+    """The file at path is header plus rows rendered cell by cell through _fmt17."""
+    want = [",".join(header)] + [",".join(_fmt17(x) for x in row) for row in rows]
+    got = Path(path).read_text().split("\n")
+    assert got.pop() == "", "no trailing newline"
+    assert len(got) == len(want), (len(got), len(want))
+    bad = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
+    assert bad is None, f"line {bad}: {got[bad]!r} != {want[bad]!r}"
+
+
+CSV_EDGE_VALUES = (
+    0.1, -0.0, math.inf, 1.0 / 3.0, math.nan, 0.0, -math.inf, 5e-324,
+    2.2250738585072014e-308, 1.7976931348623157e308, -2.5e17, 2.0**53 + 2,
+)
+
+
+@pytest.mark.parametrize("nrows", [0, 1, _ROW_BLOCK + 1])
+def test_write_csv_float_table_matches_per_cell_rendering(tmp_path, nrows):
+    ncols = 5  # coprime to the 12 edge values, so each column meets all of them
+    cells = np.resize(np.array(CSV_EDGE_VALUES), nrows * ncols)
+    table = cells.reshape(nrows, ncols)
+    header = [f"c{j}" for j in range(ncols)]
+    write_csv(tmp_path / "t.csv", header, table)
+    _assert_per_cell_csv(tmp_path / "t.csv", header, table)
+
+
+def test_write_csv_streams_a_long_table(tmp_path):
+    # 200,000 rows as one list of lists or one string take tens of MB
+    table = np.random.default_rng(0).standard_normal((200_000, 4))
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "series.csv", ["t", "sup", "energy", "dt"], table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, f"tracemalloc peak {peak / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize(
+    "op, overrides",
+    [
+        ("tower", {"N": 3, "k": 1, "eps": 0.1, "M": 256}),
+        ("eig", {"N": 3, "k": 1, "eps": 0.1, "M": 256}),
+        ("limit", {"radii": (20.0, 40.0), "M_limit": 256}),
+        ("flow", {"N": 3, "k": 1, "eps": 0.1, "M": 256, "lambda": 0.5, "t_end": 1e-3, "dt_max": 1e-4}),
+    ],
+)
+def test_numeric_tables_match_per_cell_rendering(tmp_path, monkeypatch, op, overrides):
+    from bubbletower import harness
+
+    body, flags, help_text = harness.OPERATIONS[op]
+    tables = {}
+
+    def spy(cfg, root):
+        summary, out = body(cfg, root)
+        tables.update(out)
+        return summary, out
+
+    monkeypatch.setitem(harness.OPERATIONS, op, (spy, flags, help_text))
+    outdir, _ = harness.run(op, resolve_config(overrides=overrides), tmp_path)
+    assert tables
+    for name, (header, rows) in tables.items():
+        assert isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.shape[1] == len(header)
+        _assert_per_cell_csv(outdir / name, header, rows)
 
 
 def test_fmt6():
