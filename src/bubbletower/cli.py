@@ -25,7 +25,8 @@ def build_parser() -> argparse.ArgumentParser:
     defaults = resolve_config()
     sub = parser.add_subparsers(dest="op", required=True, metavar="SUBCOMMAND")
     for op, (_, keys, text) in OPERATIONS.items():
-        p = sub.add_parser(op, help=text)
+        # flags are spelled in full: a prefix match would take sweep's unknown --eps for --eps-list
+        p = sub.add_parser(op, help=text, allow_abbrev=False)
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--out", default="runs", help="output root directory (default: runs)")
         for key in keys:

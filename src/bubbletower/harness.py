@@ -218,9 +218,9 @@ def _start_manifest(op: str, cfg: dict, config_path) -> dict:
         "input_hashes": {"config_file": _file_sha256(config_path)},
         "started": _now(),
     }
-    if "eps" in OPERATIONS[op][1]:
-        # an operation with an eps flag solves on log-graded annuli (M, eps);
-        # a sweep solves on one annulus per entry of eps_list, none at eps
+    if op == "sweep" or "eps" in OPERATIONS[op][1]:
+        # an operation with an eps flag solves on the log-graded annulus (M, eps);
+        # a sweep takes no eps flag and solves on one annulus per entry of eps_list
         inners = cfg["eps_list"] if op == "sweep" else [cfg["eps"]]
         grids = [{"M": cfg["M"], "grading": "log", "inner": float(eps), "outer": 1.0} for eps in inners]
         manifest["grid"] = grids if op == "sweep" else grids[0]
@@ -497,7 +497,7 @@ OPERATIONS = {
     ),
     "sweep": (
         _sweep,
-        ("N", "k", "eps", "M", "eps_list", "lambda_list", "t_end"),
+        ("N", "k", "M", "eps_list", "lambda_list", "t_end"),
         "eps x lambda classification table",
     ),
     "verify": (_verify, (), "run the fast invariant suite"),

@@ -6,26 +6,23 @@ module's Laplacian, so Rayleigh quotients, residuals, and the inner-product
 identity below are all consistent with `integrate_weighted`.
 Eigenvalues come from LAPACK's Sturm-sequence bisection (dstebz, Kahan's
 bisection), selected by index with absolute tolerance tiny, so it stops only
-at its relative floor: a bracket two ulps wide. Eigenvectors come from a
-short inverse iteration at that eigenvalue, whose shifted tridiagonal solves
-are LAPACK calls (dgttrf, dgttrs).
+at its relative floor: a bracket two ulps wide. The first eigenvector comes
+from LAPACK's inverse iteration (dstein) on that same dstebz output.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
+from scipy.linalg.lapack import dstebz, dstein
 
 from .errors import SolverError
 from .mesh import RadialField, RadialGrid, build_ball_grid, integrate_weighted
-from .params import critical_exponent, sphere_area
+from .params import critical_exponent
 from .profile import Bubble, bubble_eval, bubble_linearization
 from .stationary import StationarySolution
 
-_PIVOT_FLOOR = 1e-300
 _TINY = float(np.finfo(float).tiny)  # dstebz's absolute tolerance: bisect to rounding
-_INVERSE_SWEEPS = 4  # inverse-iteration solves per eigenvector
 
 
 @dataclass(frozen=True)
@@ -88,46 +85,45 @@ def assemble_linearized(sol: StationarySolution) -> LinearizedOperator:
     return assemble_operator(sol.field.grid, V)
 
 
-def eigenvalue_k(op: LinearizedOperator, j: int = 1) -> float:
-    """j-th smallest eigenvalue by LAPACK dstebz's Sturm bisection (absolute tolerance tiny).
+def _dstebz(op: LinearizedOperator, j: int):
+    """LAPACK dstebz for the j-th smallest eigenvalue alone: (w, iblock, isplit), in dstein's order.
 
-    A 1x1 operator is its own eigenvalue (the dstebz wrapper wants an
-    off-diagonal of length >= 1). A dstebz failure, info != 0 or other than
-    one eigenvalue returned, raises SolverError naming both values.
+    info != 0 or other than one eigenvalue returned raises SolverError naming both.
     """
-    if j < 1 or j > op.size:
-        raise ValueError(f"eigenvalue index {j} out of range 1..{op.size}")
-    if op.size == 1:
-        return float(op.d[0])
-    m, w, _, _, info = dstebz(op.d, op.e, 2, 0.0, 0.0, j, j, _TINY, b"E")
+    m, w, iblock, isplit, info = dstebz(op.d, op.e, 2, 0.0, 0.0, j, j, _TINY, b"B")
     if info != 0 or m != 1:
         raise SolverError(
             f"LAPACK dstebz failed on eigenvalue {j}: info = {info}, m = {m}",
             {"info": int(info), "m": int(m)},
         )
-    return float(w[0])
+    return w[:1], iblock, isplit
 
 
-def _inverse_iteration(op: LinearizedOperator, lam: float) -> np.ndarray:
-    """Unit eigenvector at lam: sweeps y <- (T - shift I)^{-1} y / norm from all ones, shift ~ lam.
+def eigenvalue_k(op: LinearizedOperator, j: int = 1) -> float:
+    """j-th smallest eigenvalue by LAPACK dstebz's Sturm bisection (absolute tolerance tiny).
 
-    LAPACK dgttrf factors the shifted matrix once (LU with partial pivoting); dgttrs runs each sweep.
+    A 1x1 operator is its own eigenvalue (the dstebz wrapper wants an
+    off-diagonal of length >= 1).
     """
-    shift = lam * (1.0 + 1e-14) + _PIVOT_FLOOR
-    *lu, info = dgttrf(op.e, op.d - shift, op.e)
-    if info > 0:
-        raise SolverError(f"inverse iteration: shifted matrix is singular (zero pivot in row {info})")
-    y = np.ones(op.size)
-    for _ in range(_INVERSE_SWEEPS):
-        y, _ = dgttrs(*lu, y)
-        y /= np.linalg.norm(y)
-    return y
+    if j < 1 or j > op.size:
+        raise ValueError(f"eigenvalue index {j} out of range 1..{op.size}")
+    if op.size == 1:
+        return float(op.d[0])
+    return float(_dstebz(op, j)[0][0])
 
 
 def first_eigenpair(op: LinearizedOperator) -> EigenPair:
-    """Smallest eigenvalue (dstebz bisection) + positive eigenvector (inverse iteration)."""
-    lam = eigenvalue_k(op, 1)
-    psi = _inverse_iteration(op, lam)
+    """Smallest eigenvalue (dstebz bisection) + positive eigenvector (dstein on dstebz's output).
+
+    A failed call of either, info != 0, raises SolverError naming info.
+    """
+    w, iblock, isplit = _dstebz(op, 1)
+    z, info = dstein(op.d, op.e, w, iblock, isplit)
+    if info != 0:
+        raise SolverError(
+            f"LAPACK dstein failed on the first eigenvector: info = {info}", {"info": int(info)}
+        )
+    lam, psi = float(w[0]), z[:, 0]
     if psi[np.argmax(np.abs(psi))] < 0:
         psi = -psi
     if np.min(psi) < -1e-12 * np.max(np.abs(psi)):
@@ -144,7 +140,7 @@ def first_eigenpair(op: LinearizedOperator) -> EigenPair:
     phi = RadialField(op.grid, vals)
     nrm = np.sqrt(integrate_weighted(phi, phi))
     phi.values /= nrm
-    return EigenPair(lam=float(lam), phi=phi, residual=residual)
+    return EigenPair(lam=lam, phi=phi, residual=residual)
 
 
 def rayleigh_quotient(op: LinearizedOperator, phi: RadialField) -> float:
@@ -213,9 +209,8 @@ def limit_scan(N: int, radii=(20.0, 40.0, 80.0), M_at_largest: int = 4096) -> di
 def limit_overlap(N: int, pair: EigenPair) -> float:
     """Overlap of the unit bubble's reaction with the limit eigenfunction: int f(U) phi*."""
     grid = pair.phi.grid
-    U = bubble_eval(Bubble(1.0, N), grid.nodes)
-    f = U ** critical_exponent(N)
-    return sphere_area(N) * float(np.sum(grid.cell_weights * f * pair.phi.values))
+    f = bubble_eval(Bubble(1.0, N), grid.nodes) ** critical_exponent(N)
+    return integrate_weighted(RadialField(grid, f), pair.phi)
 
 
 def scaled_eigenvalue_diagnostic(sol: StationarySolution, pair: EigenPair, lambda_star: float) -> dict:

@@ -166,7 +166,7 @@ CLI_FLAGS = {
     "eig": "--N --k --eps --M",
     "limit": "--N --radii --M-limit",
     "flow": "--N --k --eps --M --lambda --t-end --dt-max --integrator",
-    "sweep": "--N --k --eps --M --eps-list --lambda-list --t-end",
+    "sweep": "--N --k --M --eps-list --lambda-list --t-end",
     "verify": "",
     "report": "",
 }
@@ -180,6 +180,16 @@ def test_cli_flags_are_pinned():
         want = {"-h": "help", "--help": "help", "--config": "config", "--out": "out"}
         want.update({flag: flag[2:].replace("-", "_") for flag in flags.split()})
         assert got == want, op
+
+
+@pytest.mark.parametrize("flag, raw", [("--eps", "1e-3"), ("--eps-l", "0.1")])
+def test_sweep_takes_no_eps_flag(tmp_path, capsys, flag, raw):
+    # a sweep solves only its eps_list annuli, so an eps flag would change nothing but
+    # the hash; and no prefix of --eps-list stands for it
+    out = tmp_path / "runs"
+    assert main(["sweep", flag, raw, "--out", str(out)]) == 1
+    assert f"unrecognized arguments: {flag} {raw}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_flag_values_are_parsed_by_the_schema(capsys):
@@ -674,6 +684,14 @@ def test_failed_verify_writes_its_directory_then_exits_2(tmp_path, monkeypatch, 
     assert [c["passed"] for c in summary["checks"]] == [True, False]
 
 
+def _package_env() -> dict:
+    """The environment with the package under test first on PYTHONPATH."""
+    pkg_root = str(Path(bubbletower.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (pkg_root, env.get("PYTHONPATH"))))
+    return env
+
+
 def test_console_entry_point():
     # the declared console command, started in its own process the way the
     # installed wrapper starts it, running the package under test
@@ -681,9 +699,7 @@ def test_console_entry_point():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
     assert "bubbletower" in scripts
-    pkg_root = str(Path(bubbletower.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (pkg_root, env.get("PYTHONPATH"))))
+    env = _package_env()
     # what the installer-generated wrapper does: set the program name, call
     # the declared entry point, exit with its return value
     wrapper = (
@@ -699,6 +715,21 @@ def test_console_entry_point():
     assert proc.returncode == 0
     for op in ("tower", "eig", "limit", "flow", "sweep", "verify", "report"):
         assert op in proc.stdout
+
+
+def test_module_entry_point():
+    # `python -m bubbletower` from a source tree, with the package on PYTHONPATH
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "bubbletower", *argv],
+            capture_output=True, text=True, timeout=60, env=_package_env(),
+        )
+        for argv in (["--help"], ["tower", "--bogus"])
+    ]
+    assert runs[0].returncode == 0
+    for op in ("tower", "eig", "limit", "flow", "sweep", "verify", "report"):
+        assert op in runs[0].stdout
+    assert runs[1].returncode == 1
 
 
 @pytest.mark.skipif(

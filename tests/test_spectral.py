@@ -65,11 +65,17 @@ def test_ball_eigenvalues_match_dense_eigvalsh(N):
     # an independent dense route (Householder reduction and QR, no Sturm count) on the
     # R = 20, M = 1024 limit rung; measured worst 0.54 eps_mach G, G the Gershgorin bound
     op = _limit_operator(N, 20.0, 1024)
-    want = np.linalg.eigvalsh(np.diag(op.d) + np.diag(op.e, 1) + np.diag(op.e, -1))
+    want, vectors = np.linalg.eigh(np.diag(op.d) + np.diag(op.e, 1) + np.diag(op.e, -1))
     spread = 2.0 * float(np.max(np.abs(op.e)))
     G = max(abs(float(np.min(op.d)) - spread), abs(float(np.max(op.d)) + spread))
     for j in (1, 2):
         assert abs(eigenvalue_k(op, j) - want[j - 1]) <= 2.0 * np.finfo(float).eps * G, (N, j)
+    # the first eigenvector in the symmetrized coordinates, unit norm; measured worst 7e-15
+    pair = spectral.first_eigenpair(op)
+    psi = pair.phi.values[op.grid.unknowns] * np.sqrt(op.grid.stiffness[0])
+    psi /= np.linalg.norm(psi)
+    dense = vectors[:, 0] * np.sign(vectors[:, 0] @ psi)
+    assert np.max(np.abs(psi - dense)) <= 1e-12, N
 
 
 @pytest.mark.parametrize("info, m", [(1, 1), (0, 0)], ids=["info-1", "m-0"])
@@ -79,6 +85,14 @@ def test_dstebz_failure_raises(monkeypatch, info, m):
     with pytest.raises(SolverError, match=f"info = {info}, m = {m}") as err:
         eigenvalue_k(op, 1)
     assert err.value.diagnostics == {"info": info, "m": m}
+
+
+def test_dstein_failure_raises(monkeypatch):
+    op = _zero_potential_operator(M=64)
+    monkeypatch.setattr(spectral, "dstein", lambda *args: (np.zeros((op.size, 1)), 1))
+    with pytest.raises(SolverError, match="info = 1") as err:
+        spectral.first_eigenpair(op)
+    assert err.value.diagnostics == {"info": 1}
 
 
 def test_zero_potential_first_eigenvalue():
