@@ -29,14 +29,11 @@ from .mesh import (
 from .params import ProblemParams, bubble_amplitude, critical_exponent, sphere_area
 from .profile import (
     Bubble,
-    TowerAnsatz,
     bubble_eval,
     bubble_linearization,
-    build_tower_ansatz,
     ef_peak_height,
     emden_fowler_transform,
     extract_concentrations,
-    project_bubble_annulus,
 )
 from .spectral import (
     EigenPair,
@@ -48,7 +45,6 @@ from .spectral import (
     limit_eigenpair,
     limit_overlap,
     limit_scan,
-    rayleigh_quotient,
     scaled_eigenfunction_distance,
     scaled_eigenvalue_diagnostic,
     sign_condition,
@@ -75,7 +71,6 @@ __all__ = [
     "RadialGrid",
     "SolverError",
     "StationarySolution",
-    "TowerAnsatz",
     "apply_radial_laplacian",
     "assemble_linearized",
     "assemble_operator",
@@ -84,7 +79,6 @@ __all__ = [
     "bubble_linearization",
     "build_ball_grid",
     "build_grid",
-    "build_tower_ansatz",
     "comparison_monitor",
     "critical_exponent",
     "ef_peak_height",
@@ -105,8 +99,6 @@ __all__ = [
     "limit_scan",
     "linearized_evolve",
     "norms",
-    "project_bubble_annulus",
-    "rayleigh_quotient",
     "scaled_eigenfunction_distance",
     "scaled_eigenvalue_diagnostic",
     "shoot",

@@ -83,6 +83,8 @@ class FlowConfig:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         if not self.dt_min < self.dt_max:
             raise ValueError(f"need dt_min < dt_max, got {self.dt_min} >= {self.dt_max}")
+        if not self.dt_min < self.t_end:  # a shorter flow would take no step
+            raise ValueError(f"need dt_min < t_end, got {self.dt_min} >= {self.t_end}")
         if self.integrator not in _INTEGRATORS:
             raise ValueError(f"integrator must be one of {_INTEGRATORS}, got {self.integrator!r}")
 
@@ -387,11 +389,12 @@ def linearized_evolve(
 
     The projection on the first eigenfunction grows like exp(-lambda_1 t)
     (lambda_1 < 0); growth_rate is the fitted log-slope of that projection
-    over the second half of the run, and alignment tracks the angle between
-    z(t) and the eigenfunction. norm_rate is the fitted log-slope of the
+    over the second half of the run. norm_rate is the fitted log-slope of the
     field norm itself: for data starting orthogonal to the eigenfunction it
     stays near the second eigenvalue's rate (the projection rate does not,
     because roundoff seeds the first mode and the seed grows coherently).
+    series columns: t, log |projection|, its sign, the angle between z(t)
+    and the eigenfunction, log norm.
     The backward-Euler-diffusion step makes the fitted rates first-order
     accurate in dt, so the default dt = 0.002/|lambda_1| keeps the rate error
     well under a percent.
@@ -459,7 +462,6 @@ def linearized_evolve(
     return {
         "growth_rate": float(coef[1]),
         "norm_rate": float(coef_norm[1]),
-        "alignment": arr[:, [0, 3]],
         "projection_sign": float(arr[-1, 2]),
         "orthogonal_start": orthogonal_start,
         "series": arr,

@@ -1,12 +1,12 @@
-"""Closed-form bubbles, annulus-adapted projections, tower ansatz, concentration readout."""
+"""Closed-form bubbles, Emden-Fowler coordinates and the concentration readout."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import RadialField, RadialGrid
-from .params import ProblemParams, bubble_amplitude
+from .mesh import RadialField
+from .params import bubble_amplitude
 
 
 @dataclass(frozen=True)
@@ -23,31 +23,6 @@ class Bubble:
             raise ValueError(f"dimension must be >= 3, got {self.N}")
 
 
-@dataclass(frozen=True)
-class TowerAnsatz:
-    """Alternating-sign superposition data: k scales delta_1 > ... > delta_k > 0."""
-
-    params: ProblemParams
-    deltas: tuple
-
-    def __post_init__(self) -> None:
-        d = tuple(float(x) for x in self.deltas)
-        object.__setattr__(self, "deltas", d)
-        if len(d) != self.params.k:
-            raise ValueError(f"expected {self.params.k} scales, got {len(d)}")
-        if any(x <= 0 for x in d):
-            raise ValueError("scales must be positive")
-        if any(b >= a for a, b in zip(d, d[1:])):
-            raise ValueError("scales must be strictly decreasing")
-
-    @classmethod
-    def default(cls, params: ProblemParams) -> "TowerAnsatz":
-        """Scales delta_i = eps^{(2i-1)/(2k)}, the leading-order concentration law."""
-        k = params.k
-        deltas = tuple(params.eps ** ((2 * i - 1) / (2 * k)) for i in range(1, k + 1))
-        return cls(params, deltas)
-
-
 def bubble_eval(b: Bubble, r: np.ndarray) -> np.ndarray:
     """Pointwise bubble values; exact scaling U_delta(r) = delta^{-(N-2)/2} U_1(r/delta)."""
     r = np.asarray(r, dtype=float)
@@ -59,49 +34,6 @@ def bubble_linearization(b: Bubble, r: np.ndarray) -> np.ndarray:
     """f'(U_delta) = p U^{p-1} in closed form: N(N+2) delta^2 / (delta^2 + r^2)^2."""
     r = np.asarray(r, dtype=float)
     return b.N * (b.N + 2) * b.delta**2 / (b.delta**2 + r**2) ** 2
-
-
-def project_bubble_annulus(b: Bubble, g: RadialGrid) -> RadialField:
-    """Bubble minus its harmonic lift: U - (A + B r^{2-N}), zero trace at both ends.
-
-    A + B r^{2-N} is the unique radial harmonic function matching U at the two
-    boundary radii, so the projection keeps the bubble's Laplacian while
-    acquiring an exact zero trace.
-    """
-    r = g.nodes
-    a, bnd = r[0], r[-1]
-    u = bubble_eval(b, r)
-    ua, ub = float(u[0]), float(u[-1])
-    denom = a ** (2 - g.N) - bnd ** (2 - g.N)
-    if denom == 0.0:
-        raise ValueError("degenerate harmonic correction (coincident boundary radii)")
-    B = (ua - ub) / denom
-    A = ub - B * bnd ** (2 - g.N)
-    vals = u - (A + B * r ** (2 - g.N))
-    vals[0] = 0.0
-    vals[-1] = 0.0
-    return RadialField(g, vals, dirichlet=True)
-
-
-def build_tower_ansatz(t: TowerAnsatz, g: RadialGrid) -> RadialField:
-    """Sum of (-1)^i projected bubbles, i = 1..k; zero trace.
-
-    Raises when consecutive scales are not separated (ratio > 0.5), which
-    signals a hole too large for the superposition to make sense.
-    """
-    for a, b in zip(t.deltas, t.deltas[1:]):
-        if b / a > 0.5:
-            raise ValueError(
-                f"scale ratio {b / a:.3f} > 0.5: hole radius too large for a "
-                f"{t.params.k}-bubble superposition"
-            )
-    vals = np.zeros_like(g.nodes)
-    for i, delta in enumerate(t.deltas, start=1):
-        sign = -1.0 if i % 2 else 1.0  # (-1)^i
-        vals += sign * project_bubble_annulus(Bubble(delta, t.params.N), g).values
-    vals[0] = 0.0
-    vals[-1] = 0.0
-    return RadialField(g, vals, dirichlet=True)
 
 
 def emden_fowler_transform(u: RadialField) -> tuple[np.ndarray, np.ndarray]:

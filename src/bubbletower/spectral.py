@@ -2,8 +2,8 @@
 
 The symmetrized tridiagonal form is assembled from the grid's mass and
 stiffness (`RadialGrid.stiffness`), the same face/cell weights as the mesh
-module's Laplacian, so Rayleigh quotients, residuals, and the inner-product
-identity below are all consistent with `integrate_weighted`.
+module's Laplacian, so residuals and the inner-product identity below are
+consistent with `integrate_weighted`.
 Eigenvalues come from LAPACK's Sturm-sequence bisection (dstebz, Kahan's
 bisection), selected by index with absolute tolerance tiny, so it stops only
 at its relative floor: a bracket two ulps wide. The first eigenvector comes
@@ -141,12 +141,6 @@ def first_eigenpair(op: LinearizedOperator) -> EigenPair:
     nrm = np.sqrt(integrate_weighted(phi, phi))
     phi.values /= nrm
     return EigenPair(lam=lam, phi=phi, residual=residual)
-
-
-def rayleigh_quotient(op: LinearizedOperator, phi: RadialField) -> float:
-    """Quotient of the assembled form at a field (uses the symmetrizing weights)."""
-    psi = phi.values[op.grid.unknowns] * np.sqrt(op.grid.stiffness[0])
-    return float(psi @ op.apply(psi)) / float(psi @ psi)
 
 
 def limit_eigenpair(N: int, R: float, M: int) -> EigenPair:

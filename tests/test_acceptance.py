@@ -131,12 +131,13 @@ def test_criterion_06a_scaled_eigenvalue_gap_decreasing(sweep_solutions, sweep_p
         return
     pytest.fail(
         "criterion 06a: FAIL  |delta_k^2 lam1 - lam*| is not strictly decreasing "
-        f"across the sweep (lam* = {lam_star:.6f}): {detail}. The scaled eigenvalue "
-        "crosses lam* between eps=1e-3 and eps=1e-4 (gap 0.082 at eps=3e-4) and then "
-        "settles on a ~0.10-0.14 plateau (0.103 at eps=1e-5) set by the finite "
-        "interaction of the two-bubble tower, not by discretization (M=8192 moves "
-        "the eps=1e-4 gap by <1%). Measured and analyzed; deliberately left red. "
-        "Full analysis: docs/decisions.md"
+        f"across the sweep (lam* = {lam_star:.6f}): {detail}. The signed gap "
+        "delta_k^2 lam1 - lam* reads -0.1348, +0.0818, +0.1387, +0.1033, +0.0460, "
+        "+0.0167, +0.0056 at eps=1e-3, 3e-4, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8: it crosses "
+        "zero between eps=1e-3 and 3e-4, peaks at eps=1e-4 and then falls at about "
+        "the bubble-interaction rate eps^(1/2), so this sweep is pre-asymptotic. "
+        "Not a discretization effect (M=8192 moves the eps=1e-4 gap by <1%). "
+        "Measured and analyzed; deliberately left red. Full analysis: docs/decisions.md"
     )
 
 

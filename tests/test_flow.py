@@ -34,6 +34,9 @@ def _bump(g, amp=1.0):
 def test_flow_config_validation():
     with pytest.raises(ValueError, match=r"^need dt_min < dt_max, got 1e-12 >= 1e-12$"):
         bt.FlowConfig(dt_max=1e-12)
+    # a flow no longer than dt_min used to take no step and report Stationary
+    with pytest.raises(ValueError, match=r"^need dt_min < t_end, got 1e-12 >= 1e-12$"):
+        bt.FlowConfig(t_end=1e-12)
     with pytest.raises(ValueError):
         bt.FlowConfig(integrator="rk4")
     with pytest.raises(ValueError):

@@ -626,6 +626,7 @@ BAD_VALUES = [
     ("limit", "radii", "20,nan", "radii must be finite and positive, got (20.0, nan)"),
     ("limit", "radii", "20,inf", "radii must be finite and positive, got (20.0, inf)"),
     ("flow", "integrator", "imex-cn", "integrator must be one of ('imex-be', 'reaction-only'), got 'imex-cn'"),
+    ("flow", "t_end", "1e-13", "need dt_min < t_end"),
 ]
 
 

@@ -8,7 +8,9 @@ a default no caller overrides is a constant and belongs in the body. And
 every such parameter is left at its default by some call; a default every
 caller overrides hides a dead branch, and the parameter should be required.
 Every defaulted parameter of a public function is passed by some call in the
-package or in its tests, for the same reason as a private one.
+package or in its tests, for the same reason as a private one. And the
+package's `__all__` is exactly the set of names its __init__.py imports from
+its submodules, each of which resolves.
 """
 import ast
 from pathlib import Path
@@ -88,6 +90,20 @@ def _never_passed(path, private: bool) -> list:
             if not any(_passes(c, name, None if pos is None else pos - bound) for c in calls):
                 unused.append(f"{node.name}({name})")
     return unused
+
+
+def test_all_is_what_the_package_imports():
+    # a deleted name can leave neither a stale export nor an unexported import behind
+    imported = [
+        a.asname or a.name
+        for node in TREES["__init__.py"].body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for a in node.names
+    ]
+    exported = bubbletower.__all__
+    assert len(set(exported)) == len(exported), "__all__ lists a name twice"
+    assert set(imported) == set(exported), (sorted(set(imported) - set(exported)), sorted(set(exported) - set(imported)))
+    assert [n for n in exported if not hasattr(bubbletower, n)] == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -51,65 +51,11 @@ def test_ef_transform_rejects_origin():
         bt.emden_fowler_transform(u)
 
 
-def test_projection_zero_trace_and_interior_deficit():
-    g = bt.build_grid(1e-3, 1.0, 512, N=4)
-    b = bt.Bubble(0.03, 4)
-    proj = bt.project_bubble_annulus(b, g)
-    assert proj.values[0] == 0.0
-    assert proj.values[-1] == 0.0
-    # the harmonic lift is positive inside, so the projection sits strictly below
-    U = bt.bubble_eval(b, g.nodes)
-    assert np.all(proj.values[1:-1] < U[1:-1])
-
-
-def test_tower_ansatz_shape_and_roundtrip():
-    params = bt.ProblemParams(N=4, k=2, eps=1e-3)
-    t = bt.TowerAnsatz.default(params)
-    assert t.deltas == (1e-3 ** 0.25, 1e-3 ** 0.75)
-    g = bt.build_grid(params.eps, 1.0, 4096, N=4)
-    u = bt.build_tower_ansatz(t, g)
-    assert u.values[0] == 0.0 and u.values[-1] == 0.0
-    # innermost bubble carries sign (-1)^k: outer lobe negative for k=2... actually
-    # i=1 outermost has sign -1, i=2 has +1; near the inner edge the i=2 bubble wins
-    inner_zone = g.nodes < 3e-3
-    outer_zone = g.nodes > 0.3
-    assert np.all(u.values[inner_zone][1:] > 0)
-    assert np.any(u.values[outer_zone] < 0)
-    got = bt.extract_concentrations(u, 2)
-    assert np.all(np.abs(np.log(got) - np.log(np.array(t.deltas))) <= 0.05)
-
-
-def test_tower_ansatz_separation_guard():
-    params = bt.ProblemParams(N=4, k=3, eps=0.5)
-    t = bt.TowerAnsatz.default(params)
-    g = bt.build_grid(params.eps, 1.0, 128, N=4)
-    with pytest.raises(ValueError):
-        bt.build_tower_ansatz(t, g)
-
-
-def test_tower_ansatz_validation():
-    params = bt.ProblemParams(N=4, k=2, eps=1e-3)
-    with pytest.raises(ValueError):
-        bt.TowerAnsatz(params, (0.1,))
-    with pytest.raises(ValueError):
-        bt.TowerAnsatz(params, (0.001, 0.1))
-    with pytest.raises(ValueError):
-        bt.TowerAnsatz(params, (0.1, -0.001))
-
-
 def test_extract_concentrations_single_and_pair():
     g = bt.build_grid(1e-4, 1.0, 4096, N=3)
     u = bt.RadialField(g, bt.bubble_eval(bt.Bubble(0.05, 3), g.nodes))
     got = bt.extract_concentrations(u, 1)
     assert abs(math.log(got[0] / 0.05)) <= 0.02
-
-    params = bt.ProblemParams(N=3, k=2, eps=1e-4)
-    t = bt.TowerAnsatz(params, (0.1, 0.001))
-    gd = bt.build_grid(1e-4, 1.0, 4096, N=3)
-    u2 = bt.build_tower_ansatz(t, gd)
-    got2 = bt.extract_concentrations(u2, 2)
-    assert got2[0] > got2[1]
-    assert np.all(np.abs(np.log(got2 / np.array([0.1, 0.001]))) <= 0.05)
 
 
 def test_extract_concentrations_rejects_flat_profile():
@@ -125,19 +71,12 @@ def test_amplitude_constant():
     assert abs(bubble_amplitude(4) - math.sqrt(8.0)) <= 1e-15
 
 
-def _ansatz_fields():
-    """The two tower ansatz fields of the roundtrip tests above, with their k."""
-    t4 = bt.TowerAnsatz.default(bt.ProblemParams(N=4, k=2, eps=1e-3))
-    t3 = bt.TowerAnsatz(bt.ProblemParams(N=3, k=2, eps=1e-4), (0.1, 0.001))
-    return [(bt.build_tower_ansatz(t, bt.build_grid(t.params.eps, 1.0, 4096, N=t.params.N)), 2) for t in (t4, t3)]
-
-
 def test_concentrations_match_scipy_peaks(case_solutions):
     # independent oracle: the k highest peaks of |w| that scipy finds at
     # prominence 0.1 h; each measured scale lies within one local log-cell
     signal = pytest.importorskip("scipy.signal")
-    fields = [(sol.field, sol.params.k) for sol in case_solutions.values()] + _ansatz_fields()
-    for u, k in fields:
+    for sol in case_solutions.values():
+        u, k = sol.field, sol.params.k
         s, w = bt.emden_fowler_transform(u)
         aw = np.abs(w)
         idx = signal.find_peaks(aw, prominence=0.1 * bt.ef_peak_height(u.grid.N))[0]
