@@ -30,10 +30,15 @@ in the same order as the plain array expressions, so every output is
 bit-identical to theirs. Overflow is reported by `_march` from the sup norm,
 not by numpy: each caller runs its whole loop under one np.errstate, entered
 outside the generator so that a loop left early leaves no error state behind.
+
+`lambda_sweep`'s runs are independent, so they fan out over the usable cores
+in forked processes that live only for the call; each does the same
+arithmetic as a serial run, so the rows are bit-identical to a serial sweep's.
 """
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from itertools import islice
 from typing import ClassVar
@@ -340,42 +345,71 @@ def stationary_horizon(cfg: FlowConfig, pair: EigenPair) -> FlowConfig:
     return replace(cfg, t_end=10.0 / abs(pair.lam))
 
 
+def _sweep_row(sol: StationarySolution, cfg: FlowConfig, lam: float, pair: EigenPair | None) -> dict:
+    """One `lambda_sweep` row: the run from lam * phi, or a 'Failed' row if it overflows."""
+    run_cfg = cfg
+    if lam == 1.0 and pair is not None:
+        run_cfg = stationary_horizon(cfg, pair)
+    v0 = RadialField(sol.field.grid, lam * sol.field.values, dirichlet=True)
+    try:
+        res = evolve(v0, sol.params, run_cfg)
+    except IntegratorFailure as exc:
+        return {"lambda": lam, "status": "Failed", "message": str(exc)}
+    return {
+        "lambda": lam,
+        "status": res.status,
+        "T_estimate": res.T_estimate,
+        "sup_final": float(np.max(np.abs(res.final.values))),
+        "drift_rel": res.drift / max(res.sup0, 1e-300),
+        "t_end": run_cfg.t_end,
+    }
+
+
+def _sweep_workers(n_runs: int) -> int:
+    """How many processes `lambda_sweep` spreads n_runs flow runs over: one per usable
+    core, at most one per run, and 1 (serial) where a fork cannot start them."""
+    import multiprocessing
+
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    if "fork" not in multiprocessing.get_all_start_methods() or multiprocessing.current_process().daemon:
+        return 1  # a daemonic process cannot have children
+    return max(1, min(n_runs, cores))
+
+
 def lambda_sweep(
     sol: StationarySolution,
     lambdas,
     cfg: FlowConfig,
     pair: EigenPair | None = None,
 ) -> list[dict]:
-    """Classify the flow from lambda * phi for each lambda.
+    """Classify the flow from lambda * phi for each lambda, one row per lambda in order.
 
     The lambda = 1 run uses the horizon 10/|lambda_1| when the eigenpair is
     supplied: past a few dozen multiples of 1/|lambda_1| double precision
     necessarily seeds the unstable mode and any discrete stationary run blows
     up spuriously, so stationarity is only a meaningful statement on that
     horizon. Other lambdas keep cfg.t_end.
+
+    The runs are independent, so they fan out over the usable cores
+    (`_sweep_workers`) through a pool of forked processes that lives only
+    for this call; each run does the same arithmetic as in the caller, so
+    the rows are bit-identical to a serial sweep's. An overflowing run gives
+    a 'Failed' row; any other exception is raised here.
     """
-    rows = []
-    for lam in lambdas:
-        lam = float(lam)
-        run_cfg = cfg
-        if lam == 1.0 and pair is not None:
-            run_cfg = stationary_horizon(cfg, pair)
-        v0 = RadialField(sol.field.grid, lam * sol.field.values, dirichlet=True)
-        try:
-            res = evolve(v0, sol.params, run_cfg)
-            rows.append(
-                {
-                    "lambda": lam,
-                    "status": res.status,
-                    "T_estimate": res.T_estimate,
-                    "sup_final": float(np.max(np.abs(res.final.values))),
-                    "drift_rel": res.drift / max(res.sup0, 1e-300),
-                    "t_end": run_cfg.t_end,
-                }
-            )
-        except IntegratorFailure as exc:
-            rows.append({"lambda": lam, "status": "Failed", "message": str(exc)})
-    return rows
+    lambdas = [float(lam) for lam in lambdas]
+    workers = _sweep_workers(len(lambdas))
+    if workers == 1:
+        return [_sweep_row(sol, cfg, lam, pair) for lam in lambdas]
+    # imported here, not at module level, so that `import bubbletower` does not pay for them
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    n = len(lambdas)
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(_sweep_row, [sol] * n, [cfg] * n, lambdas, [pair] * n))
 
 
 def linearized_evolve(

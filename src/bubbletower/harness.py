@@ -4,10 +4,11 @@ Config files are flat key=value lines with # comments; unknown keys are
 rejected so typos cannot silently fall back to defaults. OPERATIONS lists
 each operation with the config keys it takes as command-line flags, and
 run() executes one of them. Every successful run writes into its own
-directory named <operation>-<hash8> where the hash covers the fully resolved
-configuration and the artifact version, so re-running the same configuration
-lands in the same directory and reproduces the same data files byte for byte
-(timestamps live only in the manifest). Data files carry 17 significant
+directory named <operation>-<hash8> where the hash covers the config keys
+the operation reads (`_read_keys`) and the artifact version, so re-running
+the same configuration lands in the same directory, whatever the keys it does
+not read, and reproduces the same data files byte for byte (timestamps live
+only in the manifest). Data files carry 17 significant
 digits; console summaries print 6. A numeric table (a 2-D float array) is
 written through one row template of "%.17g" fields, streamed in blocks of
 _ROW_BLOCK rows, byte-identical to the per-cell rendering that mixed tables
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .errors import SolverError
-from .flow import FlowConfig, comparison_monitor, evolve, lambda_sweep, stationary_horizon
+from .flow import FlowConfig, _sweep_workers, comparison_monitor, evolve, lambda_sweep, stationary_horizon
 from .mesh import RadialField, apply_radial_laplacian, build_grid
 from .params import ProblemParams
 from .profile import Bubble, bubble_eval, ef_peak_height
@@ -190,8 +191,21 @@ def _sanitize(obj):
     return obj
 
 
+def _read_keys(op: str) -> set:
+    """The config keys op reads: its flags, plus the solver's keys if it solves a tower
+    (every operation with an M flag does) and the flow settings if it runs the flow
+    (every operation with a t_end flag does)."""
+    keys = set(OPERATIONS[op][1])
+    if "M" in keys:
+        keys.update(_SOLVER_KEYS)
+    if "t_end" in keys:
+        keys.update(f.name for f in dataclasses.fields(FlowConfig))
+    return keys
+
+
 def _hash8(op: str, cfg: dict) -> str:
-    blob = json.dumps({"op": op, "version": __version__, "config": _sanitize(cfg)}, sort_keys=True)
+    read = {key: cfg[key] for key in _read_keys(op)}
+    blob = json.dumps({"op": op, "version": __version__, "config": _sanitize(read)}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:8]
 
 
@@ -224,6 +238,8 @@ def _start_manifest(op: str, cfg: dict, config_path) -> dict:
         inners = cfg["eps_list"] if op == "sweep" else [cfg["eps"]]
         grids = [{"M": cfg["M"], "grading": "log", "inner": float(eps), "outer": 1.0} for eps in inners]
         manifest["grid"] = grids if op == "sweep" else grids[0]
+    if op == "sweep":
+        manifest["workers"] = _sweep_workers(len(cfg["lambda_list"]))  # processes per lambda_sweep
     return manifest
 
 

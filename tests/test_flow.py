@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import multiprocessing
+import os
 from functools import partial
 
 import numpy as np
@@ -150,6 +152,27 @@ def test_lambda_sweep_classifies(case_solutions, case_pairs):
     assert by_lam[1.0]["t_end"] == 10.0 / abs(pair.lam)
     assert by_lam[1.05]["status"] == "BlowUp"
     assert by_lam[1.05]["T_estimate"] is not None
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def test_lambda_sweep_rows_are_bit_identical_to_one_run_at_a_time(case_solutions, case_pairs, monkeypatch):
+    sol, pair = case_solutions[KEY], case_pairs[KEY]
+    cfg, lams = bt.FlowConfig(t_end=0.01), (0.5, 0.97, 1.0, 1.03, 1.06)
+    assert flow._sweep_workers(len(lams)) == min(len(lams), _usable_cores())  # the pool runs where it can
+    rows = bt.lambda_sweep(sol, lams, cfg, pair)
+    assert multiprocessing.active_children() == []
+    assert [r["lambda"] for r in rows] == list(lams)
+    assert rows == [bt.lambda_sweep(sol, [lam], cfg, pair)[0] for lam in lams]
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert flow._sweep_workers(len(lams)) == 1
+    assert rows == bt.lambda_sweep(sol, lams, cfg, pair)
+    assert multiprocessing.active_children() == []
 
 
 def test_linearized_rate_from_eigenfunction(case_solutions, case_pairs):
@@ -427,6 +450,23 @@ def test_overflow_in_lambda_sweep_is_a_failed_row(overflowing_state):
     (row,) = bt.lambda_sweep(sol, (2.0,), bt.FlowConfig(t_end=1e-3))
     assert row["status"] == "Failed"
     assert "overflow" in row["message"]
+
+
+def test_overflow_in_a_multi_lambda_sweep_is_a_failed_row_in_place(overflowing_state):
+    sol, _ = overflowing_state
+    zero, blown = bt.lambda_sweep(sol, (0.0, 2.0), bt.FlowConfig(t_end=1e-3))
+    assert (zero["lambda"], zero["status"]) == (0.0, "GlobalBounded")
+    assert (blown["lambda"], blown["status"]) == (2.0, "Failed")
+    assert "overflow" in blown["message"]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("lams", [(1.0, math.nan), (math.nan, 1.0)])
+def test_an_error_in_a_sweep_run_is_raised_in_the_caller(overflowing_state, lams):
+    sol, _ = overflowing_state
+    with pytest.raises(ValueError, match="^dirichlet field must have exactly zero endpoint values$"):
+        bt.lambda_sweep(sol, lams, bt.FlowConfig(t_end=1e-3))
+    assert multiprocessing.active_children() == []
 
 
 def test_overflow_in_separation_search_raises(overflowing_state):

@@ -15,13 +15,15 @@ import pytest
 
 import bubbletower
 from bubbletower.cli import build_parser, main
-from bubbletower.flow import _INTEGRATORS, FlowConfig
+from bubbletower.flow import _INTEGRATORS, FlowConfig, _sweep_workers
 from bubbletower.harness import (
     _ROW_BLOCK,
     _SCHEMA,
     OPERATIONS,
     _flow_config,
     _fmt17,
+    _hash8,
+    _read_keys,
     fmt6,
     load_config,
     parse_value,
@@ -441,6 +443,8 @@ def test_sweep_run(cfg_file, tmp_path):
     lines = (d / "sweep.csv").read_text().splitlines()
     assert lines[0] == "eps,lambda,status,T_estimate,sup_final,drift_rel"
     assert len(lines) == 3
+    manifest = json.loads((d / "manifest.json").read_text())
+    assert manifest["workers"] == _sweep_workers(2)  # the count test_flow pins to the usable cores
 
 
 def test_sweep_manifest_names_the_solved_annuli(tmp_path):
@@ -450,6 +454,35 @@ def test_sweep_manifest_names_the_solved_annuli(tmp_path):
     manifest = json.loads((d / "manifest.json").read_text())
     assert manifest["grid"] == [{"M": 256, "grading": "log", "inner": 0.1, "outer": 1.0}]
     assert manifest["config"]["eps"] == 0.001  # the config's eps, on which nothing was solved
+
+
+def test_read_keys_are_the_flags_and_what_the_body_reads():
+    flow_keys = {f.name for f in dataclasses.fields(FlowConfig)}
+    assert _read_keys("tower") == _read_keys("eig") == {"N", "k", "eps", "M", "residual_tol"}
+    assert _read_keys("limit") == {"N", "radii", "M_limit"}
+    assert _read_keys("flow") == {"N", "k", "eps", "M", "residual_tol", "lambda"} | flow_keys
+    assert _read_keys("sweep") == {"N", "k", "M", "residual_tol", "eps_list", "lambda_list"} | flow_keys
+    assert _read_keys("verify") == _read_keys("report") == set()
+
+
+@pytest.mark.parametrize("op", OPERATIONS)
+def test_run_hash_covers_exactly_the_keys_the_operation_reads(op):
+    cfg = resolve_config()
+    for key in _SCHEMA:
+        changed = _hash8(op, {**cfg, key: "other"}) != _hash8(op, cfg)
+        assert changed == (key in _read_keys(op)), key
+
+
+def test_a_key_the_operation_does_not_read_leaves_the_run_directory(tmp_path):
+    # a config file's eps is not read by sweep, which solves on its eps_list
+    argv = ["sweep", "--N", "3", "--k", "1", "--M", "256", "--eps-list", "0.1,0.05", "--lambda-list", "0.1"]
+    argv += ["--t-end", "0.001", "--out", str(tmp_path / "runs")]
+    for eps in ("0.5", "0.001"):
+        cfg = tmp_path / f"a-{eps}.cfg"
+        cfg.write_text(f"eps = {eps}\n")
+        assert main(["sweep", "--config", str(cfg), *argv[1:]]) == 0
+    (d,) = list((tmp_path / "runs").iterdir())
+    assert (d / "sweep.csv").read_text().count("\n") == 3
 
 
 def test_sweep_flags_failed_cells(tmp_path):

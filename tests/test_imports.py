@@ -10,9 +10,13 @@ caller overrides hides a dead branch, and the parameter should be required.
 Every defaulted parameter of a public function is passed by some call in the
 package or in its tests, for the same reason as a private one. And the
 package's `__all__` is exactly the set of names its __init__.py imports from
-its submodules, each of which resolves.
+its submodules, each of which resolves. And `import bubbletower` leaves the
+process-pool modules unloaded; `lambda_sweep` imports them when it runs.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -127,3 +131,12 @@ def test_every_private_default_is_left_by_some_call(path):
             if all(_passes(c, name, None if pos is None else pos - bound) for c in calls):
                 always.append(f"{node.name}({name})")
     assert not always, f"{path.name}: every call passes the defaulted parameters {always}"
+
+
+def test_import_leaves_the_process_pool_modules_out():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(PACKAGE.parent), env.get("PYTHONPATH"))))
+    probe = "import sys, bubbletower; print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
