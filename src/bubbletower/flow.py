@@ -34,6 +34,9 @@ outside the generator so that a loop left early leaves no error state behind.
 `lambda_sweep`'s runs are independent, so they fan out over the usable cores
 in forked processes that live only for the call; each does the same
 arithmetic as a serial run, so the rows are bit-identical to a serial sweep's.
+A sweep row keeps no energy, so its runs go through `evolve`'s loop
+(`_evolve`) with the per-step energy switched off; every other number of the
+run is the same.
 """
 from __future__ import annotations
 
@@ -244,7 +247,7 @@ def _march(advance, v: np.ndarray, t_end: float, dt_of, dt_min: float):
         v_new = advance(v, dt)
         t += dt
         sup_new = _sup_norm(v_new)
-        if not np.isfinite(sup_new):
+        if not math.isfinite(sup_new):
             raise IntegratorFailure(f"overflow at t={t:.6e} (step dt={dt:.6e})", {"t": t, "dt": dt, "last_state": v})
         collapse = collapse + 1 if dt <= dt_min * (1.0 + 1e-9) and sup_new > sup else 0
         v, sup = v_new, sup_new
@@ -292,6 +295,13 @@ def _fit_blowup_time(ts: np.ndarray, sups: np.ndarray, p: float, thr: float) -> 
 
 def evolve(v0: RadialField, params: ProblemParams, cfg: FlowConfig) -> FlowResult:
     """Integrate v_t = Delta v + |v|^{p-1}v from v0 and classify the trajectory."""
+    return _evolve(v0, params, cfg, energy=True)
+
+
+def _evolve(v0: RadialField, params: ProblemParams, cfg: FlowConfig, energy: bool) -> FlowResult:
+    """`evolve`'s run. With energy false no step evaluates the energy and the
+    series' energy column is NaN; the status, the other columns, the final
+    state, the drift and the T fit (which reads only t and sup) are unchanged."""
     reaction_only = cfg.integrator == "reaction-only"
     if not (reaction_only or v0.dirichlet):
         raise ValueError("diffusive runs need zero-trace initial data")
@@ -307,8 +317,11 @@ def evolve(v0: RadialField, params: ProblemParams, cfg: FlowConfig) -> FlowResul
             for t, dt, v, sup, collapse in _march(advance, v, cfg.t_end, _adaptive_dt(cfg, p), cfg.dt_min):
                 np.minimum(lo, v, out=lo)
                 np.maximum(hi, v, out=hi)
-                grad2, pot = _energy_parts(v, g, p, scratch)
-                series.append((t, sup, omega * (0.5 * grad2 - pot / (p + 1.0)), dt))
+                if energy:
+                    grad2, pot = _energy_parts(v, g, p, scratch)
+                    series.append((t, sup, omega * (0.5 * grad2 - pot / (p + 1.0)), dt))
+                else:
+                    series.append((t, sup, math.nan, dt))
                 if sup0 > 0.0 and sup > thr:
                     if crossed_at is None:
                         crossed_at = t
@@ -346,13 +359,16 @@ def stationary_horizon(cfg: FlowConfig, pair: EigenPair) -> FlowConfig:
 
 
 def _sweep_row(sol: StationarySolution, cfg: FlowConfig, lam: float, pair: EigenPair | None) -> dict:
-    """One `lambda_sweep` row: the run from lam * phi, or a 'Failed' row if it overflows."""
+    """One `lambda_sweep` row: the run from lam * phi, or a 'Failed' row if it overflows.
+
+    The row keeps no energy, so the run skips it (`_evolve` with energy off).
+    """
     run_cfg = cfg
     if lam == 1.0 and pair is not None:
         run_cfg = stationary_horizon(cfg, pair)
     v0 = RadialField(sol.field.grid, lam * sol.field.values, dirichlet=True)
     try:
-        res = evolve(v0, sol.params, run_cfg)
+        res = _evolve(v0, sol.params, run_cfg, energy=False)
     except IntegratorFailure as exc:
         return {"lambda": lam, "status": "Failed", "message": str(exc)}
     return {
@@ -396,8 +412,9 @@ def lambda_sweep(
     The runs are independent, so they fan out over the usable cores
     (`_sweep_workers`) through a pool of forked processes that lives only
     for this call; each run does the same arithmetic as in the caller, so
-    the rows are bit-identical to a serial sweep's. An overflowing run gives
-    a 'Failed' row; any other exception is raised here.
+    the rows are bit-identical to a serial sweep's. A row keeps no energy,
+    so no run evaluates it (`_sweep_row`). An overflowing run gives a
+    'Failed' row; any other exception is raised here.
     """
     lambdas = [float(lam) for lam in lambdas]
     workers = _sweep_workers(len(lambdas))

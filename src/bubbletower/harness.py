@@ -8,7 +8,8 @@ directory named <operation>-<hash8> where the hash covers the config keys
 the operation reads (`_read_keys`) and the artifact version, so re-running
 the same configuration lands in the same directory, whatever the keys it does
 not read, and reproduces the same data files byte for byte (timestamps live
-only in the manifest). Data files carry 17 significant
+only in the manifest). The manifest's unread_config_keys lists the keys the
+config file sets that the operation does not read. Data files carry 17 significant
 digits; console summaries print 6. A numeric table (a 2-D float array) is
 written through one row template of "%.17g" fields, streamed in blocks of
 _ROW_BLOCK rows, byte-identical to the per-cell rendering that mixed tables
@@ -230,6 +231,7 @@ def _start_manifest(op: str, cfg: dict, config_path) -> dict:
             "stationary_tol": FlowConfig.stationary_tol,
         },
         "input_hashes": {"config_file": _file_sha256(config_path)},
+        "unread_config_keys": sorted(set(load_config(config_path)) - _read_keys(op)) if config_path else [],
         "started": _now(),
     }
     if op == "sweep" or "eps" in OPERATIONS[op][1]:

@@ -469,6 +469,63 @@ def test_an_error_in_a_sweep_run_is_raised_in_the_caller(overflowing_state, lams
     assert multiprocessing.active_children() == []
 
 
+def _row_from_evolve(sol, cfg, lam, pair):
+    """A `lambda_sweep` row built by hand from the public `evolve`."""
+    run_cfg = flow.stationary_horizon(cfg, pair) if lam == 1.0 and pair is not None else cfg
+    v0 = bt.RadialField(sol.field.grid, lam * sol.field.values, dirichlet=True)
+    try:
+        res = bt.evolve(v0, sol.params, run_cfg)
+    except IntegratorFailure as exc:
+        return {"lambda": lam, "status": "Failed", "message": str(exc)}
+    return {
+        "lambda": lam,
+        "status": res.status,
+        "T_estimate": res.T_estimate,
+        "sup_final": float(np.max(np.abs(res.final.values))),
+        "drift_rel": res.drift / max(res.sup0, 1e-300),
+        "t_end": run_cfg.t_end,
+    }
+
+
+def test_lambda_sweep_rows_match_rows_built_from_evolve(case_solutions, case_pairs, overflowing_state):
+    sol, pair = case_solutions[KEY], case_pairs[KEY]
+    cfg, lams = bt.FlowConfig(t_end=0.01), (0.5, 0.97, 1.0, 1.03)
+    rows = bt.lambda_sweep(sol, lams, cfg, pair)
+    assert rows == [_row_from_evolve(sol, cfg, lam, pair) for lam in lams]
+    bad, _ = overflowing_state
+    cfg = bt.FlowConfig(t_end=1e-3)
+    (failed,) = bt.lambda_sweep(bad, (2.0,), cfg)
+    assert failed["status"] == "Failed"
+    assert failed == _row_from_evolve(bad, cfg, 2.0, None)
+
+
+def test_lambda_sweep_never_evaluates_the_energy(case_solutions, case_pairs, monkeypatch):
+    sol, pair = case_solutions[KEY], case_pairs[KEY]
+    cfg, lams = bt.FlowConfig(t_end=0.01), (0.5, 1.0, 1.03)
+    rows = bt.lambda_sweep(sol, lams, cfg, pair)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])  # runs in this process
+
+    def no_energy(*args):
+        raise AssertionError("a sweep run evaluated the energy")
+
+    monkeypatch.setattr(flow, "_energy_parts", no_energy)
+    assert flow._sweep_workers(len(lams)) == 1
+    assert bt.lambda_sweep(sol, lams, cfg, pair) == rows
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("lam", [0.97, 1.03])
+def test_a_run_without_the_energy_differs_only_in_the_energy_column(case_solutions, lam):
+    sol = case_solutions[KEY]
+    v0 = bt.RadialField(sol.field.grid, lam * sol.field.values, dirichlet=True)
+    cfg = bt.FlowConfig(t_end=0.01)
+    got, want = flow._evolve(v0, sol.params, cfg, energy=False), bt.evolve(v0, sol.params, cfg)
+    assert np.isnan(got.series[:, 2]).all()
+    got.series[:, 2] = want.series[:, 2]
+    _assert_same_run(got, want)
+    assert (got.sup0, got.message) == (want.sup0, want.message)
+
+
 def test_overflow_in_separation_search_raises(overflowing_state):
     sol, pair = overflowing_state
     with pytest.raises(IntegratorFailure, match="overflow"):

@@ -320,9 +320,10 @@ def test_tower_run_outputs(cli_root):
     assert manifest["grid"] == {"M": 1024, "grading": "log", "inner": 0.1, "outer": 1.0}
     assert set(manifest) == {
         "version", "operation", "config", "grid", "tolerances", "input_hashes",
-        "started", "finished", "outcome",
+        "unread_config_keys", "started", "finished", "outcome",
     }
     assert manifest["input_hashes"]["config_file"]
+    assert manifest["unread_config_keys"] == ["dt_max", "t_end"]  # flow settings the tower does not read
     assert manifest["outcome"]["shooting_slope"] == summary["shooting_slope"]
     assert "started" in manifest and "finished" in manifest
 
@@ -454,6 +455,28 @@ def test_sweep_manifest_names_the_solved_annuli(tmp_path):
     manifest = json.loads((d / "manifest.json").read_text())
     assert manifest["grid"] == [{"M": 256, "grading": "log", "inner": 0.1, "outer": 1.0}]
     assert manifest["config"]["eps"] == 0.001  # the config's eps, on which nothing was solved
+
+
+@pytest.mark.parametrize(
+    "op, unread, flags",
+    [
+        ("sweep", "eps", ["--eps-list", "0.1", "--lambda-list", "0.1", "--t-end", "0.01"]),
+        ("tower", "lambda", ["--eps", "0.1"]),
+    ],
+)
+def test_manifest_lists_the_config_file_keys_the_operation_does_not_read(tmp_path, op, unread, flags):
+    cfg_path = tmp_path / "a.cfg"
+    cfg_path.write_text(f"N = 3\nk = 1\nM = 256\n{unread} = 0.5\n")
+    with_file, without = tmp_path / "with", tmp_path / "without"
+    assert main([op, "--config", str(cfg_path), "--out", str(with_file)] + flags) == 0
+    assert main([op, "--N", "3", "--k", "1", "--M", "256", "--out", str(without)] + flags) == 0
+    (d,), (d0,) = list(with_file.iterdir()), list(without.iterdir())
+    assert json.loads((d / "manifest.json").read_text())["unread_config_keys"] == [unread]
+    assert json.loads((d0 / "manifest.json").read_text())["unread_config_keys"] == []
+    # the unread key changes neither the run directory nor its data
+    assert d.name == d0.name
+    for name in sorted(p.name for p in d.iterdir() if p.name != "manifest.json"):
+        assert (d / name).read_bytes() == (d0 / name).read_bytes(), name
 
 
 def test_read_keys_are_the_flags_and_what_the_body_reads():
