@@ -82,9 +82,9 @@ def main(argv=None) -> int:
     op, config, out = flags.pop("op"), flags.pop("config"), flags.pop("out")
     try:
         overrides = {key: parse_value(key, raw) for key, raw in flags.items() if raw is not None}
-        file_cfg = load_config(config) if config else {}
-        cfg = resolve_config(file_cfg, overrides)
-        outdir, summary = run(op, cfg, out, config_path=config)
+        config_file = load_config(config) if config else None
+        cfg = resolve_config(config_file[0] if config_file else {}, overrides)
+        outdir, summary = run(op, cfg, out, config_file=config_file)
         print(_console_summary(op, summary))
         print(f"outputs: {outdir}")
         return 0

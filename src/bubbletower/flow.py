@@ -58,8 +58,9 @@ from .stationary import StationarySolution, stationary_residual
 _INTEGRATORS = ("imex-be", "reaction-only")
 # consecutive steps at dt_min with a growing sup norm that count as a dt collapse
 _COLLAPSE_RUN = 5
-# linear_nonlinear_consistency: the horizon in units of 1/|lambda_1|, and the end of the
-# linear window as a fraction of sup|phi|
+# linear_nonlinear_consistency: the data's multiple lam of phi, the horizon in units of
+# 1/|lambda_1|, and the end of the linear window as a fraction of sup|phi|
+_CONSISTENCY_LAM = 1.001
 _CONSISTENCY_HORIZON = 8.0
 _LINEAR_WINDOW = 0.02
 _ONESIDED_CANDIDATES = np.logspace(-7, -2, 11)  # the eps' values find_onesided_window scans
@@ -159,8 +160,8 @@ class _Stepper:
     implicit solve (I + s D^{-1} K) x = b is done as (D + s K) x = D b, whose
     matrix is symmetric positive definite for s >= 0. Its L D L^T factor
     (dpttrf) is kept until the scale s changes, so a run at a fixed dt factors
-    once and then pays one dpttrs solve per step; the linear step likewise
-    keeps 1 + dt V until dt or V changes.
+    once and then pays one dpttrs solve per step. The linear step takes its
+    gain 1 + dt V from the caller, which holds dt and V fixed for a run.
 
     The reaction goes into a scratch array the stepper owns. Each step
     returns a freshly allocated array with zero endpoints, on whose unknown
@@ -175,8 +176,6 @@ class _Stepper:
         self.mass, self.k_diag, self.k_off = grid.stiffness
         self._scale = None
         self._factor = None
-        self._gain_key = None  # (dt, V) of the cached 1 + dt V
-        self._gain = None
         self._react = np.empty(self.mass.size)  # dt |w|^{p-1} w
 
     def _solve(self, scale: float, out: np.ndarray) -> np.ndarray:
@@ -210,12 +209,11 @@ class _Stepper:
         np.add(w, react, out=out[self.unknowns])
         return self._solve(dt, out)
 
-    def linear_step(self, z: np.ndarray, dt: float, V: np.ndarray) -> np.ndarray:
-        """Backward-Euler diffusion with the explicit frozen potential: z_t = Delta z + V z, V on the unknowns."""
-        if self._gain_key is None or self._gain_key[0] != dt or self._gain_key[1] is not V:
-            self._gain_key, self._gain = (dt, V), 1.0 + dt * V
+    def linear_step(self, z: np.ndarray, dt: float, gain: np.ndarray) -> np.ndarray:
+        """Backward-Euler diffusion with the explicit frozen potential: z_t = Delta z + V z,
+        where gain = 1 + dt V on the unknowns."""
         out = np.zeros(z.shape)
-        np.multiply(z[self.unknowns], self._gain, out=out[self.unknowns])
+        np.multiply(z[self.unknowns], gain, out=out[self.unknowns])
         return self._solve(dt, out)
 
 
@@ -476,7 +474,7 @@ def linearized_evolve(
     def advance(z, dt):
         # renormalize every step and keep the log of the growth apart
         nonlocal log_growth
-        zn = stepper.linear_step(z, dt, V)
+        zn = stepper.linear_step(z, dt, gain)
         nn = wnorm(zn)
         if not (np.isfinite(nn) and nn > 0.0):
             return np.full_like(zn, np.nan)  # reported by the engine as a non-finite step
@@ -492,7 +490,7 @@ def linearized_evolve(
     orthogonal_start = abs(projection(z)) <= 1e-12
     log_growth, rows = 0.0, []
     with np.errstate(over="ignore", invalid="ignore"):
-        V = params.reaction_derivative(sol.field.values)[g.unknowns]
+        gain = 1.0 + dt * params.reaction_derivative(sol.field.values)[g.unknowns]
         # exactly ceil(t_end/dt) steps: the accumulated clock may fall just short of t_end
         for t, _, z, _, _ in islice(_march(advance, z, np.inf, lambda sup, rest: dt, 0.0), n_steps):
             pr = projection(z)
@@ -519,12 +517,8 @@ def linearized_evolve(
     }
 
 
-def linear_nonlinear_consistency(
-    sol: StationarySolution,
-    pair: EigenPair,
-    lam: float = 1.001,
-) -> dict:
-    """Compare (v^lam - phi)/(lam - 1) against the linearized flow z with z0 = phi.
+def linear_nonlinear_consistency(sol: StationarySolution, pair: EigenPair) -> dict:
+    """Compare (v^lam - phi)/(lam - 1), lam = _CONSISTENCY_LAM, with the linearized flow z from z0 = phi.
 
     Both flows take identical lockstep steps (backward-Euler diffusion, the
     nonlinear one with explicit full reaction, the linear one with the frozen
@@ -534,8 +528,7 @@ def linear_nonlinear_consistency(
     perturbation is small; the window ends when sup|v - phi| exceeds
     _LINEAR_WINDOW * sup|phi|, or at t = _CONSISTENCY_HORIZON / |lambda_1|.
     """
-    if lam == 1.0:
-        raise ValueError("need lam != 1 to form the difference quotient")
+    lam = _CONSISTENCY_LAM
     params = sol.params
     g = sol.field.grid
     phi = sol.field.values
@@ -545,9 +538,9 @@ def linear_nonlinear_consistency(
     sup_phi = float(np.max(np.abs(phi)))
     t, max_err, rows = 0.0, 0.0, []
     with np.errstate(over="ignore", invalid="ignore"):
-        V = params.reaction_derivative(phi)[g.unknowns]
+        gain = 1.0 + dt * params.reaction_derivative(phi)[g.unknowns]
         steps = _march(
-            lambda s, h: np.array([stepper.step(s[0], h), stepper.linear_step(s[1], h, V)]),
+            lambda s, h: np.array([stepper.step(s[0], h), stepper.linear_step(s[1], h, gain)]),
             np.array([lam * phi, phi]),
             t_end,
             lambda sup, rest: dt,  # the last step is not clipped to t_end

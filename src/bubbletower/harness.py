@@ -39,15 +39,15 @@ from .spectral import (
     assemble_operator,
     eigenvalue_k,
     first_eigenpair,
-    limit_ladder,
     limit_overlap,
     limit_scan,
     sign_condition,
 )
 from .stationary import IVP_RTOL, find_nodal_solution, stationary_residual
 
-# key -> (default, parser); list-valued keys hold comma-separated floats. The solver,
-# limit and flow keys take their defaults from find_nodal_solution, limit_scan and FlowConfig.
+# key -> (default, parser); list-valued keys hold comma-separated floats. The solver and
+# flow keys take their defaults from find_nodal_solution and FlowConfig; the limit problem
+# has no settings besides N (its ladder of radii is spectral._LIMIT_LADDER).
 _FLOATS = "floats"
 _SOLVER_KEYS = ("M", "residual_tol")
 _SCHEMA = {
@@ -62,8 +62,6 @@ _SCHEMA = {
     "lambda": (1.0, float),
     "lambda_list": ((0.1, 0.95, 1.0, 1.05), _FLOATS),
     "eps_list": ((1e-2, 1e-3, 1e-4), _FLOATS),
-    "radii": (inspect.signature(limit_scan).parameters["radii"].default, _FLOATS),
-    "M_limit": (inspect.signature(limit_scan).parameters["M_at_largest"].default, int),
     **{f.name: (f.default, type(f.default)) for f in dataclasses.fields(FlowConfig)},
 }
 
@@ -82,11 +80,15 @@ def parse_value(key: str, raw: str):
     return values
 
 
-def load_config(path) -> dict:
-    """Parse a flat key=value file; unknown, repeated and malformed lines are errors."""
+def load_config(path) -> tuple[dict, str]:
+    """Parse a flat key=value file; unknown, repeated and malformed lines are errors.
+
+    The file is read once, so it may be a pipe. Returns the settings and the
+    SHA-256 of the bytes they were parsed from.
+    """
     cfg, first_set = {}, {}
-    text = Path(path).read_text()
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    data = Path(path).read_bytes()
+    for lineno, line in enumerate(data.decode().splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -100,7 +102,7 @@ def load_config(path) -> dict:
             raise ValueError(f"{path}:{lineno}: duplicate config key {key!r} (first set on line {first_set[key]})")
         first_set[key] = lineno
         cfg[key] = parse_value(key, raw)
-    return cfg
+    return cfg, hashlib.sha256(data).hexdigest()
 
 
 def resolve_config(file_cfg: dict | None = None, overrides: dict | None = None) -> dict:
@@ -124,13 +126,6 @@ def resolve_config(file_cfg: dict | None = None, overrides: dict | None = None) 
         raise ValueError(f"lambda must be finite, got {cfg['lambda']}")
     if not all(map(math.isfinite, cfg["lambda_list"])):
         raise ValueError(f"lambda_list entries must be finite, got {cfg['lambda_list']}")
-    if not all(math.isfinite(R) and R > 0 for R in cfg["radii"]):
-        raise ValueError(f"radii must be finite and positive, got {cfg['radii']}")
-    for R, M in limit_ladder(cfg["radii"], cfg["M_limit"]):
-        if M < 16:
-            raise ValueError(
-                f"M_limit = {cfg['M_limit']} leaves the rung R = {R:g} with M = {M} cells; every rung needs at least 16"
-            )
     return cfg
 
 
@@ -214,13 +209,8 @@ def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _file_sha256(path) -> str | None:
-    if path is None:
-        return None
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _start_manifest(op: str, cfg: dict, config_path) -> dict:
+def _start_manifest(op: str, cfg: dict, config_file) -> dict:
+    file_cfg, digest = config_file or ({}, None)
     manifest = {
         "version": __version__,
         "operation": op,
@@ -230,8 +220,8 @@ def _start_manifest(op: str, cfg: dict, config_path) -> dict:
             "residual_tol": cfg["residual_tol"],
             "stationary_tol": FlowConfig.stationary_tol,
         },
-        "input_hashes": {"config_file": _file_sha256(config_path)},
-        "unread_config_keys": sorted(set(load_config(config_path)) - _read_keys(op)) if config_path else [],
+        "input_hashes": {"config_file": digest},
+        "unread_config_keys": sorted(set(file_cfg) - _read_keys(op)),
         "started": _now(),
     }
     if op == "sweep" or "eps" in OPERATIONS[op][1]:
@@ -299,7 +289,7 @@ def _eig(cfg: dict, root):
 
 def _limit(cfg: dict, root):
     N = cfg["N"]
-    scan = limit_scan(N, radii=cfg["radii"], M_at_largest=cfg["M_limit"])
+    scan = limit_scan(N)
     pair = scan["pair"]
     summary = {
         "N": N,
@@ -507,7 +497,7 @@ def _report(cfg: dict, root):
 OPERATIONS = {
     "tower": (_tower, ("N", "k", "eps", "M"), "find the k-layer stationary solution"),
     "eig": (_eig, ("N", "k", "eps", "M"), "first eigenpair and sign condition"),
-    "limit": (_limit, ("N", "radii", "M_limit"), "limit eigenvalue problem on balls"),
+    "limit": (_limit, ("N",), "limit eigenvalue problem on balls"),
     "flow": (
         _flow,
         ("N", "k", "eps", "M", "lambda", "t_end", "dt_max", "integrator"),
@@ -523,8 +513,11 @@ OPERATIONS = {
 }
 
 
-def run(op: str, cfg: dict, root, config_path=None):
+def run(op: str, cfg: dict, root, config_file=None):
     """Run one operation and return (outdir, summary).
+
+    config_file is what load_config returned for the --config file, if any:
+    the manifest records its digest and the keys it sets that op does not read.
 
     The directory <op>-<hash8> under root is created only once the operation
     has returned, so a failed run leaves nothing behind. It receives the CSV
@@ -532,7 +525,7 @@ def run(op: str, cfg: dict, root, config_path=None):
     still written, then raised as a SolverError naming the failed checks.
     """
     root = Path(root)
-    manifest = _start_manifest(op, cfg, config_path)
+    manifest = _start_manifest(op, cfg, config_file)
     summary, tables = OPERATIONS[op][0](cfg, root)
     outdir = root / f"{op}-{_hash8(op, cfg)}"
     outdir.mkdir(parents=True, exist_ok=True)

@@ -163,38 +163,34 @@ def limit_eigenpair(N: int, R: float, M: int) -> EigenPair:
     return pair
 
 
-def limit_ladder(radii, M_at_largest: int) -> list:
-    """(R, M) rungs in increasing R at matched spacing: M = M_at_largest R / R_max, rounded."""
-    radii = sorted(float(R) for R in radii)
-    return [(R, int(round(M_at_largest * R / radii[-1]))) for R in radii]
+# (R, M) rungs of limit_scan at matched spacing h = R/M = 1/51.2. phi* decays like
+# exp(-sqrt|lambda*| R), so from R = 20 on the truncation error lies below rounding:
+# for N = 3..12 the three rungs agree to 2 ulp. The largest rung's Richardson partner
+# in h is (80, 8192).
+_LIMIT_LADDER = ((20.0, 1024), (40.0, 2048), (80.0, 4096))
 
 
-def limit_scan(N: int, radii=(20.0, 40.0, 80.0), M_at_largest: int = 4096) -> dict:
-    """lambda*_R over a radius ladder at matched spacing, plus the h-extrapolated limit.
+def limit_scan(N: int) -> dict:
+    """lambda*_R over the fixed ladder _LIMIT_LADDER, plus the h-extrapolated limit.
 
     Matched spacing (M scales with R) makes the domain-inclusion monotonicity
     lambda*_{2R} <= lambda*_R hold exactly in the discrete setting. The
     extrapolated value combines the largest radius with Richardson in h
-    (order-2 stencil), and the radius-convergence estimate is the gap between
-    the two largest radii. "pair" is the eigenpair at the largest radius.
-
-    On the default ladder the gap is exactly 0.0 for N = 3 and 4: phi* decays
-    like exp(-sqrt|lambda*| R), below 1e-16 at R = 20, so the rungs agree bit for bit.
+    (order-2 stencil, M doubled), and the radius-convergence estimate is the
+    gap between the two largest radii. "pair" is the eigenpair at the largest
+    radius. For N = 3..12 that gap reads 0.0 or 1.8e-15 (docs/decisions.md).
     """
-    ladder = limit_ladder(radii, M_at_largest)
-    radii = [R for R, _ in ladder]
-    R_max = radii[-1]
     out = {}
-    for R, M in ladder:
+    for R, M in _LIMIT_LADDER:
         pair = limit_eigenpair(N, R, M)
         out[R] = pair.lam
+    (R_prev, _), (R_max, M_max) = _LIMIT_LADDER[-2:]
     lam_h = out[R_max]
-    lam_h2 = limit_eigenpair(N, R_max, 2 * M_at_largest).lam
-    extrapolated = (4.0 * lam_h2 - lam_h) / 3.0
+    lam_h2 = limit_eigenpair(N, R_max, 2 * M_max).lam
     return {
         "lambda_star_R": out,
-        "lambda_star": extrapolated,
-        "r_convergence": abs(out[radii[-1]] - out[radii[-2]]) if len(radii) > 1 else 0.0,
+        "lambda_star": (4.0 * lam_h2 - lam_h) / 3.0,
+        "r_convergence": abs(lam_h - out[R_prev]),
         "h_gap": abs(lam_h2 - lam_h),
         "pair": pair,
     }

@@ -147,10 +147,11 @@ class ReferenceStepper:
             out[self.unknowns] = self._solve(dt, w + dt * react)
         return out
 
-    def linear_step(self, z, dt, V):
-        """Backward-Euler diffusion with the explicit frozen potential: z_t = Delta z + V z, V on the unknowns."""
+    def linear_step(self, z, dt, gain):
+        """Backward-Euler diffusion with the explicit frozen potential: z_t = Delta z + V z,
+        where gain = 1 + dt V on the unknowns."""
         out = np.zeros_like(z)
-        out[self.unknowns] = self._solve(dt, z[self.unknowns] * (1.0 + dt * V))
+        out[self.unknowns] = self._solve(dt, z[self.unknowns] * gain)
         return out
 
 
@@ -218,7 +219,7 @@ def reference_linearized_series(sol, pair, z0, t_end, dt):
 
     def advance(z, dt):
         nonlocal log_growth
-        zn = stepper.linear_step(z, dt, V)
+        zn = stepper.linear_step(z, dt, 1.0 + dt * V)
         nn = wnorm(zn)
         if not (np.isfinite(nn) and nn > 0.0):
             return np.full_like(zn, np.nan)

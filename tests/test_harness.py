@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -60,7 +61,8 @@ def cli_root(tmp_path_factory, cfg_file):
 
 
 def test_load_config_parses_comments_and_whitespace(cfg_file, tmp_path):
-    cfg = load_config(cfg_file)
+    cfg, digest = load_config(cfg_file)
+    assert digest == hashlib.sha256(CFG_TEXT.encode()).hexdigest()
     assert cfg == {
         "N": 3,
         "k": 1,
@@ -131,11 +133,17 @@ def test_resolve_config_validates_ranges():
 
 def test_schema_keys():
     assert list(_SCHEMA) == [
-        "N", "k", "eps", "M", "residual_tol", "lambda", "lambda_list", "eps_list", "radii", "M_limit",
+        "N", "k", "eps", "M", "residual_tol", "lambda", "lambda_list", "eps_list",
         "dt_max", "t_end", "safety", "integrator",
     ]
     assert not {"scan_lo", "scan_hi", "per_decade", "collapse_run"} & set(_SCHEMA)
     assert not {"ivp_rtol", "dt_min", "blow_threshold", "stationary_tol"} & set(_SCHEMA)
+    assert not {"radii", "M_limit"} & set(_SCHEMA)
+
+
+def test_every_schema_key_is_read_by_some_operation():
+    # a key that no operation reads changes nothing but the manifest: make it a constant
+    assert set(_SCHEMA) == set().union(*map(_read_keys, OPERATIONS))
 
 
 DEFAULTS = {
@@ -147,8 +155,6 @@ DEFAULTS = {
     "lambda": 1.0,
     "lambda_list": (0.1, 0.95, 1.0, 1.05),
     "eps_list": (1e-2, 1e-3, 1e-4),
-    "radii": (20.0, 40.0, 80.0),
-    "M_limit": 4096,
     "dt_max": 1e-5,
     "t_end": 2.0,
     "safety": 0.1,
@@ -166,7 +172,7 @@ def test_resolved_defaults_are_pinned():
 CLI_FLAGS = {
     "tower": "--N --k --eps --M",
     "eig": "--N --k --eps --M",
-    "limit": "--N --radii --M-limit",
+    "limit": "--N",
     "flow": "--N --k --eps --M --lambda --t-end --dt-max --integrator",
     "sweep": "--N --k --M --eps-list --lambda-list --t-end",
     "verify": "",
@@ -271,7 +277,7 @@ def test_write_csv_streams_a_long_table(tmp_path):
     [
         ("tower", {"N": 3, "k": 1, "eps": 0.1, "M": 256}),
         ("eig", {"N": 3, "k": 1, "eps": 0.1, "M": 256}),
-        ("limit", {"radii": (20.0, 40.0), "M_limit": 256}),
+        ("limit", {}),
         ("flow", {"N": 3, "k": 1, "eps": 0.1, "M": 256, "lambda": 0.5, "t_end": 1e-3, "dt_max": 1e-4}),
     ],
 )
@@ -348,7 +354,7 @@ def test_tower_rerun_is_byte_identical(cfg_file, tmp_path):
 
 
 def test_limit_run_writes_the_largest_rung_of_the_scan(tmp_path, monkeypatch):
-    # the written eigenfunction is the (R_max, M_limit) pair that limit_scan
+    # the written eigenfunction is the largest rung, (80, 4096), which limit_scan
     # already solved: same bytes as a fresh solve, one solve fewer
     from bubbletower import harness, spectral
 
@@ -361,10 +367,9 @@ def test_limit_run_writes_the_largest_rung_of_the_scan(tmp_path, monkeypatch):
 
     for module in (spectral, harness):  # wherever a caller may look it up
         monkeypatch.setattr(module, "limit_eigenpair", counted, raising=False)
-    cfg = resolve_config(overrides={"radii": (20.0, 40.0), "M_limit": 512})
-    outdir, summary = harness.run("limit", cfg, tmp_path / "runs")
-    assert calls == [(4, 20.0, 256), (4, 40.0, 512), (4, 40.0, 1024)]
-    pair = real(4, 40.0, 512)
+    outdir, summary = harness.run("limit", resolve_config(), tmp_path / "runs")
+    assert calls == [(4, 20.0, 1024), (4, 40.0, 2048), (4, 80.0, 4096), (4, 80.0, 8192)]
+    pair = real(4, 80.0, 4096)
     write_csv(tmp_path / "fresh.csv", ["r", "phi_star"], zip(pair.phi.grid.nodes, pair.phi.values))
     assert (outdir / "limit_eigenfunction.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
     assert summary["overlap"] == bubbletower.limit_overlap(4, pair)
@@ -374,8 +379,7 @@ def test_limit_run_writes_the_largest_rung_of_the_scan(tmp_path, monkeypatch):
 def test_limit_manifest_has_no_annulus_grid(tmp_path):
     from bubbletower import harness
 
-    cfg = resolve_config(overrides={"radii": (20.0, 40.0), "M_limit": 256})
-    outdir, _ = harness.run("limit", cfg, tmp_path)
+    outdir, _ = harness.run("limit", resolve_config(), tmp_path)
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["operation"] == "limit"
     assert "grid" not in manifest
@@ -404,7 +408,7 @@ def test_flow_at_lambda_one_uses_the_sweep_horizon(cfg_file, tmp_path):
     t_end = json.loads((d / "summary.json").read_text())["t_end"]
     sol = bubbletower.find_nodal_solution(bubbletower.ProblemParams(3, 1, 0.1), M=1024)
     pair = bubbletower.first_eigenpair(bubbletower.assemble_linearized(sol))
-    (row,) = bubbletower.lambda_sweep(sol, [1.0], _flow_config(resolve_config(load_config(cfg_file))), pair)
+    (row,) = bubbletower.lambda_sweep(sol, [1.0], _flow_config(resolve_config(load_config(cfg_file)[0])), pair)
     assert t_end == row["t_end"] != 0.5
 
 
@@ -479,10 +483,26 @@ def test_manifest_lists_the_config_file_keys_the_operation_does_not_read(tmp_pat
         assert (d / name).read_bytes() == (d0 / name).read_bytes(), name
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin to pipe a config file through")
+def test_a_piped_config_file_is_described_by_the_bytes_the_run_parsed(tmp_path):
+    # a pipe can be read only once: the manifest's digest and unread keys come from that read
+    text = "N = 3\nk = 1\neps = 0.5\nM = 64\nlambda = 0.5\n"
+    proc = subprocess.run(
+        [sys.executable, "-m", "bubbletower", "tower", "--config", "/dev/stdin", "--out", str(tmp_path)],
+        input=text, capture_output=True, text=True, timeout=60, env=_package_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    (d,) = list(tmp_path.iterdir())
+    manifest = json.loads((d / "manifest.json").read_text())
+    assert manifest["config"]["N"] == 3
+    assert manifest["input_hashes"]["config_file"] == hashlib.sha256(text.encode()).hexdigest()
+    assert manifest["unread_config_keys"] == ["lambda"]
+
+
 def test_read_keys_are_the_flags_and_what_the_body_reads():
     flow_keys = {f.name for f in dataclasses.fields(FlowConfig)}
     assert _read_keys("tower") == _read_keys("eig") == {"N", "k", "eps", "M", "residual_tol"}
-    assert _read_keys("limit") == {"N", "radii", "M_limit"}
+    assert _read_keys("limit") == {"N"}
     assert _read_keys("flow") == {"N", "k", "eps", "M", "residual_tol", "lambda"} | flow_keys
     assert _read_keys("sweep") == {"N", "k", "M", "residual_tol", "eps_list", "lambda_list"} | flow_keys
     assert _read_keys("verify") == _read_keys("report") == set()
@@ -589,34 +609,38 @@ def test_exit_code_solver_failure(tmp_path):
     assert main(["tower", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 2
 
 
-def test_failed_runs_leave_no_directory(tmp_path):
+def test_failed_runs_leave_no_directory(tmp_path, capsys):
     cfg = tmp_path / "unmet.cfg"
     cfg.write_text("N = 3\nk = 2\neps = 0.1\nM = 1024\nresidual_tol = 1e-30\n")
     out = tmp_path / "runs"
     out.mkdir()
     assert main(["tower", "--config", str(cfg), "--out", str(out)]) == 2
-    assert main(["limit", "--radii", "10", "--out", str(out)]) == 1
-    assert main(["limit", "--radii", "0", "--out", str(out)]) == 1
+    # values the parser accepts and validation rejects
+    assert main(["limit", "--N", "2", "--out", str(out)]) == 1
+    assert main(["limit", "--N", "4.5", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: dimension N must be >= 3, got 2" in err and "config key 'N': cannot parse '4.5'" in err
     assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize(
-    "flags, R, M",
-    [(["--N", "4", "--M-limit", "32"], 20, 8), (["--radii", "20,80", "--M-limit", "60"], 20, 15)],
+    "argv, message",
+    [
+        (["limit", "--radii", "20,40"], "unrecognized arguments: --radii 20,40"),
+        (["limit", "--config", "{cfg}"], "bad.cfg:2: unknown config key 'M_limit'"),
+    ],
+    ids=("flag", "config file"),
 )
-def test_too_coarse_limit_rung_exits_1_naming_M_limit(tmp_path, capsys, flags, R, M):
-    # M_limit >= 16 is not enough: the smallest rung gets round(M_limit R / R_max) cells
+def test_the_limit_ladder_is_not_a_setting(tmp_path, capsys, argv, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("N = 4\nM_limit = 4096\n")
     out = tmp_path / "runs"
-    assert main(["limit", *flags, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "M_limit" in err and f"R = {R} with M = {M} cells" in err
+    assert main([arg.format(cfg=cfg) for arg in argv] + ["--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "op, flag, key",
-    [("limit", "--radii", "radii"), ("sweep", "--eps-list", "eps_list"), ("sweep", "--lambda-list", "lambda_list")],
-)
+@pytest.mark.parametrize("op, flag, key", [("sweep", "--eps-list", "eps_list"), ("sweep", "--lambda-list", "lambda_list")])
 def test_empty_list_flag_exits_1_and_leaves_no_directory(tmp_path, capsys, op, flag, key):
     out = tmp_path / "runs"
     assert main([op, flag, ",,", "--out", str(out)]) == 1
@@ -626,10 +650,10 @@ def test_empty_list_flag_exits_1_and_leaves_no_directory(tmp_path, capsys, op, f
 
 def test_empty_list_in_config_file_exits_1_and_leaves_no_directory(tmp_path, capsys):
     cfg = tmp_path / "empty.cfg"
-    cfg.write_text("N = 4\nradii =\n")
+    cfg.write_text("N = 4\nlambda_list =\n")
     out = tmp_path / "runs"
-    assert main(["limit", "--config", str(cfg), "--out", str(out)]) == 1
-    assert "config key 'radii': empty list" in capsys.readouterr().err
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "config key 'lambda_list': empty list" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -679,8 +703,6 @@ BAD_VALUES = [
     ("sweep", "lambda_list", "0.1,nan", "lambda_list entries must be finite, got (0.1, nan)"),
     ("sweep", "eps_list", "1e-2,2", "eps_list entry 2.0: hole radius eps must lie in (0,1)"),
     ("sweep", "eps_list", "1e-2,nan", "eps_list entry nan: hole radius eps must lie in (0,1)"),
-    ("limit", "radii", "20,nan", "radii must be finite and positive, got (20.0, nan)"),
-    ("limit", "radii", "20,inf", "radii must be finite and positive, got (20.0, inf)"),
     ("flow", "integrator", "imex-cn", "integrator must be one of ('imex-be', 'reaction-only'), got 'imex-cn'"),
     ("flow", "t_end", "1e-13", "need dt_min < t_end"),
 ]

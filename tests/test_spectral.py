@@ -211,6 +211,13 @@ def test_limit_scan_ladder(limit4):
     assert rel <= 1e-6
 
 
+@pytest.mark.parametrize("N", range(3, 9))
+def test_the_limit_ladder_rungs_agree_to_rounding(N):
+    # why the ladder is a constant: from R = 20 on, the truncation radius does not move lambda*_R
+    rungs = list(bt.limit_scan(N)["lambda_star_R"].values())
+    assert max(rungs) - min(rungs) <= 4 * np.spacing(abs(rungs[-1])), rungs
+
+
 def test_limit_pair_and_overlap_n4(limit_pair4):
     assert limit_pair4.lam < 0
     assert limit_pair4.residual <= 1e-8
