@@ -567,13 +567,13 @@ def find_separation_time(
     Checks every accepted step after a 10-step transient, interior nodes only,
     demanding sign + for lam > 1 and - for lam < 1. Returns t0 = None when the
     horizon is reached or the run blows up first; diagnostics then carry the
-    best single-signed node fraction achieved, its time, the sign of the
-    projection of v - phi on the first eigenfunction (which stabilizes almost
-    immediately), and the preempting blow-up time if any. The flow always
-    takes the IMEX-BE step; cfg.integrator is not read.
+    best single-signed node fraction achieved, the sign of the projection of
+    v - phi on the first eigenfunction (which stabilizes almost immediately),
+    and the preempting blow-up time if any. The flow always takes the IMEX-BE
+    step; cfg.integrator is not read.
     """
     if lam == 1.0:
-        return {"t0": None, "margin": 0.0, "diagnostics": {"note": "difference identically ~0 at lambda=1"}}
+        return {"t0": None, "diagnostics": {"note": "difference identically ~0 at lambda=1"}}
     want = 1.0 if lam > 1.0 else -1.0
     params = sol.params
     g = sol.field.grid
@@ -583,7 +583,7 @@ def find_separation_time(
     omega = sphere_area(g.N)
     v = lam * phi
     thr = cfg.blow_threshold * float(np.max(np.abs(v)))
-    nstep, best_frac, best_t, proj_sign = 0, 0.0, 0.0, 0.0
+    nstep, best_frac, proj_sign = 0, 0.0, 0.0
     reason, blowup = "horizon reached without full separation", {}
     steps = _march(stepper.step, v, cfg.t_end, _adaptive_dt(cfg, params.p), cfg.dt_min)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -593,26 +593,18 @@ def find_separation_time(
                 proj_sign = float(np.sign(omega * np.sum(D[1:-1] * dv * pair.phi.values[1:-1])))
             if nstep > 10:
                 frac = float(np.mean(want * dv > 0.0))
-                if frac > best_frac:
-                    best_frac, best_t = frac, t
+                best_frac = max(best_frac, frac)
                 if frac == 1.0:
-                    margin = float(np.min(np.abs(dv))) / max(float(np.max(np.abs(phi))), 1e-300)
-                    return {
-                        "t0": t,
-                        "margin": margin,
-                        "diagnostics": {"steps": nstep, "projection_sign": proj_sign},
-                    }
+                    return {"t0": t, "diagnostics": {"steps": nstep, "projection_sign": proj_sign}}
             if sup > thr and collapse >= _COLLAPSE_RUN:
                 reason, blowup = "blow-up preempted full separation", {"t_blowup": t}
                 break
     return {
         "t0": None,
-        "margin": 0.0,
         "diagnostics": {
             "reason": reason,
             **blowup,
             "best_fraction": best_frac,
-            "best_fraction_time": best_t,
             "projection_sign": proj_sign,
             "steps": nstep,
         },
@@ -625,7 +617,7 @@ def subsupersolution_residual(
     eps_prime: float,
     params: ProblemParams,
 ) -> dict:
-    """Stationary residual of psi + eps_prime * phi1 and its wrong-signed part.
+    """One-sided maxima of the stationary residual of psi + eps_prime * phi1.
 
     With eps_prime >= 0 the perturbed field should be a subsolution (residual
     <= 0 at interior nodes), so max_wrong_sign is the largest positive
@@ -634,12 +626,10 @@ def subsupersolution_residual(
     are reported either way.
     """
     s = RadialField(psi.grid, psi.values + eps_prime * phi1.values)
-    res = stationary_residual(s, params)
-    interior = res.values[1:-1]
+    interior = stationary_residual(s, params).values[1:-1]
     max_pos = float(np.max(np.maximum(interior, 0.0)))
     max_neg = float(np.max(np.maximum(-interior, 0.0)))
     return {
-        "residual": res,
         "max_wrong_sign": max_pos if eps_prime >= 0 else max_neg,
         "max_positive": max_pos,
         "max_negative": max_neg,

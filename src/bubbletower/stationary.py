@@ -16,8 +16,13 @@ at the turning point w_max becomes w_max^{p-1} = m0 (1 + y) with
 m0 = beta^2 (p+1)/2, free of the cancellation in a^2 << w_max^2, and both a
 and T (see _lobe_time) are explicit in y, a rising and T falling strictly, so
 the root is unique and Brent's method finds it in log y. One shot at s*
-(`shoot`) integrates the oscillator and returns the orbit u = r^{-beta} w(log r)
-at the grid nodes. A damped Newton iteration then drives the discrete
+(`shoot`) integrates the oscillator only up to its first turning point
+w' = 0, at tau = T/2 past log eps. Being autonomous, undamped and odd, the
+oscillator repeats that half lobe: w(tau + x) = w(tau - x) and
+w(sigma + 2 tau) = -w(sigma) in the time sigma since launch. So each node's
+sigma folds into [0, tau] with the sign (-1)^m, m = floor(sigma / (2 tau)),
+and one dense-output call gives the orbit u = r^{-beta} w(log r) at all grid
+nodes. A damped Newton iteration then drives the discrete
 residual (`stationary_residual`) of that field to its rounding floor, so
 downstream spectral and flow work acts on an actual discrete solution.
 """
@@ -47,24 +52,42 @@ def shoot(params: ProblemParams, s: float, grid: RadialGrid) -> RadialField:
     """Integrate the radial IVP u(eps) = 0, u'(eps) = s and return the orbit on the grid.
 
     The orbit u(r) = r^{-beta} w(log r) is evaluated at the nodes of grid, a
-    grid on [eps, 1], and its two end values are set to exactly 0.
+    grid on [eps, 1], and its two end values are set to exactly 0. The shot
+    stops at the orbit's first turning point w' = 0, and the rest of the
+    orbit is that half lobe unfolded; when the turn lies past r = 1 the shot
+    covers the grid and is read directly.
     """
     if not math.isfinite(s):
         raise ValueError(f"slope must be finite, got {s}")
     p, beta, eps = params.p, params.beta, params.eps
+    r = grid.nodes
+    dw0 = abs(s) * eps ** (beta + 1.0)  # chain rule: w'(log eps) from u'(eps); the orbit is odd in s
+    if dw0 == 0.0:  # the zero orbit, on which the turn event would fire at once
+        return RadialField(grid, np.zeros_like(r), dirichlet=True)
 
     def rhs(t, y):
         w, dw = y
         return (dw, beta * beta * w - abs(w) ** (p - 1.0) * w)
 
-    dw0 = s * eps ** (beta + 1.0)  # chain rule: w'(log eps) from u'(eps)
+    def turn(t, y):
+        return y[1]
+
+    turn.terminal, turn.direction = True, -1
+    t0 = math.log(eps)
     sol = solve_ivp(
-        rhs, (math.log(eps), 0.0), (0.0, dw0), method="DOP853", rtol=IVP_RTOL, atol=1e-13, dense_output=True
+        rhs, (t0, 0.0), (0.0, dw0), method="DOP853", rtol=IVP_RTOL, atol=1e-13, dense_output=True, events=turn
     )
     if not sol.success:
         raise SolverError(f"shooting integrator failed: {sol.message}")
-    r = grid.nodes
-    vals = r ** (-beta) * sol.sol(np.log(r))[0]
+    t = np.log(r)
+    sign = math.copysign(1.0, s)
+    if sol.status == 1:  # stopped at the turn: fold each node onto the half lobe (module docstring)
+        two_tau = 2.0 * (sol.t_events[0][0] - t0)
+        m = np.floor((t - t0) / two_tau)
+        rest = t - t0 - two_tau * m
+        sign = sign * (1.0 - 2.0 * (m % 2.0))
+        t = t0 + np.minimum(rest, two_tau - rest)
+    vals = sign * r ** (-beta) * sol.sol(t)[0]
     vals[0] = vals[-1] = 0.0
     return RadialField(grid, vals, dirichlet=True)
 

@@ -5,8 +5,9 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import bubbletower as bt
+from bubbletower import stationary
 from bubbletower.errors import SolverError
-from bubbletower.stationary import _interior_zeros, _lobe_time
+from bubbletower.stationary import _interior_zeros, _lobe_time, _time_map_slope
 
 from conftest import CASES
 from oracles import oracle_slope
@@ -26,10 +27,12 @@ def _shoot_grid(params, M=1024):
 
 
 def test_shoot_zero_slope_is_trivial():
+    # 5e-324 is a nonzero slope whose launch speed s eps^{N/2} underflows to 0
     params = bt.ProblemParams(3, 2, 1e-2)
-    orbit = bt.shoot(params, 0.0, _shoot_grid(params))
-    assert orbit.dirichlet
-    assert np.all(orbit.values == 0.0)
+    for s in (0.0, 5e-324):
+        orbit = bt.shoot(params, s, _shoot_grid(params))
+        assert orbit.dirichlet
+        assert np.all(orbit.values == 0.0)
 
 
 def test_shoot_odd_symmetry():
@@ -45,6 +48,54 @@ def test_shoot_rejects_nonfinite_slope():
     params = bt.ProblemParams(3, 2, 1e-2)
     with pytest.raises(ValueError):
         bt.shoot(params, float("nan"), _shoot_grid(params))
+
+
+def _whole_interval_orbit(params, s, nodes):
+    """u and w' at nodes from one solve_ivp across all of [log eps, 0], with no fold."""
+    p, beta = params.p, params.beta
+    a = s * params.eps ** (beta + 1.0)
+    sol = solve_ivp(
+        lambda t, y: (y[1], beta * beta * y[0] - abs(y[0]) ** (p - 1.0) * y[0]),
+        (math.log(params.eps), 0.0), (0.0, a), method="DOP853", rtol=1e-12, atol=1e-14 * a,
+        dense_output=True,
+    )
+    w, dw = sol.sol(np.log(nodes))
+    return nodes ** (-beta) * w, dw
+
+
+@pytest.mark.parametrize("key, slope", [((4, 3, 1e-4), None), ((5, 4, 1e-4), None), ((3, 1, 0.1), 1.0)])
+def test_shoot_matches_a_whole_interval_integration(key, slope):
+    # the unfolded half lobe against a shot over the whole interval at a
+    # tighter tolerance; slope None is the tower's own s*, and slope 1 on
+    # (3, 1, 0.1) turns past r = 1, so that shot is read without a fold
+    params = bt.ProblemParams(*key)
+    s = _time_map_slope(params) if slope is None else slope
+    grid = bt.build_grid(params.eps, 1.0, 4096, "log", params.N)
+    u, dw = _whole_interval_orbit(params, s, grid.nodes)
+    if slope is not None:
+        assert np.all(dw > 0.0)
+    sup = float(np.max(np.abs(u)))
+    got = bt.shoot(params, s, grid).values
+    assert float(np.max(np.abs(got[1:-1] - u[1:-1]))) <= 1e-8 * sup
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+def test_shot_ends_at_the_first_turn(monkeypatch, k):
+    # each lobe of the k-lobe orbit lasts log(1/eps)/k, so its first turn
+    # lies half a lobe past log eps; the integration stops there
+    ends = []
+
+    def recording(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        ends.append(float(sol.t[-1]))
+        return sol
+
+    monkeypatch.setattr(stationary, "solve_ivp", recording)
+    params = bt.ProblemParams(4, k, 1e-4)
+    bt.shoot(params, _time_map_slope(params), _shoot_grid(params))
+    log_eps = math.log(params.eps)
+    assert len(ends) == 1
+    assert abs(ends[0] - (log_eps - log_eps / (2 * k))) <= 1e-9
 
 
 def test_zero_count_transitions_with_slope():
@@ -184,6 +235,10 @@ def _cells_off(measured, law, nodes):
     return np.abs(np.asarray(measured) - law) / (nodes[j + 1] - nodes[j])
 
 
+# the k = 1 configurations whose Newton polish stalls above residual_tol
+KNOWN_STALLS = {(N, 1, eps) for N in (3, 4, 5) for eps in (1e-4, 1e-6)} | {(6, 1, 1e-6), (8, 1, 1e-6)}
+
+
 @pytest.mark.filterwarnings("error")
 def test_robustness_matrix_solves_or_names_the_cause():
     failures = {}
@@ -201,7 +256,7 @@ def test_robustness_matrix_solves_or_names_the_cause():
                 assert sol.nodal_radii.size == k - 1 and sol.deltas_measured.size == k
                 assert np.all(_cells_off(sol.nodal_radii, radii, nodes) <= 1.0), (N, k, eps)
                 assert np.all(_cells_off(sol.deltas_measured, scales, nodes) <= 1.0), (N, k, eps)
-    assert all(k == 1 for (_, k, _) in failures), failures
+    assert set(failures) <= KNOWN_STALLS, failures
     for msg in failures.values():
         assert msg.startswith("Newton refinement stalled at scaled residual"), msg
 
