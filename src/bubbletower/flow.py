@@ -32,11 +32,11 @@ not by numpy: each caller runs its whole loop under one np.errstate, entered
 outside the generator so that a loop left early leaves no error state behind.
 
 `lambda_sweep`'s runs are independent, so they fan out over the usable cores
-in forked processes that live only for the call; each does the same
-arithmetic as a serial run, so the rows are bit-identical to a serial sweep's.
-A sweep row keeps no energy, so its runs go through `evolve`'s loop
-(`_evolve`) with the per-step energy switched off; every other number of the
-run is the same.
+(`_fan_out`): the caller forks one child per extra core and runs its share
+too, and no child outlives the call. Each run does the same arithmetic as a
+serial run, so the rows are bit-identical to a serial sweep's. A sweep row
+keeps no energy, so its runs go through `evolve`'s loop (`_evolve`) with the
+per-step energy switched off; every other number of the run is the same.
 """
 from __future__ import annotations
 
@@ -380,8 +380,8 @@ def _sweep_row(sol: StationarySolution, cfg: FlowConfig, lam: float, pair: Eigen
 
 
 def _sweep_workers(n_runs: int) -> int:
-    """How many processes `lambda_sweep` spreads n_runs flow runs over: one per usable
-    core, at most one per run, and 1 (serial) where a fork cannot start them."""
+    """How many processes n_runs sweep runs spread over: one per usable core, at most
+    one per run, and 1 (serial) where a fork cannot start them."""
     import multiprocessing
 
     try:
@@ -391,6 +391,77 @@ def _sweep_workers(n_runs: int) -> int:
     if "fork" not in multiprocessing.get_all_start_methods() or multiprocessing.current_process().daemon:
         return 1  # a daemonic process cannot have children
     return max(1, min(n_runs, cores))
+
+
+def _fan_out(fn, items: list, workers: int) -> list:
+    """[fn(item) for item in items], run by the caller and workers - 1 forked children.
+
+    Every process, the caller included, claims the next index by reading a
+    4-byte record from a claim file whose offset they share, which the kernel
+    advances atomically. The children inherit fn and items through the fork
+    and pickle back only their results and exceptions, one pipe each, then
+    leave by os._exit. Returns the results in input order or raises the first
+    failed item's exception in input order; a child that ends without a report
+    raises RuntimeError with its exit code. If the caller fails, it empties the
+    claims, so the children stop after their current item. Every child is
+    reaped before the call returns or raises.
+    """
+    if workers == 1:
+        return [fn(item) for item in items]
+    # imported here: at module level, ahead of numpy, they made `import bubbletower` measurably slower
+    import pickle
+    import tempfile
+
+    results, errors, reports = {}, {}, []
+    with tempfile.TemporaryFile(buffering=0) as claims:
+        claims.write(np.arange(len(items), dtype="<u4").tobytes())
+        claims.seek(0)
+
+        def run_claims(results, errors):
+            while record := os.read(claims.fileno(), 4):
+                i = int.from_bytes(record, "little")
+                try:
+                    results[i] = fn(items[i])
+                except Exception as exc:
+                    errors[i] = exc
+
+        children = []  # (pid, read end of its report pipe)
+        try:
+            for _ in range(workers - 1):
+                read_end, write_end = os.pipe()
+                pid = os.fork()
+                if pid == 0:  # the child: never returns into the caller's code
+                    status = 1
+                    try:
+                        for fd in [read_end] + [r for _, r in children]:
+                            os.close(fd)
+                        mine = {}, {}
+                        run_claims(*mine)
+                        with open(write_end, "wb") as pipe:
+                            pickle.dump(mine, pipe)
+                        status = 0
+                    finally:
+                        os._exit(status)
+                os.close(write_end)
+                children.append((pid, read_end))
+            run_claims(results, errors)
+        finally:
+            os.lseek(claims.fileno(), 0, os.SEEK_END)  # empties the claims if the caller failed
+            for pid, read_end in children:
+                with open(read_end, "rb") as pipe:
+                    report = pipe.read()
+                reports.append((pid, os.waitpid(pid, 0)[1], report))
+    # an exit code as subprocess gives it: -9 for a child killed by signal 9
+    lost = [f"process {pid}, exit code {os.waitstatus_to_exitcode(status)}" for pid, status, _ in reports if status]
+    if lost:
+        raise RuntimeError(f"sweep children ended without a report: {'; '.join(lost)}")
+    for _, _, report in reports:
+        theirs = pickle.loads(report)
+        results.update(theirs[0])
+        errors.update(theirs[1])
+    if errors:
+        raise errors[min(errors)]
+    return [results[i] for i in range(len(items))]
 
 
 def lambda_sweep(
@@ -408,23 +479,15 @@ def lambda_sweep(
     horizon. Other lambdas keep cfg.t_end.
 
     The runs are independent, so they fan out over the usable cores
-    (`_sweep_workers`) through a pool of forked processes that lives only
-    for this call; each run does the same arithmetic as in the caller, so
-    the rows are bit-identical to a serial sweep's. A row keeps no energy,
-    so no run evaluates it (`_sweep_row`). An overflowing run gives a
-    'Failed' row; any other exception is raised here.
+    (`_sweep_workers`, `_fan_out`): the caller forks one child per extra core
+    and runs lambdas itself, and every child is reaped before the call
+    returns. Each run does the same arithmetic as in the caller, so the rows
+    are bit-identical to a serial sweep's. A row keeps no energy, so no run
+    evaluates it (`_sweep_row`). An overflowing run gives a 'Failed' row;
+    any other exception is raised here, the first in lambda order.
     """
     lambdas = [float(lam) for lam in lambdas]
-    workers = _sweep_workers(len(lambdas))
-    if workers == 1:
-        return [_sweep_row(sol, cfg, lam, pair) for lam in lambdas]
-    # imported here, not at module level, so that `import bubbletower` does not pay for them
-    import multiprocessing
-    from concurrent.futures.process import ProcessPoolExecutor
-
-    n = len(lambdas)
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(_sweep_row, [sol] * n, [cfg] * n, lambdas, [pair] * n))
+    return _fan_out(lambda lam: _sweep_row(sol, cfg, lam, pair), lambdas, _sweep_workers(len(lambdas)))
 
 
 def linearized_evolve(

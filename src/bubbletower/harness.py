@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .errors import SolverError
-from .flow import FlowConfig, _sweep_workers, comparison_monitor, evolve, lambda_sweep, stationary_horizon
+from .flow import FlowConfig, _fan_out, _sweep_row, _sweep_workers, comparison_monitor, evolve, stationary_horizon
 from .mesh import RadialField, apply_radial_laplacian, build_grid
 from .params import ProblemParams
 from .profile import Bubble, bubble_eval, ef_peak_height
@@ -210,18 +210,23 @@ def _now() -> str:
 
 
 def _start_manifest(op: str, cfg: dict, config_file) -> dict:
+    """The manifest before the run: its config holds exactly the keys op reads, and its
+    tolerances the shooting and Newton ones if op solves a tower and the stationarity
+    one if it runs the flow."""
     file_cfg, digest = config_file or ({}, None)
+    read = _read_keys(op)
+    tolerances = {}
+    if "M" in read:
+        tolerances.update(ivp_rtol=IVP_RTOL, residual_tol=cfg["residual_tol"])
+    if "t_end" in read:
+        tolerances["stationary_tol"] = FlowConfig.stationary_tol
     manifest = {
         "version": __version__,
         "operation": op,
-        "config": _sanitize(cfg),
-        "tolerances": {
-            "ivp_rtol": IVP_RTOL,
-            "residual_tol": cfg["residual_tol"],
-            "stationary_tol": FlowConfig.stationary_tol,
-        },
+        "config": _sanitize({key: cfg[key] for key in sorted(read)}),
+        "tolerances": tolerances,
         "input_hashes": {"config_file": digest},
-        "unread_config_keys": sorted(set(file_cfg) - _read_keys(op)),
+        "unread_config_keys": sorted(set(file_cfg) - read),
         "started": _now(),
     }
     if op == "sweep" or "eps" in OPERATIONS[op][1]:
@@ -231,7 +236,7 @@ def _start_manifest(op: str, cfg: dict, config_file) -> dict:
         grids = [{"M": cfg["M"], "grading": "log", "inner": float(eps), "outer": 1.0} for eps in inners]
         manifest["grid"] = grids if op == "sweep" else grids[0]
     if op == "sweep":
-        manifest["workers"] = _sweep_workers(len(cfg["lambda_list"]))  # processes per lambda_sweep
+        manifest["workers"] = _sweep_workers(len(cfg["eps_list"]) * len(cfg["lambda_list"]))  # for the whole table
     return manifest
 
 
@@ -328,9 +333,14 @@ def _flow(cfg: dict, root):
 
 
 def _sweep(cfg: dict, root):
-    """eps x lambda classification table; per-cell failures flagged, not fatal."""
+    """eps x lambda classification table; per-cell failures flagged, not fatal.
+
+    Each eps's tower and eigenpair are solved in turn, and a failed solve
+    flags that eps's cells in place. Then the runs of every solved cell fan
+    out together (`flow._fan_out`), so no eps waits for its own slowest run.
+    """
     fcfg = _flow_config(cfg)
-    table = []
+    table, cells = [], []  # cells: (eps, sol, pair, lambda) per None in table
     for eps in cfg["eps_list"]:
         sub = dict(cfg)
         sub["eps"] = float(eps)
@@ -343,8 +353,16 @@ def _sweep(cfg: dict, root):
                     {"eps": float(eps), "lambda": float(lam), "status": "Failed", "message": str(exc)}
                 )
             continue
-        for row in lambda_sweep(sol, cfg["lambda_list"], fcfg, pair):
-            table.append({"eps": float(eps), **row})
+        for lam in cfg["lambda_list"]:
+            cells.append((float(eps), sol, pair, float(lam)))
+            table.append(None)
+
+    def run_cell(cell):
+        eps, sol, pair, lam = cell
+        return {"eps": eps, **_sweep_row(sol, fcfg, lam, pair)}
+
+    runs = iter(_fan_out(run_cell, cells, _sweep_workers(len(cells))))
+    table = [next(runs) if row is None else row for row in table]
     counts = {}
     for r in table:
         counts[r["status"]] = counts.get(r["status"], 0) + 1

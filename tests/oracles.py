@@ -11,7 +11,11 @@ The flow references are the allocating IMEX-BE step, reaction-only map,
 energy and bookkeeping loops: the same operations in the same order as
 `bubbletower.flow`, written as plain array expressions and kept verbatim so
 that tests can require the package to reproduce them bit for bit.
+
+`assert_no_child_process` is the check that no call leaves a child process
+behind, running or unreaped, whatever started it.
 """
+import os
 from functools import partial
 from itertools import islice
 
@@ -24,6 +28,19 @@ from bubbletower.mesh import RadialField
 from bubbletower.params import sphere_area
 
 _HARD_STEP_CAP = 4_000_000
+
+
+def assert_no_child_process():
+    """This process has no child, running or a zombie: waitpid finds none to wait for.
+
+    Unlike multiprocessing.active_children(), this sees children started by a
+    bare os.fork. A zombie found here is reaped by the check.
+    """
+    try:
+        found = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    raise AssertionError(f"a child process outlived its call: waitpid(-1, WNOHANG) gave {found}")
 
 
 def rk4_terminal(N, eps, slopes, steps_per_scale=50.0, h_cap=1e-2):

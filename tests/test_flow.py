@@ -2,6 +2,7 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import time
 from functools import partial
 
 import numpy as np
@@ -14,6 +15,7 @@ from bubbletower.flow import _Stepper
 
 from oracles import (
     ReferenceStepper,
+    assert_no_child_process,
     reference_energy,
     reference_evolve,
     reference_linearized_series,
@@ -23,6 +25,13 @@ from oracles import (
 # numpy's overflow and invalid warnings must not escape a flow loop (each runs
 # under one np.errstate); a misplaced errstate shows here as a failure
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+@pytest.fixture(autouse=True)
+def _no_child_process_left():
+    yield
+    assert_no_child_process()
+
 
 KEY = (4, 2, 1e-3)
 
@@ -164,15 +173,15 @@ def _usable_cores() -> int:
 def test_lambda_sweep_rows_are_bit_identical_to_one_run_at_a_time(case_solutions, case_pairs, monkeypatch):
     sol, pair = case_solutions[KEY], case_pairs[KEY]
     cfg, lams = bt.FlowConfig(t_end=0.01), (0.5, 0.97, 1.0, 1.03, 1.06)
-    assert flow._sweep_workers(len(lams)) == min(len(lams), _usable_cores())  # the pool runs where it can
+    assert flow._sweep_workers(len(lams)) == min(len(lams), _usable_cores())  # the fan-out runs where it can
     rows = bt.lambda_sweep(sol, lams, cfg, pair)
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
     assert [r["lambda"] for r in rows] == list(lams)
     assert rows == [bt.lambda_sweep(sol, [lam], cfg, pair)[0] for lam in lams]
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     assert flow._sweep_workers(len(lams)) == 1
     assert rows == bt.lambda_sweep(sol, lams, cfg, pair)
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
 
 
 def test_linearized_rate_from_eigenfunction(case_solutions, case_pairs):
@@ -456,7 +465,7 @@ def test_overflow_in_a_multi_lambda_sweep_is_a_failed_row_in_place(overflowing_s
     assert (zero["lambda"], zero["status"]) == (0.0, "GlobalBounded")
     assert (blown["lambda"], blown["status"]) == (2.0, "Failed")
     assert "overflow" in blown["message"]
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
 
 
 @pytest.mark.parametrize("lams", [(1.0, math.nan), (math.nan, 1.0)])
@@ -464,7 +473,90 @@ def test_an_error_in_a_sweep_run_is_raised_in_the_caller(overflowing_state, lams
     sol, _ = overflowing_state
     with pytest.raises(ValueError, match="^dirichlet field must have exactly zero endpoint values$"):
         bt.lambda_sweep(sol, lams, bt.FlowConfig(t_end=1e-3))
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
+
+
+def test_the_caller_forks_one_child_fewer_than_the_workers(case_solutions, case_pairs, monkeypatch):
+    forks, real_fork = [], os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    sol, pair = case_solutions[KEY], case_pairs[KEY]
+    lams = (0.5, 1.0, 1.05)
+    rows = bt.lambda_sweep(sol, lams, bt.FlowConfig(t_end=1e-4), pair)
+    assert len(forks) == flow._sweep_workers(len(lams)) - 1
+    assert [r["lambda"] for r in rows] == list(lams)
+    forks.clear()
+
+    def square(i):
+        time.sleep(0.01)
+        return i * i, os.getpid()
+
+    results = flow._fan_out(square, list(range(10)), 3)
+    assert forks == [os.getpid()] * 2
+    assert [r for r, _ in results] == [i * i for i in range(10)]
+    assert os.getpid() in {pid for _, pid in results}  # the caller runs items too
+
+
+def test_a_child_that_ends_without_a_report_is_an_error(case_solutions, monkeypatch):
+    sol, caller, real_row = case_solutions[KEY], os.getpid(), flow._sweep_row
+
+    def row_or_die(*args):
+        if os.getpid() != caller:
+            os._exit(7)
+        time.sleep(0.1)  # the caller is slow, so the child claims some lambdas
+        return real_row(*args)
+
+    monkeypatch.setattr(flow, "_sweep_row", row_or_die)
+    monkeypatch.setattr(flow, "_sweep_workers", lambda n_runs: 2)
+    with pytest.raises(RuntimeError, match=r"ended without a report: process \d+, exit code 7$"):
+        bt.lambda_sweep(sol, (0.5, 0.6, 0.7, 0.8), bt.FlowConfig(t_end=1e-6))
+    assert_no_child_process()
+
+
+def test_the_first_failed_item_in_input_order_is_raised():
+    def odd_fails(i):
+        if i % 2:
+            raise ValueError(i)
+        return i
+
+    with pytest.raises(ValueError, match="^1$"):
+        flow._fan_out(odd_fails, list(range(8)), 2)
+
+
+def test_an_error_in_the_caller_reaps_the_children_before_it_propagates(tmp_path):
+    class Abort(BaseException):
+        pass
+
+    caller, log = os.getpid(), os.open(tmp_path / "ran", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def fn(i):
+        if os.getpid() == caller:
+            raise Abort(i)
+        os.write(log, b".")
+        time.sleep(0.01)
+        return i
+
+    with pytest.raises(Abort):
+        flow._fan_out(fn, list(range(50)), 2)
+    os.close(log)
+    assert_no_child_process()
+    # the caller emptied the claims: the child stopped after its current item
+    assert len((tmp_path / "ran").read_bytes()) < 25
+
+
+def test_a_long_sweep_matches_the_serial_rows(case_solutions, monkeypatch):
+    # 300 one-step runs: more claim records than one byte can index
+    sol, cfg = case_solutions[KEY], bt.FlowConfig(t_end=1e-10)
+    lams = np.linspace(0.5, 1.5, 300)
+    rows = bt.lambda_sweep(sol, lams, cfg)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert flow._sweep_workers(len(lams)) == 1
+    assert rows == bt.lambda_sweep(sol, lams, cfg)
+    assert [r["lambda"] for r in rows] == [float(lam) for lam in lams]
 
 
 def _row_from_evolve(sol, cfg, lam, pair):
@@ -509,7 +601,7 @@ def test_lambda_sweep_never_evaluates_the_energy(case_solutions, case_pairs, mon
     monkeypatch.setattr(flow, "_energy_parts", no_energy)
     assert flow._sweep_workers(len(lams)) == 1
     assert bt.lambda_sweep(sol, lams, cfg, pair) == rows
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
 
 
 @pytest.mark.parametrize("lam", [0.97, 1.03])

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import re
 import shutil
@@ -25,12 +26,16 @@ from bubbletower.harness import (
     _fmt17,
     _hash8,
     _read_keys,
+    _sanitize,
+    _start_manifest,
     fmt6,
     load_config,
     parse_value,
     resolve_config,
     write_csv,
 )
+
+from oracles import assert_no_child_process
 
 CFG_TEXT = """\
 # single-layer benchmark problem
@@ -42,6 +47,12 @@ M = 1024           # grid cells
 dt_max = 1e-4
 t_end = 0.5
 """
+
+
+@pytest.fixture(autouse=True)
+def _no_child_process_left():
+    yield
+    assert_no_child_process()
 
 
 @pytest.fixture(scope="module")
@@ -449,7 +460,7 @@ def test_sweep_run(cfg_file, tmp_path):
     assert lines[0] == "eps,lambda,status,T_estimate,sup_final,drift_rel"
     assert len(lines) == 3
     manifest = json.loads((d / "manifest.json").read_text())
-    assert manifest["workers"] == _sweep_workers(2)  # the count test_flow pins to the usable cores
+    assert manifest["workers"] == _sweep_workers(1 * 2)  # one table of 1 eps x 2 lambdas
 
 
 def test_sweep_manifest_names_the_solved_annuli(tmp_path):
@@ -458,7 +469,42 @@ def test_sweep_manifest_names_the_solved_annuli(tmp_path):
     (d,) = list(tmp_path.iterdir())
     manifest = json.loads((d / "manifest.json").read_text())
     assert manifest["grid"] == [{"M": 256, "grading": "log", "inner": 0.1, "outer": 1.0}]
-    assert manifest["config"]["eps"] == 0.001  # the config's eps, on which nothing was solved
+    assert "eps" not in manifest["config"]  # the config's eps, which the sweep does not read
+
+
+def test_sweep_fans_out_one_table_with_the_serial_bytes(tmp_path, monkeypatch):
+    argv = ["sweep", "--N", "3", "--k", "1", "--M", "256", "--eps-list", "0.1,0.05", "--lambda-list", "0.9,1.1"]
+    argv += ["--t-end", "0.01"]
+    assert main(argv + ["--out", str(tmp_path / "fanned")]) == 0
+    (d,) = list((tmp_path / "fanned").iterdir())
+    table = json.loads((d / "summary.json").read_text())["table"]
+    assert json.loads((d / "manifest.json").read_text())["workers"] == _sweep_workers(2 * 2)
+    per_eps = []
+    for eps in (0.1, 0.05):
+        sol = bubbletower.find_nodal_solution(bubbletower.ProblemParams(3, 1, eps), M=256)
+        pair = bubbletower.first_eigenpair(bubbletower.assemble_linearized(sol))
+        per_eps += [{"eps": eps, **row} for row in bubbletower.lambda_sweep(sol, (0.9, 1.1), FlowConfig(t_end=0.01), pair)]
+    assert table == _sanitize(per_eps)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert _sweep_workers(4) == 1
+    assert main(argv + ["--out", str(tmp_path / "serial")]) == 0
+    (d0,) = list((tmp_path / "serial").iterdir())
+    assert (d / "sweep.csv").read_bytes() == (d0 / "sweep.csv").read_bytes()
+    assert json.loads((d0 / "manifest.json").read_text())["workers"] == 1
+
+
+@pytest.mark.parametrize("op", OPERATIONS)
+def test_manifest_config_is_exactly_the_keys_the_operation_reads(op):
+    cfg = resolve_config()
+    manifest = _start_manifest(op, cfg, None)
+    assert set(manifest["config"]) == _read_keys(op)
+    assert manifest["config"] == _sanitize({key: cfg[key] for key in _read_keys(op)})
+    expected = set()
+    if "M" in _read_keys(op):  # solves a tower: the shot and the Newton gate
+        expected |= {"ivp_rtol", "residual_tol"}
+    if "t_end" in _read_keys(op):  # runs the flow: the stationarity test
+        expected.add("stationary_tol")
+    assert set(manifest["tolerances"]) == expected
 
 
 @pytest.mark.parametrize(

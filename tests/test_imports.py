@@ -10,8 +10,9 @@ caller overrides hides a dead branch, and the parameter should be required.
 Every defaulted parameter of a public function is passed by some call in the
 package or in its tests, for the same reason as a private one. And the
 package's `__all__` is exactly the set of names its __init__.py imports from
-its submodules, each of which resolves. And `import bubbletower` leaves the
-process-pool modules unloaded; `lambda_sweep` imports them when it runs.
+its submodules, each of which resolves. And `import bubbletower` loads
+neither `multiprocessing`, which `lambda_sweep` imports when it asks whether
+it may fork, nor the process-pool module, which the package does not use.
 """
 import ast
 import os
@@ -140,3 +141,15 @@ def test_import_leaves_the_process_pool_modules_out():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_no_module_imports_a_process_pool():
+    # `lambda_sweep` forks its children itself (`flow._fan_out`)
+    imported = {
+        (node.module if isinstance(node, ast.ImportFrom) else alias.name)
+        for tree in TREES.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert not {m for m in imported if m and m.startswith("concurrent")}
