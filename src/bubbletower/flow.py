@@ -103,15 +103,19 @@ class FlowResult:
     """Classification of one run plus its sampled time series.
 
     status is one of 'Stationary', 'GlobalBounded', 'BlowUp', 'Undetermined'.
-    series columns: t, sup norm, energy, dt. For blow-up runs T_estimate comes
-    from fitting sup|v| ~ kappa (T - t)^{-1/(p-1)} over the last decade of
-    growth. T_bracket is the detection window: (first threshold crossing,
-    detection time) for the threshold + dt-collapse rule, or the single step
-    inside which the closed-form reaction map diverged. For reaction-only runs
-    the ODE blow-up time lies within the bracket up to the accumulated
-    roundoff of the step clock (~ steps * eps_mach * t); the collapse rule can
-    also fire a few clamped steps before the map itself diverges, putting T
-    just past the right edge by a comparable margin.
+    series columns: t, sup norm, energy, dt. For blow-up runs T_estimate is
+    the escape time t + sup^{1-p}/(p-1) of v' = v^p at the first series row
+    past the threshold, or, when the closed-form reaction map diverges first,
+    at the last finite row (t = 0 and sup0 if there is none). The escape time
+    never decreases along an IMEX-BE run, so T_estimate lies in
+    [T_bracket[0], T_bracket[1] + dt_min/(safety (p-1))]. T_bracket is the
+    detection window: (first threshold crossing, detection time) for the
+    threshold + dt-collapse rule, or the single step inside which the
+    closed-form reaction map diverged. For reaction-only runs the ODE blow-up
+    time lies within the bracket up to the accumulated roundoff of the step
+    clock (~ steps * eps_mach * t); the collapse rule can also fire a few
+    clamped steps before the map itself diverges, putting T just past the
+    right edge by a comparable margin.
     """
 
     status: str
@@ -265,32 +269,6 @@ def _adaptive_dt(cfg: FlowConfig, p: float):
     return dt_of
 
 
-def _fit_blowup_time(ts: np.ndarray, sups: np.ndarray, p: float, thr: float) -> float | None:
-    finite = np.isfinite(sups)
-    if not finite.any():
-        return None
-    top = np.max(sups[finite])
-    # anchor the window at the detection threshold: past it the clamped steps
-    # can multiply sup by orders of magnitude per step, leaving fewer than 3
-    # samples within a decade of the maximum
-    level = min(top, thr)
-    # a clamped step can also jump from below the window straight past the
-    # threshold (p = 5); widen one decade at a time until 3 samples fit
-    lo, bottom = level / 10.0, np.min(sups[finite])
-    mask = finite & (sups >= lo)
-    while mask.sum() < 3 and lo > bottom:
-        lo /= 10.0
-        mask = finite & (sups >= lo)
-    if mask.sum() < 3:
-        return None
-    t, y = ts[mask], sups[mask] ** (1.0 - p)
-    A = np.vstack([np.ones(t.size), t]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    if coef[1] >= 0:
-        return None
-    return float(-coef[0] / coef[1])
-
-
 def evolve(v0: RadialField, params: ProblemParams, cfg: FlowConfig) -> FlowResult:
     """Integrate v_t = Delta v + |v|^{p-1}v from v0 and classify the trajectory."""
     return _evolve(v0, params, cfg, energy=True)
@@ -299,7 +277,7 @@ def evolve(v0: RadialField, params: ProblemParams, cfg: FlowConfig) -> FlowResul
 def _evolve(v0: RadialField, params: ProblemParams, cfg: FlowConfig, energy: bool) -> FlowResult:
     """`evolve`'s run. With energy false no step evaluates the energy and the
     series' energy column is NaN; the status, the other columns, the final
-    state, the drift and the T fit (which reads only t and sup) are unchanged."""
+    state, the drift and T_estimate (which reads only t and sup) are unchanged."""
     reaction_only = cfg.integrator == "reaction-only"
     if not (reaction_only or v0.dirichlet):
         raise ValueError("diffusive runs need zero-trace initial data")
@@ -309,7 +287,7 @@ def _evolve(v0: RadialField, params: ProblemParams, cfg: FlowConfig, energy: boo
     thr = cfg.blow_threshold * sup0
     omega, scratch = sphere_area(g.N), _energy_scratch(g)
     lo, hi = v0.values.copy(), v0.values.copy()  # node-wise min and max of the state over the run
-    v, series, crossed_at, blowup = v0.values.copy(), [], None, None
+    v, series, crossed, blowup = v0.values.copy(), [], None, None  # crossed: (t, sup) at the first crossing
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for t, dt, v, sup, collapse in _march(advance, v, cfg.t_end, _adaptive_dt(cfg, p), cfg.dt_min):
@@ -321,10 +299,10 @@ def _evolve(v0: RadialField, params: ProblemParams, cfg: FlowConfig, energy: boo
                 else:
                     series.append((t, sup, math.nan, dt))
                 if sup0 > 0.0 and sup > thr:
-                    if crossed_at is None:
-                        crossed_at = t
+                    if crossed is None:
+                        crossed = (t, sup)
                     if collapse >= _COLLAPSE_RUN:
-                        blowup = ((crossed_at, t), "")
+                        blowup = ((crossed[0], t), "")
                         break
     except IntegratorFailure as exc:
         if not reaction_only:
@@ -340,9 +318,10 @@ def _evolve(v0: RadialField, params: ProblemParams, cfg: FlowConfig, energy: boo
     arr = np.asarray(series) if series else np.zeros((0, 4))
     final = RadialField(v0.grid, v, v0.dirichlet)
     if blowup is not None:
-        T = _fit_blowup_time(arr[:, 0], arr[:, 1], params.p, thr) if arr.size else None
+        t, sup = crossed or (series[-1][:2] if series else (0.0, sup0))
+        T = t + sup ** (1.0 - p) / (p - 1.0)  # the escape time of v' = v^p from sup at t
         return FlowResult("BlowUp", arr, final, sup0, drift, T, *blowup)
-    if crossed_at is not None:
+    if crossed is not None:
         status, msg = "Undetermined", "threshold crossed without time-step collapse"
     elif sup0 > 0.0 and drift <= cfg.stationary_tol * sup0:
         status, msg = "Stationary", ""

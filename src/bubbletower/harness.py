@@ -235,8 +235,6 @@ def _start_manifest(op: str, cfg: dict, config_file) -> dict:
         inners = cfg["eps_list"] if op == "sweep" else [cfg["eps"]]
         grids = [{"M": cfg["M"], "grading": "log", "inner": float(eps), "outer": 1.0} for eps in inners]
         manifest["grid"] = grids if op == "sweep" else grids[0]
-    if op == "sweep":
-        manifest["workers"] = _sweep_workers(len(cfg["eps_list"]) * len(cfg["lambda_list"]))  # for the whole table
     return manifest
 
 
@@ -338,6 +336,8 @@ def _sweep(cfg: dict, root):
     Each eps's tower and eigenpair are solved in turn, and a failed solve
     flags that eps's cells in place. Then the runs of every solved cell fan
     out together (`flow._fan_out`), so no eps waits for its own slowest run.
+    The number of processes they fan out over depends on the host, so it goes
+    to the manifest alone (the summary's "_manifest" block).
     """
     fcfg = _flow_config(cfg)
     table, cells = [], []  # cells: (eps, sol, pair, lambda) per None in table
@@ -361,14 +361,16 @@ def _sweep(cfg: dict, root):
         eps, sol, pair, lam = cell
         return {"eps": eps, **_sweep_row(sol, fcfg, lam, pair)}
 
-    runs = iter(_fan_out(run_cell, cells, _sweep_workers(len(cells))))
+    workers = _sweep_workers(len(cells))
+    runs = iter(_fan_out(run_cell, cells, workers))
     table = [next(runs) if row is None else row for row in table]
     counts = {}
     for r in table:
         counts[r["status"]] = counts.get(r["status"], 0) + 1
     cols = ["eps", "lambda", "status", "T_estimate", "sup_final", "drift_rel"]
     rows = ([r.get(c) for c in cols] for r in table)
-    return {"cells": len(table), "status_counts": counts, "table": table}, {"sweep.csv": (cols, rows)}
+    summary = {"cells": len(table), "status_counts": counts, "table": table, "_manifest": {"workers": workers}}
+    return summary, {"sweep.csv": (cols, rows)}
 
 
 def _verify_checks() -> list:
@@ -539,12 +541,15 @@ def run(op: str, cfg: dict, root, config_file=None):
 
     The directory <op>-<hash8> under root is created only once the operation
     has returned, so a failed run leaves nothing behind. It receives the CSV
-    tables, manifest.json and summary.json. A summary with a failed check is
-    still written, then raised as a SolverError naming the failed checks.
+    tables, manifest.json and summary.json. A "_manifest" block that the
+    body puts in its summary goes into manifest.json only. A summary with a
+    failed check is still written, then raised as a SolverError naming the
+    failed checks.
     """
     root = Path(root)
     manifest = _start_manifest(op, cfg, config_file)
     summary, tables = OPERATIONS[op][0](cfg, root)
+    manifest.update(summary.pop("_manifest", {}))
     outdir = root / f"{op}-{_hash8(op, cfg)}"
     outdir.mkdir(parents=True, exist_ok=True)
     for name, (header, rows) in tables.items():

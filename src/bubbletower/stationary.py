@@ -261,6 +261,9 @@ def find_nodal_solution(
     Orientation: s* is positive, so the innermost lobe of the returned
     solution is positive; the mirrored solution is -field.
     """
+    # written as `not (ok)` so that NaN, which fails every comparison, is rejected too
+    if not (math.isfinite(residual_tol) and residual_tol > 0):
+        raise ValueError(f"residual_tol must be finite and positive, got {residual_tol}")
     s_star = _time_map_slope(params)
     grid = build_grid(params.eps, 1.0, M, "log", params.N)
     u_shot = shoot(params, s_star, grid)

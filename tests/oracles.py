@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from bubbletower.errors import IntegratorFailure
-from bubbletower.flow import _COLLAPSE_RUN, FlowResult, _adaptive_dt, _fit_blowup_time, _march
+from bubbletower.flow import _COLLAPSE_RUN, FlowResult, _adaptive_dt, _march
 from bubbletower.mesh import RadialField
 from bubbletower.params import sphere_area
 
@@ -187,16 +187,16 @@ def reference_evolve(v0, params, cfg):
     advance = partial(reference_reaction_map, p=params.p) if reaction_only else ReferenceStepper(v0.grid, params).step
     sup0 = float(np.max(np.abs(v0.values)))
     thr = cfg.blow_threshold * sup0
-    v, series, drift, crossed_at, blowup = v0.values.copy(), [], 0.0, None, None
+    v, series, drift, crossed, blowup = v0.values.copy(), [], 0.0, None, None
     try:
         for t, dt, v, sup, collapse in _march(advance, v, cfg.t_end, _adaptive_dt(cfg, params.p), cfg.dt_min):
             drift = max(drift, float(np.max(np.abs(v - v0.values))))
             series.append((t, sup, reference_energy(RadialField(v0.grid, v), params), dt))
             if sup0 > 0.0 and sup > thr:
-                if crossed_at is None:
-                    crossed_at = t
+                if crossed is None:
+                    crossed = (t, sup)
                 if collapse >= _COLLAPSE_RUN:
-                    blowup = ((crossed_at, t), "")
+                    blowup = ((crossed[0], t), "")
                     break
     except IntegratorFailure as exc:
         if not reaction_only:
@@ -206,9 +206,11 @@ def reference_evolve(v0, params, cfg):
     arr = np.asarray(series) if series else np.zeros((0, 4))
     final = RadialField(v0.grid, v, v0.dirichlet)
     if blowup is not None:
-        T = _fit_blowup_time(arr[:, 0], arr[:, 1], params.p, thr) if arr.size else None
+        # the escape time of v' = v^p from the sup norm at the first crossing, else at the last finite row
+        t, sup = crossed or (series[-1][:2] if series else (0.0, sup0))
+        T = t + sup ** (1.0 - params.p) / (params.p - 1.0)
         return FlowResult("BlowUp", arr, final, sup0, drift, T, *blowup)
-    if crossed_at is not None:
+    if crossed is not None:
         status, msg = "Undetermined", "threshold crossed without time-step collapse"
     elif sup0 > 0.0 and drift <= cfg.stationary_tol * sup0:
         status, msg = "Stationary", ""

@@ -180,7 +180,7 @@ def test_criterion_07_sign_condition_and_bubble_overlap(
 
 def test_criterion_08_reaction_blowup_times():
     # pure reaction from constant data a: v(t) = a(1-(p-1)a^{p-1}t)^{-1/(p-1)},
-    # so T = a^{1-p}/(p-1) exactly; the fitted estimate must land within 1%
+    # so T = a^{1-p}/(p-1) exactly; the escape-time estimate must land within 1%
     worst = 0.0
     for N in (3, 4, 5):  # p = 5, 3, 7/3
         p = critical_exponent(N)

@@ -634,17 +634,50 @@ def test_overflow_in_linear_nonlinear_consistency_raises(overflowing_state):
         bt.linear_nonlinear_consistency(sol, pair)
 
 
-def test_blowup_time_for_p5_clamped_jump(case_solutions):
-    # N = 3 (p = 5): at dt_min one clamped step jumps from below a decade of
-    # the threshold straight past it, so the fit window must reach further down
-    sol = case_solutions[(3, 2, 1e-3)]
-    v0 = bt.RadialField(sol.field.grid, 1.05 * sol.field.values, dirichlet=True)
-    cfg = bt.FlowConfig()
-    res = bt.evolve(v0, sol.params, cfg)
+def _tower_run(key, lam):
+    """The IMEX-BE run from lam * phi on the (N, k, eps) tower, at the default FlowConfig."""
+    sol = bt.find_nodal_solution(bt.ProblemParams(*key))
+    return bt.RadialField(sol.field.grid, lam * sol.field.values, dirichlet=True), sol.params, bt.FlowConfig()
+
+
+def _first_step_divergence():
+    """v' = v^3 from 1000 blows up at T = 1000^-2 / 2 = 5e-7, inside the first step, dt = 0.6 / 1000^2."""
+    g = bt.build_grid(0.5, 1.0, 16, N=4)
+    cfg = bt.FlowConfig(integrator="reaction-only", safety=0.6)
+    return bt.RadialField(g, np.full(g.nodes.size, 1000.0)), bt.ProblemParams(4, 1, 0.5), cfg
+
+
+@pytest.mark.parametrize(
+    "setup",
+    [
+        pytest.param(partial(_tower_run, key, lam), id="-".join(map(str, (*key, lam))))
+        for key in ((3, 2, 1e-3), (4, 2, 1e-3), (5, 2, 1e-3), (6, 2, 1e-4), (8, 2, 1e-2))
+        for lam in (1.05, 1.3)
+    ]
+    + [pytest.param(_first_step_divergence, id="reaction-map-diverges-on-the-first-step")],
+)
+def test_blowup_time_lies_in_the_bracket(setup):
+    # the escape time never decreases along the run, and the detecting step is
+    # taken at dt_min, so its escape time is at most dt_min / (safety (p - 1)) past it
+    v0, params, cfg = setup()
+    res = bt.evolve(v0, params, cfg)
     assert res.status == "BlowUp"
-    assert res.T_estimate is not None and np.isfinite(res.T_estimate)
     lo, hi = res.T_bracket
-    assert lo - 10 * cfg.dt_min <= res.T_estimate <= hi + 10 * cfg.dt_min
+    assert lo <= res.T_estimate <= hi + cfg.dt_min / (cfg.safety * (params.p - 1.0))
+
+
+@pytest.mark.parametrize("key", [(4, 2, 1e-3), (3, 2, 1e-3)])
+@pytest.mark.parametrize("lam", [1.05, 0.98])
+def test_the_escape_time_never_decreases_along_a_run(case_solutions, key, lam):
+    # backward-Euler diffusion does not raise the sup norm (D + dt K is an
+    # M-matrix) and the explicit reaction lags the ODE v' = v^p
+    sol = case_solutions[key]
+    v0 = bt.RadialField(sol.field.grid, lam * sol.field.values, dirichlet=True)
+    res = bt.evolve(v0, sol.params, bt.FlowConfig())
+    assert res.status == "BlowUp"
+    p = sol.params.p
+    escape = res.series[:, 0] + res.series[:, 1] ** (1.0 - p) / (p - 1.0)
+    assert (np.diff(escape) >= 0.0).all()
 
 
 def _assert_same_run(got, want):

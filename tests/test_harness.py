@@ -596,6 +596,10 @@ def test_sweep_flags_failed_cells(tmp_path):
     (d,) = list((tmp_path / "runs").iterdir())
     summary = json.loads((d / "summary.json").read_text())
     assert summary["status_counts"] == {"Failed": 2}
+    # no flow run started, so the table ran in this process alone; the count
+    # depends on the host and stays out of summary.json
+    assert json.loads((d / "manifest.json").read_text())["workers"] == 1
+    assert "workers" not in summary and "_manifest" not in summary
 
 
 def test_verify_run(tmp_path):
@@ -653,6 +657,19 @@ def test_exit_code_solver_failure(tmp_path):
     cfg = tmp_path / "unmet.cfg"
     cfg.write_text("N = 3\nk = 2\neps = 0.1\nM = 1024\nresidual_tol = 1e-30\n")
     assert main(["tower", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_a_residual_tol_that_is_not_finite_and_positive_is_refused(tmp_path, capsys, value):
+    # (4,1,1e-4) stalls at 2.06e-8: a NaN gate, which fails every comparison, would let it pass
+    cfg = tmp_path / "gate.cfg"
+    cfg.write_text(f"residual_tol = {value}\n")
+    out = tmp_path / "runs"
+    out.mkdir()
+    argv = ["tower", "--config", str(cfg), "--N", "4", "--k", "1", "--eps", "1e-4", "--out", str(out)]
+    assert main(argv) == 1
+    assert f"error: residual_tol must be finite and positive, got {float(value)}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_failed_runs_leave_no_directory(tmp_path, capsys):
