@@ -67,9 +67,7 @@ def _console_summary(op: str, summary: dict) -> str:
     if op == "verify":
         n = len(summary["checks"])
         return f"verify: {n}/{n} checks passed"
-    if op == "report":
-        return f"report: collated {summary['runs']} runs ({summary['version']})"
-    return op
+    return f"report: collated {summary['runs']} runs ({summary['version']})"
 
 
 def main(argv=None) -> int:

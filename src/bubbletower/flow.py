@@ -368,7 +368,7 @@ def _sweep_workers(n_runs: int) -> int:
     except AttributeError:  # no affinity call on this platform
         cores = os.cpu_count() or 1
     if "fork" not in multiprocessing.get_all_start_methods() or multiprocessing.current_process().daemon:
-        return 1  # a daemonic process cannot have children
+        return 1  # multiprocessing lets no daemon have children: a terminated daemon would orphan them
     return max(1, min(n_runs, cores))
 
 
@@ -383,7 +383,8 @@ def _fan_out(fn, items: list, workers: int) -> list:
     failed item's exception in input order; a child that ends without a report
     raises RuntimeError with its exit code. If the caller fails, it empties the
     claims, so the children stop after their current item. Every child is
-    reaped before the call returns or raises.
+    reaped before the call returns or raises; a child whose caller was killed
+    stops after its current item too, since it checks its parent before each claim.
     """
     if workers == 1:
         return [fn(item) for item in items]
@@ -396,15 +397,16 @@ def _fan_out(fn, items: list, workers: int) -> list:
         claims.write(np.arange(len(items), dtype="<u4").tobytes())
         claims.seek(0)
 
-        def run_claims(results, errors):
-            while record := os.read(claims.fileno(), 4):
+        def run_claims(results, errors, caller=None):
+            # a child stops claiming once the caller is gone: it has been re-parented
+            while (caller is None or os.getppid() == caller) and (record := os.read(claims.fileno(), 4)):
                 i = int.from_bytes(record, "little")
                 try:
                     results[i] = fn(items[i])
                 except Exception as exc:
                     errors[i] = exc
 
-        children = []  # (pid, read end of its report pipe)
+        children, caller = [], os.getpid()  # children: (pid, read end of its report pipe)
         try:
             for _ in range(workers - 1):
                 read_end, write_end = os.pipe()
@@ -415,7 +417,7 @@ def _fan_out(fn, items: list, workers: int) -> list:
                         for fd in [read_end] + [r for _, r in children]:
                             os.close(fd)
                         mine = {}, {}
-                        run_claims(*mine)
+                        run_claims(*mine, caller)
                         with open(write_end, "wb") as pipe:
                             pickle.dump(mine, pipe)
                         status = 0

@@ -172,16 +172,12 @@ def write_csv(path, header, rows) -> None:
 
 
 def _sanitize(obj):
+    """obj as JSON takes it: str keys, lists for tuples, non-finite floats as their repr.
+    Operation bodies build Python scalars and lists, so no numpy value reaches it."""
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_sanitize(v) for v in obj.tolist()]
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
     return obj

@@ -298,47 +298,33 @@ def find_nodal_solution(
     )
 
 
-def verify_scaling_law(
-    N: int,
-    k: int,
-    eps_list,
-    M: int = 4096,
-    solutions: dict | None = None,
-) -> dict:
-    """Fit the exponents of measured delta_i against eps across a sweep.
+def verify_scaling_law(solutions: dict) -> dict:
+    """Fit the exponents of measured delta_i against eps across converged towers.
 
-    Expected exponents are (2i-1)/(2k). Requires at least 3 eps values
-    spanning a decade. Pre-solved solutions can be passed to avoid recompute;
-    per-eps solver failures are collected and flagged, and the fit proceeds
-    when at least 3 values survive.
+    solutions maps each eps to the converged tower at that eps, all of one
+    (N, k); at least 3 eps values spanning a decade are needed. Expected
+    exponents are (2i-1)/(2k).
     """
-    eps_arr = np.sort(np.asarray(list(eps_list), dtype=float))[::-1]
-    if eps_arr.size < 3:
-        raise ValueError(f"need >= 3 eps values for a slope fit, got {eps_arr.size}")
-    if eps_arr[0] / eps_arr[-1] < 10.0:
+    eps_sorted = sorted(solutions)
+    if len(eps_sorted) < 3:
+        raise ValueError(f"need >= 3 eps values for a slope fit, got {len(eps_sorted)}")
+    if eps_sorted[-1] / eps_sorted[0] < 10.0:
         raise ValueError("eps values must span at least one decade")
-    table = {}
-    failures = {}
-    for eps in eps_arr:
-        try:
-            sol = None if solutions is None else solutions.get(float(eps))
-            if sol is None:
-                sol = find_nodal_solution(ProblemParams(N, k, float(eps)), M=M)
-            table[float(eps)] = sol.deltas_measured
-        except SolverError as exc:
-            failures[float(eps)] = str(exc)
-    if len(table) < 3:
-        raise SolverError("fewer than 3 converged solutions in the sweep", {"failures": failures})
-    eps_ok = np.array(sorted(table))
-    log_eps = np.log(eps_ok)
+    misfiled = [e for e, sol in solutions.items() if sol.params.eps != e]
+    if misfiled:
+        raise ValueError(f"towers filed under an eps other than their own: {misfiled}")
+    kinds = sorted({(sol.params.N, sol.params.k) for sol in solutions.values()})
+    if len(kinds) > 1:
+        raise ValueError(f"towers of one (N, k) are needed, got {kinds}")
+    k = kinds[0][1]
+    log_eps = np.log(eps_sorted)
     exponents = {}
     for i in range(k):
-        log_d = np.log([table[e][i] for e in eps_ok])
+        log_d = np.log([solutions[e].deltas_measured[i] for e in eps_sorted])
         exponents[i + 1] = float(np.polyfit(log_eps, log_d, 1)[0])
     expected = {i + 1: (2 * (i + 1) - 1) / (2 * k) for i in range(k)}
     return {
         "exponents": exponents,
         "expected": expected,
-        "deltas": {e: table[e].tolist() for e in eps_ok},
-        "failures": failures,
+        "deltas": {e: solutions[e].deltas_measured.tolist() for e in eps_sorted},
     }

@@ -2,8 +2,11 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,6 +278,21 @@ def test_separation_projection_sign(case_solutions, case_pairs, lam, sign):
     assert 0.0 < diag["best_fraction"] < 1.0
 
 
+@pytest.fixture(scope="module")
+def one_lobe():
+    sol = bt.find_nodal_solution(bt.ProblemParams(3, 1, 0.1), M=1024)
+    return sol, bt.first_eigenpair(bt.assemble_linearized(sol))
+
+
+@pytest.mark.parametrize("lam,sign", ((1.5, 1.0), (0.5, -1.0)))
+def test_separation_time_on_a_one_lobe_tower(one_lobe, lam, sign):
+    # with one lobe there is no sign change to sweep: the difference is
+    # one-signed at the first step checked after the 10-step transient
+    out = bt.find_separation_time(*one_lobe, lam, bt.FlowConfig())
+    assert out["t0"] == pytest.approx(1.1e-4, rel=1e-12)
+    assert out["diagnostics"] == {"steps": 11, "projection_sign": sign}
+
+
 def test_onesided_window(case_solutions, case_pairs):
     sol, pair = case_solutions[KEY], case_pairs[KEY]
     out = bt.find_onesided_window(sol, pair)
@@ -312,6 +330,14 @@ def test_comparison_monitor_equal_data_zero_violation():
     params = bt.ProblemParams(3, 1, 0.5)
     cfg = bt.FlowConfig(t_end=5e-3, dt_max=1e-4)
     out = bt.comparison_monitor(_bump(g), _bump(g), params, cfg)
+    assert out["violation"] == 0.0
+
+
+def test_comparison_monitor_stops_at_the_blow_up_threshold():
+    g = bt.build_grid(0.5, 1.0, 64, "uniform", N=3)
+    cfg = bt.FlowConfig(dt_max=1e-4, t_end=1.0)
+    out = bt.comparison_monitor(_bump(g, 20.0), _bump(g, 40.0), bt.ProblemParams(3, 1, 0.5), cfg)
+    assert out["stopped"] == "blow-up threshold"
     assert out["violation"] == 0.0
 
 
@@ -548,6 +574,46 @@ def test_an_error_in_the_caller_reaps_the_children_before_it_propagates(tmp_path
     assert len((tmp_path / "ran").read_bytes()) < 25
 
 
+_ORPHAN_PROBE = """
+import os, sys, time
+from bubbletower import flow
+
+log = os.open(sys.argv[1], os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+def slow(i):
+    os.write(log, f"{os.getpid()} {i} {time.time()!r}\\n".encode())
+    time.sleep(0.2)
+    return i
+
+flow._fan_out(slow, list(range(20)), 2)
+"""
+
+
+def test_a_child_stops_claiming_once_its_caller_is_killed(tmp_path):
+    log = tmp_path / "started"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(Path(flow.__file__).parents[1]), env.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ORPHAN_PROBE, str(log)],
+        stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env,
+    )
+
+    def started():
+        return [line.split() for line in log.read_text().splitlines()] if log.exists() else []
+
+    deadline = time.monotonic() + 60.0
+    while len({pid for pid, _, _ in started()}) < 2:  # the caller and its child have each begun an item
+        assert proc.poll() is None and time.monotonic() < deadline, proc.communicate()[0]
+        time.sleep(0.005)
+    killed_at = time.time()  # each has 0.2 s to go before its next claim
+    proc.kill()
+    # the child inherited the probe's stdout, so its end of the pipe closes only
+    # when the child is gone as well
+    proc.communicate(timeout=10)
+    late = [(int(pid), int(i)) for pid, i, t in started() if float(t) > killed_at]
+    assert not late, f"items started after the caller was killed: {late}"
+
+
 def test_a_long_sweep_matches_the_serial_rows(case_solutions, monkeypatch):
     # 300 one-step runs: more claim records than one byte can index
     sol, cfg = case_solutions[KEY], bt.FlowConfig(t_end=1e-10)
@@ -664,6 +730,22 @@ def test_blowup_time_lies_in_the_bracket(setup):
     assert res.status == "BlowUp"
     lo, hi = res.T_bracket
     assert lo <= res.T_estimate <= hi + cfg.dt_min / (cfg.safety * (params.p - 1.0))
+
+
+def test_a_crossing_without_time_step_collapse_is_undetermined():
+    # 1.05 phi on (4, 2, 1e-2) crosses the threshold a few steps before its
+    # step collapses; a horizon between the two ends the run undecided. For
+    # N = 3 (p = 5) the crossing and the collapse fall on the same step.
+    sol = bt.find_nodal_solution(bt.ProblemParams(4, 2, 1e-2), M=1024)
+    v0 = bt.RadialField(sol.field.grid, 1.05 * sol.field.values, dirichlet=True)
+    full = bt.evolve(v0, sol.params, bt.FlowConfig())
+    assert full.status == "BlowUp"
+    lo, hi = full.T_bracket
+    assert lo < hi
+    res = bt.evolve(v0, sol.params, bt.FlowConfig(t_end=0.5 * (lo + hi)))
+    assert res.status == "Undetermined"
+    assert res.message == "threshold crossed without time-step collapse"
+    assert res.T_estimate is None
 
 
 @pytest.mark.parametrize("key", [(4, 2, 1e-3), (3, 2, 1e-3)])

@@ -387,6 +387,12 @@ def test_limit_run_writes_the_largest_rung_of_the_scan(tmp_path, monkeypatch):
     assert json.loads((outdir / "summary.json").read_text())["overlap"] == summary["overlap"]
 
 
+def test_limit_prints_its_ladder(tmp_path, capsys):
+    assert main(["limit", "--N", "4", "--out", str(tmp_path)]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert re.fullmatch(r"limit: lambda\*=\S+ \[R=20:\S+ R=40:\S+ R=80:\S+\] overlap=\S+", line), line
+
+
 def test_limit_manifest_has_no_annulus_grid(tmp_path):
     from bubbletower import harness
 
@@ -616,9 +622,9 @@ def test_verify_run(tmp_path):
 
 
 def test_report_collates(cli_root, capsys):
-    assert main(["report", "--out", str(cli_root)]) == 0
-    out = capsys.readouterr().out
-    assert "collated 2 runs" in out
+    for _ in range(2):  # the second report does not collate the first
+        assert main(["report", "--out", str(cli_root)]) == 0
+        assert "collated 2 runs" in capsys.readouterr().out
     (reportdir,) = [d for d in cli_root.iterdir() if d.name.startswith("report-")]
     lines = (reportdir / "report.csv").read_text().splitlines()
     header = lines[0].split(",")

@@ -161,3 +161,20 @@ def test_stiffness_on_annulus_matches_the_laplacian():
     kw[1:] -= off * w[:-1]
     lap = apply_radial_laplacian(bt.RadialField(g, u)).values[1:-1]
     assert np.max(np.abs(-kw / mass - lap)) <= 1e-12 * np.max(np.abs(lap))
+
+
+@pytest.mark.parametrize("N", (3, 4, 6))
+def test_laplacian_on_a_ball_grid_is_the_stiffness_with_its_regularity_row(N):
+    # -mass^{-1} K w on the unknowns 0..M-1, and at r = 0 the continuum value
+    # Delta exp(-r^2) = -2N
+    g = bt.build_ball_grid(5.0, 256, N)
+    u = np.exp(-g.nodes**2)
+    u[-1] = 0.0
+    mass, diag, off = g.stiffness
+    w = u[g.unknowns]
+    kw = diag * w
+    kw[:-1] -= off * w[1:]
+    kw[1:] -= off * w[:-1]
+    lap = apply_radial_laplacian(bt.RadialField(g, u)).values[g.unknowns]
+    assert np.max(np.abs(-kw / mass - lap)) <= 1e-12 * np.max(np.abs(lap))
+    assert abs(lap[0] / (-2.0 * N) - 1.0) <= 1e-3

@@ -148,26 +148,38 @@ def test_concentration_scales_match_leading_order(case_solutions, key):
         assert abs(d_hat - 1.0) <= 5e-3, f"scale {i}: d_hat={d_hat}"
 
 
-def test_scaling_law_two_lobes(sweep_solutions):
-    out = bt.verify_scaling_law(4, 2, list(sweep_solutions), solutions=sweep_solutions)
+def test_scaling_law_two_lobes(sweep_solutions, monkeypatch):
+    # the fit reads the towers it is given and solves none itself
+    def no_solve(*args, **kwargs):
+        raise AssertionError("verify_scaling_law solved a tower")
+
+    monkeypatch.setattr(stationary, "find_nodal_solution", no_solve)
+    out = bt.verify_scaling_law(sweep_solutions)
     assert abs(out["exponents"][1] - 0.25) <= 0.1
     assert abs(out["exponents"][2] - 0.75) <= 0.1
     assert out["expected"] == {1: 0.25, 2: 0.75}
-    assert not out["failures"]
+    assert set(out["deltas"]) == set(sweep_solutions)
 
 
 def test_scaling_law_single_lobe():
     eps_list = (0.2, 0.05, 0.01)
     sols = {e: bt.find_nodal_solution(bt.ProblemParams(3, 1, e), M=1024) for e in eps_list}
-    out = bt.verify_scaling_law(3, 1, eps_list, M=1024, solutions=sols)
+    out = bt.verify_scaling_law(sols)
     assert abs(out["exponents"][1] - 0.5) <= 0.1
 
 
-def test_scaling_law_input_validation():
-    with pytest.raises(ValueError):
-        bt.verify_scaling_law(4, 2, (1e-2, 1e-3))
-    with pytest.raises(ValueError):
-        bt.verify_scaling_law(4, 2, (1e-2, 9e-3, 8e-3))
+def test_scaling_law_input_validation(sweep_solutions, case_solutions):
+    tower = sweep_solutions[1e-2]
+    with pytest.raises(ValueError, match="need >= 3 eps values"):
+        bt.verify_scaling_law(dict.fromkeys((1e-2, 1e-3), tower))
+    with pytest.raises(ValueError, match="span at least one decade"):
+        bt.verify_scaling_law(dict.fromkeys((1e-2, 9e-3, 8e-3), tower))
+    swapped = {1e-2: sweep_solutions[1e-3], 1e-3: sweep_solutions[1e-2], 1e-4: sweep_solutions[1e-4]}
+    with pytest.raises(ValueError, match=r"other than their own: \[0.01, 0.001\]$"):
+        bt.verify_scaling_law(swapped)
+    mixed = {**sweep_solutions, 1e-3: case_solutions[(3, 2, 1e-3)]}
+    with pytest.raises(ValueError, match=r"one \(N, k\) are needed, got \[\(3, 2\), \(4, 2\)\]"):
+        bt.verify_scaling_law(mixed)
 
 
 def test_unconverged_solve_raises_naming_its_cause():
