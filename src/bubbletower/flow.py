@@ -24,12 +24,13 @@ A converged stationary solution is an exact fixed point of the IMEX step by
 construction (the grid Newton solver and the stepper share the same discrete
 operator), so stationarity holds to roundoff over the usable horizon.
 
-Each IMEX step is one allocation-light pass into a fresh output, and `evolve`
-takes the energy and the drift into scratch arrays, with the same operations
-in the same order as the plain array expressions, so every output is
-bit-identical to theirs. Overflow is reported by `_march` from the sup norm,
-not by numpy: each caller runs its whole loop under one np.errstate, entered
-outside the generator so that a loop left early leaves no error state behind.
+Each IMEX step writes into a fresh output, so no returned state is ever
+overwritten. The step and the energy are plain array expressions, with no
+scratch arrays kept across steps (docs/decisions.md gives the measurements).
+`evolve` takes the drift from node-wise extremes updated in place. Overflow
+is reported by `_march` from the sup norm, not by numpy: each caller runs its
+whole loop under one np.errstate, entered outside the generator so that a
+loop left early leaves no error state behind.
 
 `lambda_sweep`'s runs are independent, so they fan out over the usable cores
 (`_fan_out`): the caller forks one child per extra core and runs its share
@@ -50,7 +51,7 @@ import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import IntegratorFailure
-from .mesh import RadialField
+from .mesh import RadialField, integrate_weighted
 from .params import ProblemParams, sphere_area
 from .spectral import EigenPair
 from .stationary import StationarySolution, stationary_residual
@@ -64,6 +65,14 @@ _CONSISTENCY_LAM = 1.001
 _CONSISTENCY_HORIZON = 8.0
 _LINEAR_WINDOW = 0.02
 _ONESIDED_CANDIDATES = np.logspace(-7, -2, 11)  # the eps' values find_onesided_window scans
+
+
+def _require_finite_positive(**values) -> None:
+    """Raise ValueError naming the first of values that is not finite and positive."""
+    for name, value in values.items():
+        # written as `not (ok)` so that NaN, which fails every comparison, is rejected too
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -85,11 +94,7 @@ class FlowConfig:
     integrator: str = "imex-be"
 
     def __post_init__(self) -> None:
-        # written as `not (ok)` so that NaN, which fails every comparison, is rejected too
-        for name in ("dt_max", "t_end", "safety"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+        _require_finite_positive(dt_max=self.dt_max, t_end=self.t_end, safety=self.safety)
         if not self.dt_min < self.dt_max:
             raise ValueError(f"need dt_min < dt_max, got {self.dt_min} >= {self.dt_max}")
         if not self.dt_min < self.t_end:  # a shorter flow would take no step
@@ -128,31 +133,21 @@ class FlowResult:
     message: str = ""
 
 
-def _energy_scratch(grid) -> tuple:
-    """Scratch arrays for `_energy_parts` on grid: lengths M, M and M + 1."""
-    return np.empty(grid.M), np.empty(grid.M), np.empty(grid.M + 1)
-
-
-def _energy_parts(v: np.ndarray, grid, p: float, scratch: tuple) -> tuple:
+def _energy_parts(v: np.ndarray, grid, p: float) -> tuple:
     """(grad2, pot) at nodal values v: sum beta (v_{j+1} - v_j)^2 and sum D |v|^{p+1}.
 
-    The differences, the weighted differences and |v|^{p+1} are written into
-    scratch (from `_energy_scratch`), so a caller that evaluates every step
-    allocates nothing. Overflow is left to the caller's np.errstate.
+    |v|^{p+1} is taken as (v v)^{(p+1)/2}; |v| ** (p + 1) would round
+    differently. Overflow is left to the caller's np.errstate.
     """
-    du, fdu, pw = scratch
-    np.subtract(v[1:], v[:-1], out=du)
-    np.multiply(grid.face_weights, du, out=fdu)
-    np.multiply(v, v, out=pw)
-    pw **= 0.5 * (p + 1.0)
-    return float(np.dot(fdu, du)), float(np.dot(grid.cell_weights, pw))
+    du = v[1:] - v[:-1]
+    return float(np.dot(grid.face_weights * du, du)), float(np.dot(grid.cell_weights, (v * v) ** (0.5 * (p + 1.0))))
 
 
 def energy(u: RadialField, params: ProblemParams) -> float:
     """Dissipated functional: 1/2 |grad u|^2 - |u|^{p+1}/(p+1), weighted volume integral."""
     g = u.grid
     with np.errstate(over="ignore", invalid="ignore"):
-        grad2, pot = _energy_parts(u.values, g, params.p, _energy_scratch(g))
+        grad2, pot = _energy_parts(u.values, g, params.p)
     return sphere_area(g.N) * (0.5 * grad2 - pot / (params.p + 1.0))
 
 
@@ -167,11 +162,10 @@ class _Stepper:
     once and then pays one dpttrs solve per step. The linear step takes its
     gain 1 + dt V from the caller, which holds dt and V fixed for a run.
 
-    The reaction goes into a scratch array the stepper owns. Each step
-    returns a freshly allocated array with zero endpoints, on whose unknown
-    slice dpttrs solves in place, so a returned state is never overwritten
-    by a later step. The steps enter no np.errstate: overflow becomes inf or
-    NaN in the state, which the caller's loop detects.
+    Each step returns a freshly allocated array with zero endpoints, on whose
+    unknown slice dpttrs solves in place, so a returned state is never
+    overwritten by a later step. The steps enter no np.errstate: overflow
+    becomes inf or NaN in the state, which the caller's loop detects.
     """
 
     def __init__(self, grid, params: ProblemParams):
@@ -180,7 +174,6 @@ class _Stepper:
         self.mass, self.k_diag, self.k_off = grid.stiffness
         self._scale = None
         self._factor = None
-        self._react = np.empty(self.mass.size)  # dt |w|^{p-1} w
 
     def _solve(self, scale: float, out: np.ndarray) -> np.ndarray:
         """Overwrite out's unknowns, which hold rhs, with x: (I + scale D^{-1} K) x = rhs.
@@ -202,15 +195,9 @@ class _Stepper:
 
     def step(self, v: np.ndarray, dt: float) -> np.ndarray:
         """v holds the full nodal array; endpoints stay pinned to zero."""
-        p = self.params.p
         w = v[self.unknowns]
-        react = self._react
-        np.abs(w, out=react)
-        react **= p - 1.0
-        react *= w
-        react *= dt
         out = np.zeros(v.shape)  # calloc'd zeros; np.zeros_like would fill them
-        np.add(w, react, out=out[self.unknowns])
+        out[self.unknowns] = w + np.abs(w) ** (self.params.p - 1.0) * w * dt
         return self._solve(dt, out)
 
     def linear_step(self, z: np.ndarray, dt: float, gain: np.ndarray) -> np.ndarray:
@@ -285,7 +272,7 @@ def _evolve(v0: RadialField, params: ProblemParams, cfg: FlowConfig, energy: boo
     advance = (lambda v, dt: _reaction_map(v, dt, p)) if reaction_only else _Stepper(g, params).step
     sup0 = float(np.max(np.abs(v0.values)))
     thr = cfg.blow_threshold * sup0
-    omega, scratch = sphere_area(g.N), _energy_scratch(g)
+    omega = sphere_area(g.N)
     lo, hi = v0.values.copy(), v0.values.copy()  # node-wise min and max of the state over the run
     v, series, crossed, blowup = v0.values.copy(), [], None, None  # crossed: (t, sup) at the first crossing
     try:
@@ -294,7 +281,7 @@ def _evolve(v0: RadialField, params: ProblemParams, cfg: FlowConfig, energy: boo
                 np.minimum(lo, v, out=lo)
                 np.maximum(hi, v, out=hi)
                 if energy:
-                    grad2, pot = _energy_parts(v, g, p, scratch)
+                    grad2, pot = _energy_parts(v, g, p)
                     series.append((t, sup, omega * (0.5 * grad2 - pot / (p + 1.0)), dt))
                 else:
                     series.append((t, sup, math.nan, dt))
@@ -497,23 +484,20 @@ def linearized_evolve(
         t_end = 5.0 / abs(lam)
     if dt is None:
         dt = 0.002 / abs(lam)
+    _require_finite_positive(t_end=t_end, dt=dt)
     n_steps = int(np.ceil(t_end / dt))
     if n_steps < 3:  # the rate is fitted over the second half of the rows
         raise ValueError(f"t_end={t_end:g} at dt={dt:g} gives {n_steps} steps; the rate fit needs at least 3")
     params = sol.params
     g = sol.field.grid
     stepper = _Stepper(g, params)
-    D = g.cell_weights
-    omega = sphere_area(g.N)
-    buf = np.empty_like(D)  # D z z and D z phi, summed by np.sum
 
     def wnorm(vals):
-        np.multiply(np.multiply(D, vals, out=buf), vals, out=buf)
-        return float(np.sqrt(omega * np.sum(buf)))
+        field = RadialField(g, vals)
+        return float(np.sqrt(integrate_weighted(field, field)))
 
     def projection(vals):
-        np.multiply(np.multiply(D, vals, out=buf), pair.phi.values, out=buf)
-        return omega * float(np.sum(buf))
+        return integrate_weighted(RadialField(g, vals), pair.phi)
 
     def advance(z, dt):
         # renormalize every step and keep the log of the growth apart
@@ -623,8 +607,6 @@ def find_separation_time(
     g = sol.field.grid
     phi = sol.field.values
     stepper = _Stepper(g, params)
-    D = g.cell_weights
-    omega = sphere_area(g.N)
     v = lam * phi
     thr = cfg.blow_threshold * float(np.max(np.abs(v)))
     nstep, best_frac, proj_sign = 0, 0.0, 0.0
@@ -634,7 +616,7 @@ def find_separation_time(
         for nstep, (t, _, v, sup, collapse) in enumerate(steps, start=1):
             dv = v[1:-1] - phi[1:-1]
             if proj_sign == 0.0:
-                proj_sign = float(np.sign(omega * np.sum(D[1:-1] * dv * pair.phi.values[1:-1])))
+                proj_sign = float(np.sign(integrate_weighted(RadialField(g, v - phi), pair.phi)))
             if nstep > 10:
                 frac = float(np.mean(want * dv > 0.0))
                 best_frac = max(best_frac, frac)

@@ -141,10 +141,8 @@ def _fmt17(x) -> str:
         return ""
     if isinstance(x, str):
         return x
-    if isinstance(x, (bool, np.bool_)):
-        return str(bool(x))
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
+    if isinstance(x, int):  # bools too, as True and False
+        return str(x)
     return format(float(x), ".17g")
 
 

@@ -10,7 +10,9 @@ caller overrides hides a dead branch, and the parameter should be required.
 Every defaulted parameter of a public function is passed by some call in the
 package or in its tests, for the same reason as a private one. And the
 package's `__all__` is exactly the set of names its __init__.py imports from
-its submodules, each of which resolves. And `import bubbletower` loads
+its submodules, each of which resolves. Every module-level private
+function, class or constant is read somewhere in the package, by name, as
+an attribute or through a from-import. And `import bubbletower` loads
 neither `multiprocessing`, which `lambda_sweep` imports when it asks whether
 it may fork, nor the process-pool module, which the package does not use.
 """
@@ -95,6 +97,39 @@ def _never_passed(path, private: bool) -> list:
             if not any(_passes(c, name, None if pos is None else pos - bound) for c in calls):
                 unused.append(f"{node.name}({name})")
     return unused
+
+
+def _module_names(tree) -> list:
+    """Names a module binds at its top level: functions, classes and assigned constants."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return names
+
+
+def _read_names(trees) -> set:
+    """Every name the trees read: as a bare name, as an attribute, or by a from-import."""
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    return read
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_module_name_is_read(path):
+    # a private helper, class or constant that nothing reads is dead code
+    private = {n for n in _module_names(TREES[path.name]) if n.startswith("_") and not n.startswith("__")}
+    unread = private - _read_names(TREES.values())
+    assert not unread, f"{path.name} defines but nothing in the package reads {sorted(unread)}"
 
 
 def test_all_is_what_the_package_imports():
