@@ -203,11 +203,16 @@ def limit_overlap(N: int, pair: EigenPair) -> float:
     return integrate_weighted(RadialField(grid, f), pair.phi)
 
 
-def scaled_eigenvalue_diagnostic(sol: StationarySolution, pair: EigenPair, lambda_star: float) -> dict:
-    """lambda_tilde = (measured delta_k)^2 * lambda, and its gap to the limit value."""
+def _innermost_scale(sol: StationarySolution) -> float:
+    """The measured innermost concentration scale delta_k; ValueError when sol carries none."""
     if sol.deltas_measured is None or len(sol.deltas_measured) == 0:
         raise ValueError("solution carries no measured concentration scales")
-    delta_k = float(sol.deltas_measured[-1])
+    return float(sol.deltas_measured[-1])
+
+
+def scaled_eigenvalue_diagnostic(sol: StationarySolution, pair: EigenPair, lambda_star: float) -> dict:
+    """lambda_tilde = (measured delta_k)^2 * lambda, and its gap to the limit value."""
+    delta_k = _innermost_scale(sol)
     lam_tilde = delta_k * delta_k * pair.lam
     return {
         "lambda_tilde": lam_tilde,
@@ -225,7 +230,7 @@ def scaled_eigenfunction_distance(
     scale, phi_tilde(x) = delta_k^{N/2} phi1(delta_k x), extended by zero
     outside the annulus image, and compared on the limit grid.
     """
-    delta_k = float(sol.deltas_measured[-1])
+    delta_k = _innermost_scale(sol)
     N = sol.params.N
     g_lim = limit_pair.phi.grid
     x = g_lim.nodes
@@ -252,6 +257,7 @@ def sign_condition(sol: StationarySolution, pair: EigenPair) -> dict:
     lam = pair.lam
     if abs(lam) < 1e-8:
         raise SolverError("eigenvalue is zero within tolerance; identity undefined")
+    delta_k = _innermost_scale(sol)
     p = sol.params.p
     phi, phi1 = sol.field, pair.phi
     ip = integrate_weighted(phi, phi1)
@@ -259,7 +265,6 @@ def sign_condition(sol: StationarySolution, pair: EigenPair) -> dict:
     fip = integrate_weighted(f_phi, phi1)
     predicted = -(p - 1.0) / lam * fip
     identity_residual = abs(ip - predicted) / max(abs(ip), 1e-300)
-    delta_k = float(sol.deltas_measured[-1])
     return {
         "inner_product": ip,
         "identity_residual": identity_residual,

@@ -22,9 +22,9 @@ oscillator repeats that half lobe: w(tau + x) = w(tau - x) and
 w(sigma + 2 tau) = -w(sigma) in the time sigma since launch. So each node's
 sigma folds into [0, tau] with the sign (-1)^m, m = floor(sigma / (2 tau)),
 and one dense-output call gives the orbit u = r^{-beta} w(log r) at all grid
-nodes. A damped Newton iteration then drives the discrete
-residual (`stationary_residual`) of that field to its rounding floor, so
-downstream spectral and flow work acts on an actual discrete solution.
+nodes. A damped Newton iteration then drives the discrete residual
+(`stationary_residual`) of that field down until no damped step lowers it,
+so downstream spectral and flow work acts on an actual discrete solution.
 """
 from __future__ import annotations
 
@@ -44,8 +44,8 @@ from .profile import extract_concentrations
 _TIME_RTOL = 1e-13  # relative tolerance of the lobe-time quadrature
 IVP_RTOL = 1e-10  # relative tolerance of the shooting integrator
 _LOG_Y_MAX = 512.0  # the root search in log y stops at |log y| = 512
-_NEWTON_FLOOR = 1e-13  # the Newton polish stops at this scaled residual
-_NEWTON_MAX_ITER = 50  # and takes at most this many steps
+_NEWTON_MAX_ITER = 50  # the Newton polish takes at most this many steps
+_NEWTON_STEPS = tuple(0.5**j for j in range(7))  # its damped steps t = 1, 1/2, ..., 1/64
 
 
 def shoot(params: ProblemParams, s: float, grid: RadialGrid) -> RadialField:
@@ -104,6 +104,10 @@ class StationarySolution:
                       max(1, sup|f(u)|); double precision puts an absolute floor
                       ~ |u| eps_mach / h^2 at the spikes, so only the scaled
                       residual is meaningful there
+    newton_iterations : Newton steps the polish accepted
+    newton_shift    : sup norm of the change Newton made to the shot
+    residual_history : scaled residual of the shot and after each accepted step,
+                      all over the shot's max(1, sup|f|)
     """
 
     params: ProblemParams
@@ -130,18 +134,13 @@ def stationary_residual(u: RadialField, params: ProblemParams) -> RadialField:
     return RadialField(u.grid, vals)
 
 
-def _scaled_residual_norm(u: RadialField, params: ProblemParams) -> float:
-    res = stationary_residual(u, params).values[1:-1]
-    scale = max(1.0, float(np.max(np.abs(params.reaction(u.values)))))
-    return float(np.max(np.abs(res))) / scale
-
-
-def _newton_refine(u0: RadialField, params: ProblemParams) -> tuple[RadialField, list]:
+def _newton_refine(u0: RadialField, params: ProblemParams) -> tuple[RadialField, np.ndarray, list]:
     """Damped Newton on the discrete BVP Delta_h u + f(u) = 0 (interior rows).
 
-    Backtracking line search on the scaled residual sup norm; stops at
-    _NEWTON_FLOOR, after _NEWTON_MAX_ITER steps, or on stall (no factor-2
-    progress over two steps).
+    Takes the first t in _NEWTON_STEPS whose step cuts the scaled residual
+    sup norm by 1 - t/4, and stops at the first direction where none does:
+    rounding sets the residual there. Returns the field, its interior
+    residual and the scaled residual history (over max(1, sup|f(u0)|)).
     """
     g = u0.grid
     mass, diag, off = g.stiffness
@@ -160,28 +159,22 @@ def _newton_refine(u0: RadialField, params: ProblemParams) -> tuple[RadialField,
     hist.append(res)
     if not math.isfinite(res):  # accepted steps keep it finite: only the start can fail here
         raise SolverError(f"non-finite Newton residual {res} at the initial field", {"history": hist})
-    it = 0
-    while res > _NEWTON_FLOOR and it < _NEWTON_MAX_ITER:
+    for _ in range(_NEWTON_MAX_ITER):
         *_, delta, info = dgtsv(lo, diag_lap + params.reaction_derivative(u[1:-1]), up, -F)
         if info > 0:
             raise SolverError(f"singular Newton system: zero pivot in row {info}", {"history": hist})
-        t = 1.0
-        for _ in range(30):
+        for t in _NEWTON_STEPS:
             trial = u.copy()
             trial[1:-1] += t * delta
             Ft = resid(trial)
             rest = float(np.max(np.abs(Ft))) / scale
-            if rest <= res * (1.0 - 0.25 * t) or rest <= _NEWTON_FLOOR:
-                u, F, res = trial, Ft, rest
+            if rest <= res * (1.0 - 0.25 * t):
                 break
-            t *= 0.5
         else:
-            break
+            break  # no damped step helps: the residual sits at its rounding floor
+        u, F, res = trial, Ft, rest
         hist.append(res)
-        it += 1
-        if it > 3 and res > 0.5 * hist[-3]:
-            break  # stalled at the fp floor
-    return RadialField(g, u, dirichlet=True), hist
+    return RadialField(g, u, dirichlet=True), F, hist
 
 
 def _interior_zeros(u: RadialField) -> np.ndarray:
@@ -267,8 +260,8 @@ def find_nodal_solution(
     s_star = _time_map_slope(params)
     grid = build_grid(params.eps, 1.0, M, "log", params.N)
     u_shot = shoot(params, s_star, grid)
-    u, hist = _newton_refine(u_shot, params)
-    res_norm = _scaled_residual_norm(u, params)
+    u, F, hist = _newton_refine(u_shot, params)
+    res_norm = float(np.max(np.abs(F))) / max(1.0, float(np.max(np.abs(params.reaction(u.values)))))
     if res_norm > residual_tol:
         raise SolverError(
             f"Newton refinement stalled at scaled residual {res_norm:.3e} > {residual_tol:g}",

@@ -249,6 +249,28 @@ def test_scaled_eigenvalue_diagnostic(sweep_solutions, sweep_pairs, limit4):
         assert out["gap_to_limit"] == abs(out["lambda_tilde"] - lam_star)
 
 
+@pytest.mark.parametrize("deltas", (np.array([]), None), ids=("empty", "none"))
+@pytest.mark.parametrize(
+    "diagnostic",
+    (
+        lambda sol, pair: bt.scaled_eigenvalue_diagnostic(sol, pair, -4.0),
+        lambda sol, pair: bt.scaled_eigenfunction_distance(sol, pair, pair),
+        bt.sign_condition,
+    ),
+    ids=("scaled_eigenvalue", "eigenfunction_distance", "sign_condition"),
+)
+def test_diagnostics_name_missing_concentration_scales(diagnostic, deltas):
+    # a solution posed through the public constructor, with no measured scales
+    g = bt.build_grid(0.5, 1.0, 64, N=4)
+    bump = np.sin(np.pi * (g.nodes - 0.5) / 0.5)
+    bump[0] = bump[-1] = 0.0
+    field = bt.RadialField(g, bump, dirichlet=True)
+    sol = bt.StationarySolution(bt.ProblemParams(4, 1, 0.5), field, np.array([]), deltas, 1.0, 0.0)
+    pair = bt.EigenPair(lam=-1.0, phi=field, residual=0.0)
+    with pytest.raises(ValueError, match="no measured concentration scales"):
+        diagnostic(sol, pair)
+
+
 def test_scaled_eigenvalue_gap_falls_past_its_peak(sweep_solutions, sweep_pairs, limit4):
     # criterion 06a's sweep ends at the gap's peak, eps = 1e-4; past it the gap
     # falls at about the bubble-interaction rate eps^{1/2} (docs/decisions.md)
