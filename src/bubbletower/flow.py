@@ -32,12 +32,16 @@ is reported by `_march` from the sup norm, not by numpy: each caller runs its
 whole loop under one np.errstate, entered outside the generator so that a
 loop left early leaves no error state behind.
 
-`lambda_sweep`'s runs are independent, so they fan out over the usable cores
-(`_fan_out`): the caller forks one child per extra core and runs its share
-too, and no child outlives the call. Each run does the same arithmetic as a
-serial run, so the rows are bit-identical to a serial sweep's. A sweep row
-keeps no energy, so its runs go through `evolve`'s loop (`_evolve`) with the
-per-step energy switched off; every other number of the run is the same.
+Every run from lambda * phi (the `flow` operation's and each sweep row's)
+starts in `_run_from`, the one place that builds the zero-trace data and gives
+the lambda = 1 run, phi itself, its horizon 10/|lambda_1| from the eigenpair,
+which `lambda_sweep` therefore requires. `_sweep_rows` fans the sweep's
+independent runs out over the usable cores (`_fan_out`): the caller forks one
+child per extra core and runs its share too, and no child outlives the call.
+Each run does the same arithmetic as a serial run, so the rows are
+bit-identical to a serial sweep's. A sweep row keeps no energy, so its runs
+go through `evolve`'s loop (`_evolve`) with the per-step energy switched off;
+every other number of the run is the same.
 """
 from __future__ import annotations
 
@@ -52,7 +56,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import IntegratorFailure
 from .mesh import RadialField, integrate_weighted
-from .params import ProblemParams, sphere_area
+from .params import ProblemParams, _require_finite_positive, sphere_area
 from .spectral import EigenPair
 from .stationary import StationarySolution, stationary_residual
 
@@ -65,14 +69,6 @@ _CONSISTENCY_LAM = 1.001
 _CONSISTENCY_HORIZON = 8.0
 _LINEAR_WINDOW = 0.02
 _ONESIDED_CANDIDATES = np.logspace(-7, -2, 11)  # the eps' values find_onesided_window scans
-
-
-def _require_finite_positive(**values) -> None:
-    """Raise ValueError naming the first of values that is not finite and positive."""
-    for name, value in values.items():
-        # written as `not (ok)` so that NaN, which fails every comparison, is rejected too
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -317,22 +313,30 @@ def _evolve(v0: RadialField, params: ProblemParams, cfg: FlowConfig, energy: boo
     return FlowResult(status=status, series=arr, final=final, sup0=sup0, drift=drift, message=msg)
 
 
-def stationary_horizon(cfg: FlowConfig, pair: EigenPair) -> FlowConfig:
-    """cfg with t_end = 10/|lambda_1|, the horizon of the run from phi itself."""
-    return replace(cfg, t_end=10.0 / abs(pair.lam))
+def _run_from(
+    sol: StationarySolution, pair: EigenPair | None, lam: float, cfg: FlowConfig, energy: bool
+) -> tuple[FlowResult, FlowConfig]:
+    """The run from the zero-trace lam * phi (`_evolve`) and the FlowConfig it ran with.
+
+    At lam = 1 the run is phi itself and its horizon is t_end = 10/|lambda_1|,
+    read from pair, which no other lam reads. Past a few dozen multiples of
+    1/|lambda_1| double precision necessarily seeds the unstable mode and any
+    discrete stationary run blows up spuriously, so stationarity is only a
+    meaningful statement on that horizon. Other lambdas keep cfg.t_end.
+    """
+    if lam == 1.0:
+        cfg = replace(cfg, t_end=10.0 / abs(pair.lam))
+    v0 = RadialField(sol.field.grid, lam * sol.field.values, dirichlet=True)
+    return _evolve(v0, sol.params, cfg, energy), cfg
 
 
-def _sweep_row(sol: StationarySolution, cfg: FlowConfig, lam: float, pair: EigenPair | None) -> dict:
+def _sweep_row(sol: StationarySolution, pair: EigenPair, lam: float, cfg: FlowConfig) -> dict:
     """One `lambda_sweep` row: the run from lam * phi, or a 'Failed' row if it overflows.
 
-    The row keeps no energy, so the run skips it (`_evolve` with energy off).
+    The row keeps no energy, so the run skips it (`_run_from` with energy off).
     """
-    run_cfg = cfg
-    if lam == 1.0 and pair is not None:
-        run_cfg = stationary_horizon(cfg, pair)
-    v0 = RadialField(sol.field.grid, lam * sol.field.values, dirichlet=True)
     try:
-        res = _evolve(v0, sol.params, run_cfg, energy=False)
+        res, run_cfg = _run_from(sol, pair, lam, cfg, energy=False)
     except IntegratorFailure as exc:
         return {"lambda": lam, "status": "Failed", "message": str(exc)}
     return {
@@ -432,30 +436,29 @@ def _fan_out(fn, items: list, workers: int) -> list:
     return [results[i] for i in range(len(items))]
 
 
-def lambda_sweep(
-    sol: StationarySolution,
-    lambdas,
-    cfg: FlowConfig,
-    pair: EigenPair | None = None,
-) -> list[dict]:
+def _sweep_rows(cells: list, cfg: FlowConfig) -> tuple[list[dict], int]:
+    """(the `_sweep_row` of each (sol, pair, lam) cell in order, the number of processes
+    they fanned out over): `_fan_out` over `_sweep_workers(len(cells))`."""
+    workers = _sweep_workers(len(cells))
+    return _fan_out(lambda cell: _sweep_row(*cell, cfg), cells, workers), workers
+
+
+def lambda_sweep(sol: StationarySolution, lambdas, cfg: FlowConfig, pair: EigenPair) -> list[dict]:
     """Classify the flow from lambda * phi for each lambda, one row per lambda in order.
 
-    The lambda = 1 run uses the horizon 10/|lambda_1| when the eigenpair is
-    supplied: past a few dozen multiples of 1/|lambda_1| double precision
-    necessarily seeds the unstable mode and any discrete stationary run blows
-    up spuriously, so stationarity is only a meaningful statement on that
-    horizon. Other lambdas keep cfg.t_end.
+    pair is sol's first eigenpair, and it is required: the lambda = 1 run is
+    phi itself, which is stationary only on the horizon 10/|lambda_1|
+    (`_run_from`, the one place that sets it). Other lambdas keep cfg.t_end.
 
     The runs are independent, so they fan out over the usable cores
-    (`_sweep_workers`, `_fan_out`): the caller forks one child per extra core
-    and runs lambdas itself, and every child is reaped before the call
-    returns. Each run does the same arithmetic as in the caller, so the rows
-    are bit-identical to a serial sweep's. A row keeps no energy, so no run
+    (`_sweep_rows`): the caller forks one child per extra core and runs
+    lambdas itself, and every child is reaped before the call returns. Each
+    run does the same arithmetic as in the caller, so the rows are
+    bit-identical to a serial sweep's. A row keeps no energy, so no run
     evaluates it (`_sweep_row`). An overflowing run gives a 'Failed' row;
     any other exception is raised here, the first in lambda order.
     """
-    lambdas = [float(lam) for lam in lambdas]
-    return _fan_out(lambda lam: _sweep_row(sol, cfg, lam, pair), lambdas, _sweep_workers(len(lambdas)))
+    return _sweep_rows([(sol, pair, float(lam)) for lam in lambdas], cfg)[0]
 
 
 def linearized_evolve(

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .errors import SolverError
-from .flow import FlowConfig, _fan_out, _sweep_row, _sweep_workers, comparison_monitor, evolve, stationary_horizon
+from .flow import FlowConfig, _run_from, _sweep_rows, comparison_monitor, evolve
 from .mesh import RadialField, apply_radial_laplacian, build_grid
 from .params import ProblemParams
 from .profile import Bubble, bubble_eval, ef_peak_height
@@ -268,17 +268,13 @@ def _eig(cfg: dict, root):
     sol = _build_solution(cfg)
     op = assemble_linearized(sol)
     pair = first_eigenpair(op)
-    cond = sign_condition(sol, pair)
     delta_k = float(sol.deltas_measured[-1])
     summary = {
         **_tower_summary(sol),
         "lambda1": pair.lam,
         "eigen_residual": pair.residual,
         "lambda_tilde": delta_k * delta_k * pair.lam,
-        "inner_product": cond["inner_product"],
-        "identity_residual": cond["identity_residual"],
-        "reaction_inner_product": cond["reaction_inner_product"],
-        "overlap_scaled": cond["overlap_scaled"],
+        **sign_condition(sol, pair),
     }
     table = np.column_stack((pair.phi.grid.nodes, pair.phi.values))
     return summary, {"eigenfunction.csv": (["r", "phi1"], table)}
@@ -304,10 +300,8 @@ def _flow(cfg: dict, root):
     fcfg = _flow_config(cfg)  # a bad flow setting fails before the solve
     sol = _build_solution(cfg)
     lam = cfg["lambda"]
-    if lam == 1.0:
-        fcfg = stationary_horizon(fcfg, first_eigenpair(assemble_linearized(sol)))
-    v0 = RadialField(sol.field.grid, lam * sol.field.values, dirichlet=True)
-    res = evolve(v0, sol.params, fcfg)
+    pair = first_eigenpair(assemble_linearized(sol)) if lam == 1.0 else None  # only lambda = 1 reads it
+    res, fcfg = _run_from(sol, pair, lam, fcfg, energy=True)
     summary = {
         "N": sol.params.N,
         "k": sol.params.k,
@@ -329,12 +323,12 @@ def _sweep(cfg: dict, root):
 
     Each eps's tower and eigenpair are solved in turn, and a failed solve
     flags that eps's cells in place. Then the runs of every solved cell fan
-    out together (`flow._fan_out`), so no eps waits for its own slowest run.
-    The number of processes they fan out over depends on the host, so it goes
-    to the manifest alone (the summary's "_manifest" block).
+    out together (`flow._sweep_rows`), so no eps waits for its own slowest
+    run. The number of processes they fan out over depends on the host, so it
+    goes to the manifest alone (the summary's "_manifest" block).
     """
     fcfg = _flow_config(cfg)
-    table, cells = [], []  # cells: (eps, sol, pair, lambda) per None in table
+    table, cells = [], []  # cells: (sol, pair, lambda) per None in table
     for eps in cfg["eps_list"]:
         sub = dict(cfg)
         sub["eps"] = float(eps)
@@ -348,15 +342,10 @@ def _sweep(cfg: dict, root):
                 )
             continue
         for lam in cfg["lambda_list"]:
-            cells.append((float(eps), sol, pair, float(lam)))
+            cells.append((sol, pair, float(lam)))
             table.append(None)
-
-    def run_cell(cell):
-        eps, sol, pair, lam = cell
-        return {"eps": eps, **_sweep_row(sol, fcfg, lam, pair)}
-
-    workers = _sweep_workers(len(cells))
-    runs = iter(_fan_out(run_cell, cells, workers))
+    rows, workers = _sweep_rows(cells, fcfg)
+    runs = ({"eps": sol.params.eps, **row} for (sol, _, _), row in zip(cells, rows))
     table = [next(runs) if row is None else row for row in table]
     counts = {}
     for r in table:

@@ -7,6 +7,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def _require_finite_positive(**values) -> None:
+    """Raise ValueError naming the first of values that is not finite and positive."""
+    for name, value in values.items():
+        # written as `not (ok)` so that NaN, which fails every comparison, is rejected too
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 def critical_exponent(N: int) -> float:
     """The Sobolev-critical power (N+2)/(N-2)."""
     return (N + 2) / (N - 2)

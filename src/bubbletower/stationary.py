@@ -38,7 +38,7 @@ from scipy.optimize import brentq
 
 from .errors import SolverError
 from .mesh import RadialField, RadialGrid, apply_radial_laplacian, build_grid, norms
-from .params import ProblemParams
+from .params import ProblemParams, _require_finite_positive
 from .profile import extract_concentrations
 
 _TIME_RTOL = 1e-13  # relative tolerance of the lobe-time quadrature
@@ -254,9 +254,7 @@ def find_nodal_solution(
     Orientation: s* is positive, so the innermost lobe of the returned
     solution is positive; the mirrored solution is -field.
     """
-    # written as `not (ok)` so that NaN, which fails every comparison, is rejected too
-    if not (math.isfinite(residual_tol) and residual_tol > 0):
-        raise ValueError(f"residual_tol must be finite and positive, got {residual_tol}")
+    _require_finite_positive(residual_tol=residual_tol)
     s_star = _time_map_slope(params)
     grid = build_grid(params.eps, 1.0, M, "log", params.N)
     u_shot = shoot(params, s_star, grid)

@@ -489,15 +489,15 @@ def overflowing_state():
 
 
 def test_overflow_in_lambda_sweep_is_a_failed_row(overflowing_state):
-    sol, _ = overflowing_state
-    (row,) = bt.lambda_sweep(sol, (2.0,), bt.FlowConfig(t_end=1e-3))
+    sol, pair = overflowing_state
+    (row,) = bt.lambda_sweep(sol, (2.0,), bt.FlowConfig(t_end=1e-3), pair)
     assert row["status"] == "Failed"
     assert "overflow" in row["message"]
 
 
 def test_overflow_in_a_multi_lambda_sweep_is_a_failed_row_in_place(overflowing_state):
-    sol, _ = overflowing_state
-    zero, blown = bt.lambda_sweep(sol, (0.0, 2.0), bt.FlowConfig(t_end=1e-3))
+    sol, pair = overflowing_state
+    zero, blown = bt.lambda_sweep(sol, (0.0, 2.0), bt.FlowConfig(t_end=1e-3), pair)
     assert (zero["lambda"], zero["status"]) == (0.0, "GlobalBounded")
     assert (blown["lambda"], blown["status"]) == (2.0, "Failed")
     assert "overflow" in blown["message"]
@@ -506,9 +506,9 @@ def test_overflow_in_a_multi_lambda_sweep_is_a_failed_row_in_place(overflowing_s
 
 @pytest.mark.parametrize("lams", [(1.0, math.nan), (math.nan, 1.0)])
 def test_an_error_in_a_sweep_run_is_raised_in_the_caller(overflowing_state, lams):
-    sol, _ = overflowing_state
+    sol, pair = overflowing_state
     with pytest.raises(ValueError, match="^dirichlet field must have exactly zero endpoint values$"):
-        bt.lambda_sweep(sol, lams, bt.FlowConfig(t_end=1e-3))
+        bt.lambda_sweep(sol, lams, bt.FlowConfig(t_end=1e-3), pair)
     assert_no_child_process()
 
 
@@ -537,8 +537,8 @@ def test_the_caller_forks_one_child_fewer_than_the_workers(case_solutions, case_
     assert os.getpid() in {pid for _, pid in results}  # the caller runs items too
 
 
-def test_a_child_that_ends_without_a_report_is_an_error(case_solutions, monkeypatch):
-    sol, caller, real_row = case_solutions[KEY], os.getpid(), flow._sweep_row
+def test_a_child_that_ends_without_a_report_is_an_error(case_solutions, case_pairs, monkeypatch):
+    sol, pair, caller, real_row = case_solutions[KEY], case_pairs[KEY], os.getpid(), flow._sweep_row
 
     def row_or_die(*args):
         if os.getpid() != caller:
@@ -549,7 +549,7 @@ def test_a_child_that_ends_without_a_report_is_an_error(case_solutions, monkeypa
     monkeypatch.setattr(flow, "_sweep_row", row_or_die)
     monkeypatch.setattr(flow, "_sweep_workers", lambda n_runs: 2)
     with pytest.raises(RuntimeError, match=r"ended without a report: process \d+, exit code 7$"):
-        bt.lambda_sweep(sol, (0.5, 0.6, 0.7, 0.8), bt.FlowConfig(t_end=1e-6))
+        bt.lambda_sweep(sol, (0.5, 0.6, 0.7, 0.8), bt.FlowConfig(t_end=1e-6), pair)
     assert_no_child_process()
 
 
@@ -624,20 +624,20 @@ def test_a_child_stops_claiming_once_its_caller_is_killed(tmp_path):
     assert not late, f"items started after the caller was killed: {late}"
 
 
-def test_a_long_sweep_matches_the_serial_rows(case_solutions, monkeypatch):
+def test_a_long_sweep_matches_the_serial_rows(case_solutions, case_pairs, monkeypatch):
     # 300 one-step runs: more claim records than one byte can index
-    sol, cfg = case_solutions[KEY], bt.FlowConfig(t_end=1e-10)
+    sol, pair, cfg = case_solutions[KEY], case_pairs[KEY], bt.FlowConfig(t_end=1e-10)
     lams = np.linspace(0.5, 1.5, 300)
-    rows = bt.lambda_sweep(sol, lams, cfg)
+    rows = bt.lambda_sweep(sol, lams, cfg, pair)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     assert flow._sweep_workers(len(lams)) == 1
-    assert rows == bt.lambda_sweep(sol, lams, cfg)
+    assert rows == bt.lambda_sweep(sol, lams, cfg, pair)
     assert [r["lambda"] for r in rows] == [float(lam) for lam in lams]
 
 
 def _row_from_evolve(sol, cfg, lam, pair):
     """A `lambda_sweep` row built by hand from the public `evolve`."""
-    run_cfg = flow.stationary_horizon(cfg, pair) if lam == 1.0 and pair is not None else cfg
+    run_cfg = dataclasses.replace(cfg, t_end=10.0 / abs(pair.lam)) if lam == 1.0 else cfg
     v0 = bt.RadialField(sol.field.grid, lam * sol.field.values, dirichlet=True)
     try:
         res = bt.evolve(v0, sol.params, run_cfg)
@@ -658,11 +658,18 @@ def test_lambda_sweep_rows_match_rows_built_from_evolve(case_solutions, case_pai
     cfg, lams = bt.FlowConfig(t_end=0.01), (0.5, 0.97, 1.0, 1.03)
     rows = bt.lambda_sweep(sol, lams, cfg, pair)
     assert rows == [_row_from_evolve(sol, cfg, lam, pair) for lam in lams]
-    bad, _ = overflowing_state
+    bad, bad_pair = overflowing_state
     cfg = bt.FlowConfig(t_end=1e-3)
-    (failed,) = bt.lambda_sweep(bad, (2.0,), cfg)
+    (failed,) = bt.lambda_sweep(bad, (2.0,), cfg, bad_pair)
     assert failed["status"] == "Failed"
-    assert failed == _row_from_evolve(bad, cfg, 2.0, None)
+    assert failed == _row_from_evolve(bad, cfg, 2.0, bad_pair)
+
+
+def test_lambda_sweep_requires_the_eigenpair(case_solutions):
+    # without the pair the lambda = 1 run would go on to cfg.t_end, where phi
+    # itself blows up spuriously: the call is refused instead
+    with pytest.raises(TypeError, match="pair"):
+        bt.lambda_sweep(case_solutions[KEY], [1.0], bt.FlowConfig())
 
 
 def test_lambda_sweep_never_evaluates_the_energy(case_solutions, case_pairs, monkeypatch):

@@ -422,11 +422,13 @@ def test_flow_run_stationary(cfg_file, tmp_path, capsys):
 def test_flow_at_lambda_one_uses_the_sweep_horizon(cfg_file, tmp_path):
     assert main(["flow", "--config", str(cfg_file), "--out", str(tmp_path), "--lambda", "1.0"]) == 0
     (d,) = list(tmp_path.iterdir())
-    t_end = json.loads((d / "summary.json").read_text())["t_end"]
+    summary = json.loads((d / "summary.json").read_text())
     sol = bubbletower.find_nodal_solution(bubbletower.ProblemParams(3, 1, 0.1), M=1024)
     pair = bubbletower.first_eigenpair(bubbletower.assemble_linearized(sol))
     (row,) = bubbletower.lambda_sweep(sol, [1.0], _flow_config(resolve_config(load_config(cfg_file)[0])), pair)
-    assert t_end == row["t_end"] != 0.5
+    assert summary["t_end"] == row["t_end"] != 0.5
+    assert summary["status"] == row["status"] == "Stationary"
+    assert summary["drift_rel"] == row["drift_rel"]
 
 
 def test_flow_run_blowup(cfg_file, tmp_path):
