@@ -319,12 +319,15 @@ def _run_from(
     """The run from the zero-trace lam * phi (`_evolve`) and the FlowConfig it ran with.
 
     At lam = 1 the run is phi itself and its horizon is t_end = 10/|lambda_1|,
-    read from pair, which no other lam reads. Past a few dozen multiples of
-    1/|lambda_1| double precision necessarily seeds the unstable mode and any
-    discrete stationary run blows up spuriously, so stationarity is only a
-    meaningful statement on that horizon. Other lambdas keep cfg.t_end.
+    read from pair, which no other lam reads; a missing pair there is a
+    ValueError. Past a few dozen multiples of 1/|lambda_1| double precision
+    necessarily seeds the unstable mode and any discrete stationary run blows
+    up spuriously, so stationarity is only a meaningful statement on that
+    horizon. Other lambdas keep cfg.t_end.
     """
     if lam == 1.0:
+        if pair is None:
+            raise ValueError("lambda = 1 needs the first eigenpair: its horizon is t_end = 10/|lambda_1|")
         cfg = replace(cfg, t_end=10.0 / abs(pair.lam))
     v0 = RadialField(sol.field.grid, lam * sol.field.values, dirichlet=True)
     return _evolve(v0, sol.params, cfg, energy), cfg

@@ -2,8 +2,9 @@
 
 Config files are flat key=value lines with # comments; unknown keys are
 rejected so typos cannot silently fall back to defaults. OPERATIONS lists
-each operation with the config keys it takes as command-line flags, and
-run() executes one of them. Every successful run writes into its own
+each operation's body, flag keys, help and console line, and run() executes
+one of them; only `_report` names an operation, to skip its own
+directories. Every successful run writes into its own
 directory named <operation>-<hash8> where the hash covers the config keys
 the operation reads (`_read_keys`) and the artifact version, so re-running
 the same configuration lands in the same directory, whatever the keys it does
@@ -23,6 +24,7 @@ import hashlib
 import inspect
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -204,9 +206,9 @@ def _now() -> str:
 
 
 def _start_manifest(op: str, cfg: dict, config_file) -> dict:
-    """The manifest before the run: its config holds exactly the keys op reads, and its
+    """The manifest before the run: its config holds exactly the keys op reads, its
     tolerances the shooting and Newton ones if op solves a tower and the stationarity
-    one if it runs the flow."""
+    one if it runs the flow, and its grid the annuli op's eps or eps_list flag names."""
     file_cfg, digest = config_file or ({}, None)
     read = _read_keys(op)
     tolerances = {}
@@ -223,12 +225,13 @@ def _start_manifest(op: str, cfg: dict, config_file) -> dict:
         "unread_config_keys": sorted(set(file_cfg) - read),
         "started": _now(),
     }
-    if op == "sweep" or "eps" in OPERATIONS[op][1]:
-        # an operation with an eps flag solves on the log-graded annulus (M, eps);
-        # a sweep takes no eps flag and solves on one annulus per entry of eps_list
-        inners = cfg["eps_list"] if op == "sweep" else [cfg["eps"]]
-        grids = [{"M": cfg["M"], "grading": "log", "inner": float(eps), "outer": 1.0} for eps in inners]
-        manifest["grid"] = grids if op == "sweep" else grids[0]
+    # an operation with an eps flag solves on the log-graded annulus (M, eps), and one
+    # with an eps_list flag on one such annulus per entry
+    annulus = {"M": cfg["M"], "grading": "log", "outer": 1.0}
+    if "eps_list" in read:
+        manifest["grid"] = [{**annulus, "inner": float(eps)} for eps in cfg["eps_list"]]
+    elif "eps" in read:
+        manifest["grid"] = {**annulus, "inner": float(cfg["eps"])}
     return manifest
 
 
@@ -239,10 +242,7 @@ def _build_solution(cfg: dict):
 
 def _tower_summary(sol) -> dict:
     k, eps = sol.params.k, sol.params.eps
-    d_hat = [
-        float(d / eps ** ((2 * (i + 1) - 1) / (2 * k)))
-        for i, d in enumerate(sol.deltas_measured)
-    ]
+    d_hat = [float(d / eps ** ((2 * i + 1) / (2 * k))) for i, d in enumerate(sol.deltas_measured)]
     return {
         "N": sol.params.N,
         "k": k,
@@ -347,9 +347,7 @@ def _sweep(cfg: dict, root):
     rows, workers = _sweep_rows(cells, fcfg)
     runs = ({"eps": sol.params.eps, **row} for (sol, _, _), row in zip(cells, rows))
     table = [next(runs) if row is None else row for row in table]
-    counts = {}
-    for r in table:
-        counts[r["status"]] = counts.get(r["status"], 0) + 1
+    counts = dict(Counter(r["status"] for r in table))
     cols = ["eps", "lambda", "status", "T_estimate", "sup_final", "drift_rel"]
     rows = ([r.get(c) for c in cols] for r in table)
     summary = {"cells": len(table), "status_counts": counts, "table": table, "_manifest": {"workers": workers}}
@@ -376,13 +374,8 @@ def _verify_checks() -> list:
     worst = float(np.max(np.abs(lap.values)))
     checks.append(("laplacian-kills-constants", worst == 0.0, f"max |Lap 1| = {worst!r}"))
 
-    checks.append(
-        (
-            "ef-peak-height-N4",
-            abs(ef_peak_height(4) - math.sqrt(2.0)) <= 1e-12,
-            f"w_max={ef_peak_height(4)!r}",
-        )
-    )
+    w_max = ef_peak_height(4)
+    checks.append(("ef-peak-height-N4", abs(w_max - math.sqrt(2.0)) <= 1e-12, f"w_max={w_max!r}"))
     delta, r = 0.37, np.array([0.05, 0.2, 0.9])
     b1 = bubble_eval(Bubble(delta, 5), r)
     b2 = delta ** (-1.5) * bubble_eval(Bubble(1.0, 5), r / delta)
@@ -488,31 +481,65 @@ def _report(cfg: dict, root):
         raise ValueError(f"no run manifests found under {root}")
     if len(versions) > 1:
         raise ValueError(f"refusing to collate mixed artifact versions: {sorted(map(str, versions))}")
-    cols = ["run", "operation"]
-    extra = sorted({k for row in rows for k in row} - set(cols))
-    cols += extra
+    cols = ["run", "operation"] + sorted(set().union(*rows) - {"run", "operation"})
     summary = {"runs": len(rows), "version": versions.pop(), "columns": cols}
     return summary, {"report.csv": (cols, ([row.get(c) for c in cols] for row in rows))}
 
 
-# operation -> (body, flag keys, help); a body maps (cfg, root) to its summary
-# and its CSV tables {filename: (header, rows)}
+# operation -> (body, flag keys, help, console line); a body maps (cfg, root) to its
+# summary and its CSV tables {filename: (header, rows)}, and the console line maps
+# that summary to the text the command prints after "<operation>: "
 OPERATIONS = {
-    "tower": (_tower, ("N", "k", "eps", "M"), "find the k-layer stationary solution"),
-    "eig": (_eig, ("N", "k", "eps", "M"), "first eigenpair and sign condition"),
-    "limit": (_limit, ("N",), "limit eigenvalue problem on balls"),
+    "tower": (
+        _tower,
+        ("N", "k", "eps", "M"),
+        "find the k-layer stationary solution",
+        lambda summary: f"slope={fmt6(summary['shooting_slope'])} residual={fmt6(summary['residual_norm'])} "
+        f"zeros={summary['interior_zeros']} d_hat={[fmt6(d) for d in summary['d_hat']]}",
+    ),
+    "eig": (
+        _eig,
+        ("N", "k", "eps", "M"),
+        "first eigenpair and sign condition",
+        lambda summary: f"lambda1={fmt6(summary['lambda1'])} residual={fmt6(summary['eigen_residual'])} "
+        f"inner_product={fmt6(summary['inner_product'])} identity={fmt6(summary['identity_residual'])}",
+    ),
+    "limit": (
+        _limit,
+        ("N",),
+        "limit eigenvalue problem on balls",
+        lambda summary: f"lambda*={fmt6(summary['lambda_star'])} "
+        f"[{' '.join(f'R={R}:{fmt6(v)}' for R, v in summary['lambda_star_R'].items())}] "
+        f"overlap={fmt6(summary['overlap'])}",
+    ),
     "flow": (
         _flow,
         ("N", "k", "eps", "M", "lambda", "t_end", "dt_max", "integrator"),
         "single parabolic run from lambda*phi",
+        lambda summary: f"lambda={fmt6(summary['lambda'])} status={summary['status']}"
+        + (f" T={fmt6(summary['T_estimate'])}" if summary.get("T_estimate") else "")
+        + f" drift_rel={fmt6(summary['drift_rel'])}",
     ),
     "sweep": (
         _sweep,
         ("N", "k", "M", "eps_list", "lambda_list", "t_end"),
         "eps x lambda classification table",
+        lambda summary: f"{summary['cells']} cells "
+        f"({', '.join(f'{k}={v}' for k, v in sorted(summary['status_counts'].items()))})",
     ),
-    "verify": (_verify, (), "run the fast invariant suite"),
-    "report": (_report, (), "collate run summaries under --out into CSV"),
+    "verify": (
+        _verify,
+        (),
+        "run the fast invariant suite",
+        # run() has raised already if a check failed
+        lambda summary: f"{len(summary['checks'])}/{len(summary['checks'])} checks passed",
+    ),
+    "report": (
+        _report,
+        (),
+        "collate run summaries under --out into CSV",
+        lambda summary: f"collated {summary['runs']} runs ({summary['version']})",
+    ),
 }
 
 

@@ -672,6 +672,19 @@ def test_lambda_sweep_requires_the_eigenpair(case_solutions):
         bt.lambda_sweep(case_solutions[KEY], [1.0], bt.FlowConfig())
 
 
+@pytest.mark.parametrize(
+    "lams, cfg",
+    [((1.0,), bt.FlowConfig()), ((0.5, 1.0), bt.FlowConfig(t_end=1e-3))],
+    ids=["serial", "forked"],
+)
+def test_a_missing_eigenpair_at_lambda_one_is_named(lams, cfg, monkeypatch):
+    # one process per lambda: the two-lambda sweep raises from the fan-out
+    monkeypatch.setattr(flow, "_sweep_workers", lambda n_runs: n_runs)
+    sol = bt.find_nodal_solution(bt.ProblemParams(3, 1, 0.1), M=256)
+    with pytest.raises(ValueError, match=r"first eigenpair.*t_end = 10/\|lambda_1\|"):
+        bt.lambda_sweep(sol, lams, cfg, None)
+
+
 def test_lambda_sweep_never_evaluates_the_energy(case_solutions, case_pairs, monkeypatch):
     sol, pair = case_solutions[KEY], case_pairs[KEY]
     cfg, lams = bt.FlowConfig(t_end=0.01), (0.5, 1.0, 1.03)

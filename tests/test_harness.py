@@ -295,7 +295,7 @@ def test_write_csv_streams_a_long_table(tmp_path):
 def test_numeric_tables_match_per_cell_rendering(tmp_path, monkeypatch, op, overrides):
     from bubbletower import harness
 
-    body, flags, help_text = harness.OPERATIONS[op]
+    body, *rest = harness.OPERATIONS[op]
     tables = {}
 
     def spy(cfg, root):
@@ -303,7 +303,7 @@ def test_numeric_tables_match_per_cell_rendering(tmp_path, monkeypatch, op, over
         tables.update(out)
         return summary, out
 
-    monkeypatch.setitem(harness.OPERATIONS, op, (spy, flags, help_text))
+    monkeypatch.setitem(harness.OPERATIONS, op, (spy, *rest))
     outdir, _ = harness.run(op, resolve_config(overrides=overrides), tmp_path)
     assert tables
     for name, (header, rows) in tables.items():
@@ -635,6 +635,40 @@ def test_report_collates(cli_root, capsys):
     assert len(lines) == 3
 
 
+_NUM = r"(-?(\d+(\.\d*)?(e[-+]\d+)?|inf)|nan)"
+_SMALL = ["--N", "3", "--k", "1", "--eps", "0.1", "--M", "256"]
+
+
+@pytest.mark.parametrize(
+    "calls, line",
+    [
+        ([["tower", *_SMALL]], rf"tower: slope={_NUM} residual={_NUM} zeros=0 d_hat=\['{_NUM}'\]"),
+        ([["eig", *_SMALL]], rf"eig: lambda1={_NUM} residual={_NUM} inner_product={_NUM} identity={_NUM}"),
+        ([["limit", "--N", "4"]], rf"limit: lambda\*={_NUM} \[R=20:{_NUM} R=40:{_NUM} R=80:{_NUM}\] overlap={_NUM}"),
+        (
+            [["flow", *_SMALL, "--lambda", "0.5", "--t-end", "1e-3"]],
+            rf"flow: lambda=0.5 status=GlobalBounded drift_rel={_NUM}",
+        ),
+        ([["flow", *_SMALL, "--lambda", "1.5"]], rf"flow: lambda=1.5 status=BlowUp T={_NUM} drift_rel={_NUM}"),
+        (
+            [["sweep", *_SMALL[:4], "--M", "256", "--eps-list", "0.1", "--lambda-list", "0.1,1.5", "--t-end", "0.5"]],
+            r"sweep: 2 cells \(BlowUp=1, GlobalBounded=1\)",
+        ),
+        ([["verify"]], r"verify: 13/13 checks passed"),
+        ([["tower", *_SMALL], ["report"]], rf"report: collated 1 runs \({re.escape(bubbletower.__version__)}\)"),
+    ],
+    ids=["tower", "eig", "limit", "flow", "flow-T", "sweep", "verify", "report"],
+)
+def test_every_operation_prints_its_console_line(tmp_path, capsys, calls, line):
+    for argv in calls:
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out.splitlines()[-2:]
+    op = calls[-1][0]
+    (outdir,) = [d for d in tmp_path.iterdir() if d.name.startswith(op + "-")]
+    assert re.fullmatch(line, printed[0]), printed[0]
+    assert printed[1] == f"outputs: {outdir}"
+
+
 def test_report_refuses_mixed_versions(cli_root, tmp_path):
     root = tmp_path / "mixed"
     shutil.copytree(cli_root, root)
@@ -813,7 +847,7 @@ def test_readme_config_table_matches_the_schema():
     defaults = resolve_config()
     for key, (default, _, flag_on) in rows.items():
         assert parse_value(key, default) == defaults[key], key
-        ops = [f"`{op}`" for op, (_, keys, _) in OPERATIONS.items() if key in keys]
+        ops = [f"`{op}`" for op, (_, keys, *_) in OPERATIONS.items() if key in keys]
         assert flag_on == (", ".join(ops) or "—"), key
     # the one key with a fixed set of values names exactly those values
     assert re.findall(r"`([^`]+)`", rows["integrator"][1]) == list(_INTEGRATORS)

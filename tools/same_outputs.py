@@ -46,6 +46,9 @@ CALLS = [
     ("sweep, every solve fails", ["sweep", "--config", "{config}", "--lambda-list", "0.9,1.0", "--t-end", "0.01"]),
     ("verify", ["verify"]),
     ("report", ["report"]),
+    # the help texts, which the parser builds from the rows of harness.OPERATIONS
+    ("help", ["--help"]),
+    ("flow help", ["flow", "--help"]),
 ]
 
 
