@@ -33,9 +33,11 @@ whole loop under one np.errstate, entered outside the generator so that a
 loop left early leaves no error state behind.
 
 Every run from lambda * phi (the `flow` operation's and each sweep row's)
-starts in `_run_from`, the one place that builds the zero-trace data and gives
+starts in `_run_from`, the one place that builds the zero-trace data, gives
 the lambda = 1 run, phi itself, its horizon 10/|lambda_1| from the eigenpair,
-which `lambda_sweep` therefore requires. `_sweep_rows` fans the sweep's
+which `lambda_sweep` therefore requires, and writes the run's record (lambda,
+status, T_estimate, drift_rel, t_end), which the `flow` summary and every
+sweep row carry unchanged. `_sweep_rows` fans the sweep's
 independent runs out over the usable cores (`_fan_out`): the caller forks one
 child per extra core and runs its share too, and no child outlives the call.
 Each run does the same arithmetic as a serial run, so the rows are
@@ -193,7 +195,7 @@ class _Stepper:
         """v holds the full nodal array; endpoints stay pinned to zero."""
         w = v[self.unknowns]
         out = np.zeros(v.shape)  # calloc'd zeros; np.zeros_like would fill them
-        out[self.unknowns] = w + np.abs(w) ** (self.params.p - 1.0) * w * dt
+        out[self.unknowns] = w + self.params.reaction(w) * dt
         return self._solve(dt, out)
 
     def linear_step(self, z: np.ndarray, dt: float, gain: np.ndarray) -> np.ndarray:
@@ -315,9 +317,11 @@ def _evolve(v0: RadialField, params: ProblemParams, cfg: FlowConfig, energy: boo
 
 def _run_from(
     sol: StationarySolution, pair: EigenPair | None, lam: float, cfg: FlowConfig, energy: bool
-) -> tuple[FlowResult, FlowConfig]:
-    """The run from the zero-trace lam * phi (`_evolve`) and the FlowConfig it ran with.
+) -> tuple[FlowResult, dict]:
+    """The run from the zero-trace lam * phi (`_evolve`) and its record.
 
+    The record, {lambda, status, T_estimate, drift_rel, t_end}, is what the
+    `flow` summary and every sweep row share, so a per-run field is added here.
     At lam = 1 the run is phi itself and its horizon is t_end = 10/|lambda_1|,
     read from pair, which no other lam reads; a missing pair there is a
     ValueError. Past a few dozen multiples of 1/|lambda_1| double precision
@@ -330,26 +334,23 @@ def _run_from(
             raise ValueError("lambda = 1 needs the first eigenpair: its horizon is t_end = 10/|lambda_1|")
         cfg = replace(cfg, t_end=10.0 / abs(pair.lam))
     v0 = RadialField(sol.field.grid, lam * sol.field.values, dirichlet=True)
-    return _evolve(v0, sol.params, cfg, energy), cfg
+    res = _evolve(v0, sol.params, cfg, energy)
+    return res, {
+        "lambda": lam, "status": res.status, "T_estimate": res.T_estimate,
+        "drift_rel": res.drift / max(res.sup0, 1e-300), "t_end": cfg.t_end,
+    }
 
 
 def _sweep_row(sol: StationarySolution, pair: EigenPair, lam: float, cfg: FlowConfig) -> dict:
-    """One `lambda_sweep` row: the run from lam * phi, or a 'Failed' row if it overflows.
+    """One `lambda_sweep` row: the run's record (`_run_from`) plus sup_final, or a 'Failed' row if it overflows.
 
     The row keeps no energy, so the run skips it (`_run_from` with energy off).
     """
     try:
-        res, run_cfg = _run_from(sol, pair, lam, cfg, energy=False)
+        res, record = _run_from(sol, pair, lam, cfg, energy=False)
     except IntegratorFailure as exc:
         return {"lambda": lam, "status": "Failed", "message": str(exc)}
-    return {
-        "lambda": lam,
-        "status": res.status,
-        "T_estimate": res.T_estimate,
-        "sup_final": float(np.max(np.abs(res.final.values))),
-        "drift_rel": res.drift / max(res.sup0, 1e-300),
-        "t_end": run_cfg.t_end,
-    }
+    return {**record, "sup_final": float(np.max(np.abs(res.final.values)))}
 
 
 def _sweep_workers(n_runs: int) -> int:

@@ -301,18 +301,14 @@ def _flow(cfg: dict, root):
     sol = _build_solution(cfg)
     lam = cfg["lambda"]
     pair = first_eigenpair(assemble_linearized(sol)) if lam == 1.0 else None  # only lambda = 1 reads it
-    res, fcfg = _run_from(sol, pair, lam, fcfg, energy=True)
+    res, record = _run_from(sol, pair, lam, fcfg, energy=True)
     summary = {
         "N": sol.params.N,
         "k": sol.params.k,
         "eps": sol.params.eps,
-        "lambda": lam,
-        "status": res.status,
-        "T_estimate": res.T_estimate,
+        **record,
         "T_bracket": list(res.T_bracket) if res.T_bracket else None,
         "sup0": res.sup0,
-        "drift_rel": res.drift / max(res.sup0, 1e-300),
-        "t_end": fcfg.t_end,
         "steps": int(res.series.shape[0]),
     }
     return summary, {"series.csv": (["t", "sup", "energy", "dt"], res.series)}

@@ -419,16 +419,21 @@ def test_flow_run_stationary(cfg_file, tmp_path, capsys):
     assert len(lines) > 2
 
 
-def test_flow_at_lambda_one_uses_the_sweep_horizon(cfg_file, tmp_path):
-    assert main(["flow", "--config", str(cfg_file), "--out", str(tmp_path), "--lambda", "1.0"]) == 0
+@pytest.mark.parametrize(
+    "lam, status", [(0.5, "GlobalBounded"), (1.0, "Stationary"), (1.5, "BlowUp")], ids=["0.5", "1.0", "1.5"]
+)
+def test_flow_at_lambda_one_uses_the_sweep_horizon(cfg_file, tmp_path, lam, status):
+    # the flow summary and the sweep row carry one record of the run, at every status
+    assert main(["flow", "--config", str(cfg_file), "--out", str(tmp_path), "--lambda", str(lam)]) == 0
     (d,) = list(tmp_path.iterdir())
     summary = json.loads((d / "summary.json").read_text())
     sol = bubbletower.find_nodal_solution(bubbletower.ProblemParams(3, 1, 0.1), M=1024)
     pair = bubbletower.first_eigenpair(bubbletower.assemble_linearized(sol))
-    (row,) = bubbletower.lambda_sweep(sol, [1.0], _flow_config(resolve_config(load_config(cfg_file)[0])), pair)
-    assert summary["t_end"] == row["t_end"] != 0.5
-    assert summary["status"] == row["status"] == "Stationary"
-    assert summary["drift_rel"] == row["drift_rel"]
+    (row,) = bubbletower.lambda_sweep(sol, [lam], _flow_config(resolve_config(load_config(cfg_file)[0])), pair)
+    record = ("lambda", "status", "T_estimate", "drift_rel", "t_end")
+    assert {key: summary[key] for key in record} == {key: row[key] for key in record}
+    assert row["status"] == status
+    assert (row["t_end"] != 0.5) == (lam == 1.0)  # only lambda = 1 runs on the horizon 10/|lambda_1|
 
 
 def test_flow_run_blowup(cfg_file, tmp_path):

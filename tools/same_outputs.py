@@ -39,6 +39,12 @@ CALLS = [
         (f"flow (4,2,1e-3) lambda={lam}", ["flow", "--N", "4", "--k", "2", "--eps", "1e-3", "--lambda", lam, "--t-end", "0.01"])
         for lam in ("0.1", "1.0", "1.05")
     ),
+    # the closed-form reaction map, whose T_bracket is the single step in which the map diverged
+    (
+        "flow (3,1,0.1) reaction-only",
+        ["flow", "--N", "3", "--k", "1", "--eps", "0.1", "--M", "256", "--lambda", "1.05",
+         "--integrator", "reaction-only", "--t-end", "0.5"],
+    ),
     (
         "sweep 2 eps x 3 lambdas",
         ["sweep", "--N", "4", "--k", "2", "--eps-list", "1e-3,1e-4", "--lambda-list", "0.95,1.0,1.05", "--t-end", "0.01"],
