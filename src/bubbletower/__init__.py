@@ -21,7 +21,6 @@ from .mesh import (
     RadialField,
     RadialGrid,
     apply_radial_laplacian,
-    build_ball_grid,
     build_grid,
     integrate_weighted,
     norms,
@@ -77,7 +76,6 @@ __all__ = [
     "bubble_amplitude",
     "bubble_eval",
     "bubble_linearization",
-    "build_ball_grid",
     "build_grid",
     "comparison_monitor",
     "critical_exponent",

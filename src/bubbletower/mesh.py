@@ -23,14 +23,10 @@ class RadialGrid:
 
     nodes   : array of M+1 radii; r_0 is the inner radius, r_M the outer
     N       : space dimension (weights carry r^{N-1})
-    origin  : True when r_0 == 0 (ball grids for the whole-space limit);
-              the r=0 cell then carries its exact mass (h/2)^N / N and the
-              operator row encodes the regularity condition u'(0) = 0.
     """
 
     nodes: np.ndarray
     N: int
-    origin: bool = False
 
     def __post_init__(self) -> None:
         nodes = np.asarray(self.nodes, dtype=float)
@@ -41,11 +37,17 @@ class RadialGrid:
             raise ValueError("nodes must be strictly increasing")
         if self.N < 3:
             raise ValueError(f"dimension N must be >= 3, got {self.N}")
-        if self.origin:
-            if nodes[0] != 0.0:
-                raise ValueError("origin grid must start at r=0 exactly")
-        elif nodes[0] <= 0.0:
-            raise ValueError("annulus grid needs a positive inner radius")
+        if nodes[0] < 0.0:
+            raise ValueError(f"radii must be nonnegative, got r_0 = {nodes[0]}")
+
+    @property
+    def origin(self) -> bool:
+        """True when r_0 == 0 (ball grids for the whole-space limit).
+
+        The r=0 cell then carries its exact mass (h/2)^N / N and the operator
+        row encodes the regularity condition u'(0) = 0.
+        """
+        return bool(self.nodes[0] == 0.0)
 
     @property
     def M(self) -> int:
@@ -131,37 +133,29 @@ class RadialField:
             raise ValueError("dirichlet field must have exactly zero endpoint values")
 
 
-def build_grid(eps: float, outer: float, M: int, grading: str = "log", N: int = 3) -> RadialGrid:
-    """Annulus grid on [eps, outer] with M+1 nodes.
+def build_grid(inner: float, outer: float, M: int, grading: str = "log", N: int = 3) -> RadialGrid:
+    """Grid on [inner, outer] with M+1 nodes: an annulus, or a ball when inner = 0.
 
     'log' places nodes uniformly in log r, so each concentration scale gets
-    the same number of nodes per decade (M / log10(outer/eps) of them).
-    'uniform' places them uniformly in r.
+    the same number of nodes per decade (M / log10(outer/inner) of them).
+    'uniform' places them uniformly in r; with inner = 0 this is the ball
+    grid of the whole-space limit.
     """
-    if not (0.0 < eps < outer):
-        raise ValueError(f"need 0 < eps < outer, got eps={eps}, outer={outer}")
+    if not (0.0 <= inner < outer):
+        raise ValueError(f"need 0 <= inner < outer, got inner={inner}, outer={outer}")
     if M < 16:
         raise ValueError(f"M must be >= 16, got {M}")
     j = np.arange(M + 1)
     if grading == "log":
-        nodes = eps * (outer / eps) ** (j / M)
+        if inner == 0.0:
+            raise ValueError("the 'log' grading needs a positive inner radius")
+        nodes = inner * (outer / inner) ** (j / M)
     elif grading == "uniform":
-        nodes = eps + j * (outer - eps) / M
+        nodes = inner + j * (outer - inner) / M
     else:
         raise ValueError(f"unknown grading {grading!r}")
-    nodes[0], nodes[-1] = eps, outer
+    nodes[0], nodes[-1] = inner, outer
     return RadialGrid(nodes=nodes, N=N)
-
-
-def build_ball_grid(R: float, M: int, N: int) -> RadialGrid:
-    """Uniform grid on [0, R] including the origin, for the whole-space limit."""
-    if R <= 0:
-        raise ValueError(f"need R > 0, got {R}")
-    if M < 16:
-        raise ValueError(f"M must be >= 16, got {M}")
-    nodes = np.arange(M + 1) * (R / M)
-    nodes[-1] = R
-    return RadialGrid(nodes=nodes, N=N, origin=True)
 
 
 def _same_grid(u: RadialField, v: RadialField) -> None:

@@ -45,7 +45,7 @@ def emden_fowler_transform(u: RadialField) -> tuple[np.ndarray, np.ndarray]:
     locating concentration scales.
     """
     r = u.grid.nodes
-    if r[0] <= 0.0:
+    if u.grid.origin:
         raise ValueError("transform needs strictly positive radii")
     beta = (u.grid.N - 2) / 2
     return np.log(r), r**beta * u.values

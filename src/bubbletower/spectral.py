@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg.lapack import dstebz, dstein
 
 from .errors import SolverError
-from .mesh import RadialField, RadialGrid, build_ball_grid, integrate_weighted
+from .mesh import RadialField, RadialGrid, build_grid, integrate_weighted
 from .params import critical_exponent
 from .profile import Bubble, bubble_eval, bubble_linearization
 from .stationary import StationarySolution
@@ -152,7 +152,7 @@ def limit_eigenpair(N: int, R: float, M: int) -> EigenPair:
     """
     if R < 20:
         raise ValueError(f"truncation radius must be >= 20, got {R}")
-    grid = build_ball_grid(R, M, N)
+    grid = build_grid(0.0, R, M, "uniform", N)
     V = RadialField(grid, bubble_linearization(Bubble(1.0, N), grid.nodes))
     op = assemble_operator(grid, V)
     pair = first_eigenpair(op)

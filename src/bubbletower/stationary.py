@@ -107,7 +107,8 @@ class StationarySolution:
     newton_iterations : Newton steps the polish accepted
     newton_shift    : sup norm of the change Newton made to the shot
     residual_history : scaled residual of the shot and after each accepted step,
-                      all over the shot's max(1, sup|f|)
+                      all over the returned field's max(1, sup|f|); the last
+                      entry is residual_norm
     """
 
     params: ProblemParams
@@ -134,13 +135,14 @@ def stationary_residual(u: RadialField, params: ProblemParams) -> RadialField:
     return RadialField(u.grid, vals)
 
 
-def _newton_refine(u0: RadialField, params: ProblemParams) -> tuple[RadialField, np.ndarray, list]:
+def _newton_refine(u0: RadialField, params: ProblemParams) -> tuple[RadialField, list]:
     """Damped Newton on the discrete BVP Delta_h u + f(u) = 0 (interior rows).
 
-    Takes the first t in _NEWTON_STEPS whose step cuts the scaled residual
-    sup norm by 1 - t/4, and stops at the first direction where none does:
-    rounding sets the residual there. Returns the field, its interior
-    residual and the scaled residual history (over max(1, sup|f(u0)|)).
+    Takes the first t in _NEWTON_STEPS whose step cuts the residual sup norm
+    by 1 - t/4, and stops at the first direction where none does: rounding
+    sets the residual there. The test compares two norms of one step, so it
+    needs no scale. Returns the field and the unscaled history of interior
+    residual sup norms, the shot's first.
     """
     g = u0.grid
     mass, diag, off = g.stiffness
@@ -148,14 +150,13 @@ def _newton_refine(u0: RadialField, params: ProblemParams) -> tuple[RadialField,
     up = off / mass[:-1]  # super-diagonal entries (rows ..n-1)
     diag_lap = -diag / mass
     u = u0.values.copy()
-    scale = max(1.0, float(np.max(np.abs(params.reaction(u)))))
 
     def resid(vals):
         return -stationary_residual(RadialField(g, vals), params).values[1:-1]
 
     hist = []
     F = resid(u)
-    res = float(np.max(np.abs(F))) / scale
+    res = float(np.max(np.abs(F)))
     hist.append(res)
     if not math.isfinite(res):  # accepted steps keep it finite: only the start can fail here
         raise SolverError(f"non-finite Newton residual {res} at the initial field", {"history": hist})
@@ -167,14 +168,14 @@ def _newton_refine(u0: RadialField, params: ProblemParams) -> tuple[RadialField,
             trial = u.copy()
             trial[1:-1] += t * delta
             Ft = resid(trial)
-            rest = float(np.max(np.abs(Ft))) / scale
+            rest = float(np.max(np.abs(Ft)))
             if rest <= res * (1.0 - 0.25 * t):
                 break
         else:
             break  # no damped step helps: the residual sits at its rounding floor
         u, F, res = trial, Ft, rest
         hist.append(res)
-    return RadialField(g, u, dirichlet=True), F, hist
+    return RadialField(g, u, dirichlet=True), hist
 
 
 def _interior_zeros(u: RadialField) -> np.ndarray:
@@ -258,8 +259,10 @@ def find_nodal_solution(
     s_star = _time_map_slope(params)
     grid = build_grid(params.eps, 1.0, M, "log", params.N)
     u_shot = shoot(params, s_star, grid)
-    u, F, hist = _newton_refine(u_shot, params)
-    res_norm = float(np.max(np.abs(F))) / max(1.0, float(np.max(np.abs(params.reaction(u.values)))))
+    u, hist = _newton_refine(u_shot, params)
+    scale = max(1.0, float(np.max(np.abs(params.reaction(u.values)))))
+    hist = [res / scale for res in hist]
+    res_norm = hist[-1]
     if res_norm > residual_tol:
         raise SolverError(
             f"Newton refinement stalled at scaled residual {res_norm:.3e} > {residual_tol:g}",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bubbletower as bt
+from bubbletower import spectral
 from bubbletower.mesh import apply_radial_laplacian
 
 
@@ -117,17 +118,35 @@ def test_integrate_rejects_mismatched_grids():
 
 
 def test_ball_grid_origin_cell():
-    g = bt.build_ball_grid(20.0, 64, 3)
+    g = bt.build_grid(0.0, 20.0, 64, "uniform", 3)
     assert g.nodes[0] == 0.0
     assert g.origin
     h = g.nodes[1] - g.nodes[0]
     assert abs(g.cell_weights[0] - (0.5 * h) ** 3 / 3.0) <= 1e-18
 
 
+@pytest.mark.parametrize("R, M", [*spectral._LIMIT_LADDER, (80.0, 8192)])
+def test_ball_grid_is_the_scaled_index_grid_bit_for_bit(R, M):
+    # the nodes j * (R / M) that the ball grid had before build_grid built it
+    want = np.arange(M + 1) * (R / M)
+    want[-1] = R
+    g = bt.build_grid(0.0, R, M, "uniform", 4)
+    assert g.nodes.tobytes() == want.tobytes()
+    assert g.origin
+
+
+def test_origin_is_read_off_the_first_node():
+    assert not bt.build_grid(0.1, 1.0, 64, N=3).origin
+    with pytest.raises(ValueError, match="log"):
+        bt.build_grid(0.0, 1.0, 64, "log")
+    with pytest.raises(ValueError, match="nonnegative"):
+        bt.RadialGrid(np.linspace(-0.1, 1.0, 65), 3)
+
+
 def test_stiffness_on_origin_grid_reproduces_the_regularity_row():
     # reference: the operator (d, e) of -Delta - V written out row by row on the
     # unknowns 0..M-1, the r=0 row carrying only its outer face
-    g = bt.build_ball_grid(30.0, 512, 5)
+    g = bt.build_grid(0.0, 30.0, 512, "uniform", 5)
     V = np.linspace(0.0, 1.0, g.nodes.size)
     beta, D = g.face_weights, g.cell_weights
     Dk = D[:-1]
@@ -167,7 +186,7 @@ def test_stiffness_on_annulus_matches_the_laplacian():
 def test_laplacian_on_a_ball_grid_is_the_stiffness_with_its_regularity_row(N):
     # -mass^{-1} K w on the unknowns 0..M-1, and at r = 0 the continuum value
     # Delta exp(-r^2) = -2N
-    g = bt.build_ball_grid(5.0, 256, N)
+    g = bt.build_grid(0.0, 5.0, 256, "uniform", N)
     u = np.exp(-g.nodes**2)
     u[-1] = 0.0
     mass, diag, off = g.stiffness

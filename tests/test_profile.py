@@ -45,7 +45,7 @@ def test_ef_peak_height_closed_form_and_measured():
 
 
 def test_ef_transform_rejects_origin():
-    g = bt.build_ball_grid(1.0, 64, 3)
+    g = bt.build_grid(0.0, 1.0, 64, "uniform", 3)
     u = bt.RadialField(g, np.ones(g.nodes.size))
     with pytest.raises(ValueError):
         bt.emden_fowler_transform(u)

@@ -56,7 +56,7 @@ def test_one_by_one_operator(d0):
 
 
 def _limit_operator(N, R, M):
-    g = bt.build_ball_grid(R, M, N)
+    g = bt.build_grid(0.0, R, M, "uniform", N)
     return bt.assemble_operator(g, bt.RadialField(g, bubble_linearization(Bubble(1.0, N), g.nodes)))
 
 

@@ -139,6 +139,13 @@ def test_newton_stage_small_shift(case_solutions):
 
 
 @pytest.mark.parametrize("key", CASES, ids=lambda c: f"N{c[0]}k{c[1]}eps{c[2]:g}")
+def test_residual_history_ends_at_the_residual_norm(case_solutions, key):
+    # the history and residual_norm are divided by one scale, the returned field's
+    sol = case_solutions[key]
+    assert sol.residual_history[-1] == sol.residual_norm
+
+
+@pytest.mark.parametrize("key", CASES, ids=lambda c: f"N{c[0]}k{c[1]}eps{c[2]:g}")
 def test_concentration_scales_match_leading_order(case_solutions, key):
     N, k, eps = key
     sol = case_solutions[key]

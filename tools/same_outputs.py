@@ -34,6 +34,8 @@ CALLS = [
     ("eig (3,2,1e-3)", ["eig", "--N", "3", "--k", "2", "--eps", "1e-3"]),
     ("eig (4,2,1e-3)", ["eig", "--N", "4", "--k", "2", "--eps", "1e-3"]),
     ("tower (4,1,1e-4), fails", ["tower", "--N", "4", "--k", "1", "--eps", "1e-4"]),
+    # limit is the one CLI path that builds ball grids
+    ("limit N=3", ["limit", "--N", "3"]),
     ("limit N=4", ["limit", "--N", "4"]),
     *(
         (f"flow (4,2,1e-3) lambda={lam}", ["flow", "--N", "4", "--k", "2", "--eps", "1e-3", "--lambda", lam, "--t-end", "0.01"])
