@@ -44,11 +44,17 @@ Each run does the same arithmetic as a serial run, so the rows are
 bit-identical to a serial sweep's. A sweep row keeps no energy, so its runs
 go through `evolve`'s loop (`_evolve`) with the per-step energy switched off;
 every other number of the run is the same.
+
+Each per-step row recorder (`evolve`'s series and the rows of the lockstep
+callers and `linearized_evolve`) appends its floats to an array("d"), 8 bytes
+a value, and returns np.frombuffer(rows).reshape(-1, ncols): a float64 view
+of the doubles it stored, with no copy at the end of the run.
 """
 from __future__ import annotations
 
 import math
 import os
+from array import array
 from dataclasses import dataclass, replace
 from itertools import islice
 from typing import ClassVar
@@ -103,10 +109,10 @@ class FlowConfig:
 
 @dataclass
 class FlowResult:
-    """Classification of one run plus its sampled time series.
+    """Classification of one run plus its series, a float64 view of the array("d") of its rows.
 
     status is one of 'Stationary', 'GlobalBounded', 'BlowUp', 'Undetermined'.
-    series columns: t, sup norm, energy, dt. For blow-up runs T_estimate is
+    series columns: t, sup norm, energy, dt, a row per step. For blow-up runs T_estimate is
     the escape time t + sup^{1-p}/(p-1) of v' = v^p at the first series row
     past the threshold, or, when the closed-form reaction map diverges first,
     at the last finite row (t = 0 and sup0 if there is none). The escape time
@@ -272,7 +278,7 @@ def _evolve(v0: RadialField, params: ProblemParams, cfg: FlowConfig, energy: boo
     thr = cfg.blow_threshold * sup0
     omega = sphere_area(g.N)
     lo, hi = v0.values.copy(), v0.values.copy()  # node-wise min and max of the state over the run
-    v, series, crossed, blowup = v0.values.copy(), [], None, None  # crossed: (t, sup) at the first crossing
+    v, series, crossed, blowup = v0.values.copy(), array("d"), None, None  # crossed: (t, sup) at the first crossing
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for t, dt, v, sup, collapse in _march(advance, v, cfg.t_end, _adaptive_dt(cfg, p), cfg.dt_min):
@@ -280,9 +286,9 @@ def _evolve(v0: RadialField, params: ProblemParams, cfg: FlowConfig, energy: boo
                 np.maximum(hi, v, out=hi)
                 if energy:
                     grad2, pot = _energy_parts(v, g, p)
-                    series.append((t, sup, omega * (0.5 * grad2 - pot / (p + 1.0)), dt))
+                    series.extend((t, sup, omega * (0.5 * grad2 - pot / (p + 1.0)), dt))
                 else:
-                    series.append((t, sup, math.nan, dt))
+                    series.extend((t, sup, math.nan, dt))
                 if sup0 > 0.0 and sup > thr:
                     if crossed is None:
                         crossed = (t, sup)
@@ -300,10 +306,10 @@ def _evolve(v0: RadialField, params: ProblemParams, cfg: FlowConfig, energy: boo
     # the drift max_t |v - v0|: rounding of v - v0 is monotone in v, so the
     # extremes of v give the same value as the differences taken every step
     drift = float(max(np.max(hi - v0.values), np.max(v0.values - lo)))
-    arr = np.asarray(series) if series else np.zeros((0, 4))
+    arr = np.frombuffer(series).reshape(-1, 4)
     final = RadialField(v0.grid, v, v0.dirichlet)
     if blowup is not None:
-        t, sup = crossed or (series[-1][:2] if series else (0.0, sup0))
+        t, sup = crossed or ((series[-4], series[-3]) if series else (0.0, sup0))
         T = t + sup ** (1.0 - p) / (p - 1.0)  # the escape time of v' = v^p from sup at t
         return FlowResult("BlowUp", arr, final, sup0, drift, T, *blowup)
     if crossed is not None:
@@ -523,22 +529,16 @@ def linearized_evolve(
         raise ValueError("zero initial data for the linearized flow")
     z /= n0
     orthogonal_start = abs(projection(z)) <= 1e-12
-    log_growth, rows = 0.0, []
+    log_growth, rows = 0.0, array("d")
     with np.errstate(over="ignore", invalid="ignore"):
         gain = 1.0 + dt * params.reaction_derivative(sol.field.values)[g.unknowns]
         # exactly ceil(t_end/dt) steps: the accumulated clock may fall just short of t_end
         for t, _, z, _, _ in islice(_march(advance, z, np.inf, lambda sup, rest: dt, 0.0), n_steps):
             pr = projection(z)
-            rows.append(
-                (
-                    t,
-                    log_growth + np.log(max(abs(pr), 1e-300)),
-                    np.sign(pr),
-                    np.arccos(min(1.0, abs(pr))),
-                    log_growth,
-                )
+            rows.extend(
+                (t, log_growth + np.log(max(abs(pr), 1e-300)), np.sign(pr), np.arccos(min(1.0, abs(pr))), log_growth)
             )
-    arr = np.asarray(rows)
+    arr = np.frombuffer(rows).reshape(-1, 5)
     half = arr.shape[0] // 2
     A = np.vstack([np.ones(arr.shape[0] - half), arr[half:, 0]]).T
     coef, *_ = np.linalg.lstsq(A, arr[half:, 1], rcond=None)
@@ -571,7 +571,7 @@ def linear_nonlinear_consistency(sol: StationarySolution, pair: EigenPair) -> di
     dt = 0.002 / abs(pair.lam)
     stepper = _Stepper(g, params)
     sup_phi = float(np.max(np.abs(phi)))
-    t, max_err, rows = 0.0, 0.0, []
+    t, max_err, rows = 0.0, 0.0, array("d")
     with np.errstate(over="ignore", invalid="ignore"):
         gain = 1.0 + dt * params.reaction_derivative(phi)[g.unknowns]
         steps = _march(
@@ -587,8 +587,8 @@ def linear_nonlinear_consistency(sol: StationarySolution, pair: EigenPair) -> di
                 break
             err = float(np.max(np.abs(dv / (lam - 1.0) - z))) / max(float(np.max(np.abs(z))), 1e-300)
             max_err = max(max_err, err)
-            rows.append((t, err))
-    return {"max_rel_err": max_err, "t_final": t, "series": np.asarray(rows)}
+            rows.extend((t, err))
+    return {"max_rel_err": max_err, "t_final": t, "series": np.frombuffer(rows).reshape(-1, 2)}
 
 
 def find_separation_time(
@@ -722,7 +722,7 @@ def comparison_monitor(
     stepper = _Stepper(vA0.grid, params)
     pair0 = np.array([vA0.values, vB0.values])
     thr = cfg.blow_threshold * max(float(np.max(np.abs(pair0))), 1e-300)
-    t, violation, rows, stopped = 0.0, 0.0, [], "horizon"
+    t, violation, rows, stopped = 0.0, 0.0, array("d"), "horizon"
     steps = _march(
         lambda s, h: np.array([stepper.step(s[0], h), stepper.step(s[1], h)]),
         pair0,
@@ -734,8 +734,8 @@ def comparison_monitor(
         for t, _, (va, vb), sup, _ in steps:
             viol = float(np.max(np.maximum(va - vb, 0.0)))
             violation = max(violation, viol)
-            rows.append((t, viol))
+            rows.extend((t, viol))
             if sup > thr:
                 stopped = "blow-up threshold"
                 break
-    return {"violation": violation, "series": np.asarray(rows), "stopped": stopped, "t_final": t}
+    return {"violation": violation, "series": np.frombuffer(rows).reshape(-1, 2), "stopped": stopped, "t_final": t}

@@ -12,7 +12,7 @@ not read, and reproduces the same data files byte for byte (timestamps live
 only in the manifest). The manifest's unread_config_keys lists the keys the
 config file sets that the operation does not read. Data files carry 17 significant
 digits; console summaries print 6. A numeric table (a 2-D float array) is
-written through one row template of "%.17g" fields, streamed in blocks of
+written through one row template of "%.17g" fields, one % per block of
 _ROW_BLOCK rows, byte-identical to the per-cell rendering that mixed tables
 (None, str, bool, int and float cells) take.
 """
@@ -157,16 +157,16 @@ def fmt6(x) -> str:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write a header line and rows: a 2-D float array through one "%.17g" row
-    template, block by block so no whole-table string or list is held; any
-    other iterable of rows cell by cell through _fmt17. Both give the same bytes
-    for a float, since "%.17g" % x == format(x, ".17g") (signed zeros, inf and nan too)."""
+    """Write a header line and rows: a 2-D float array by one % per block of _ROW_BLOCK
+    rows on the "%.17g" row template repeated, so no whole-table string or list is
+    held; any other iterable of rows cell by cell through _fmt17. Both give the same
+    bytes for a float, since "%.17g" % x == format(x, ".17g") (signed zeros, inf and nan too)."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
             fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-            for start in range(0, rows.shape[0], _ROW_BLOCK):
-                fh.writelines(map(fmt.__mod__, map(tuple, rows[start : start + _ROW_BLOCK].tolist())))
+            for block in np.split(rows, range(_ROW_BLOCK, rows.shape[0], _ROW_BLOCK)):
+                fh.write((fmt * len(block)) % tuple(block.ravel().tolist()))
             return
         for row in rows:
             fh.write(",".join(_fmt17(x) for x in row) + "\n")

@@ -242,8 +242,8 @@ def test_criterion_10a_separation_time_finite(case_solutions, case_pairs):
         f"criterion 10a: FAIL  no finite full-separation time t0 on this configuration: {detail}. "
         "The perturbation's projection on the first eigenfunction takes the predicted sign "
         "immediately and the single-signed node fraction climbs (best 0.50 above, 0.80 below), "
-        "but the difference field needs t ~ 5e-4 to sweep the last nodes near the inner "
-        "boundary while blow-up arrives at ~2e-5 (lam=1.02); one-signedness everywhere is "
+        "but the linearized difference from phi is one-signed only at t ~ 2-3e-3, its last nodes "
+        "at 0.78 <= r < 1, while blow-up arrives at ~2e-5 (lam=1.02); one-signedness everywhere is "
         "never reached before the sup norm leaves the window. Measured and analyzed; "
         "deliberately left red. Full analysis: docs/decisions.md"
     )

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -790,6 +791,105 @@ def test_the_escape_time_never_decreases_along_a_run(case_solutions, key, lam):
     p = sol.params.p
     escape = res.series[:, 0] + res.series[:, 1] ** (1.0 - p) / (p - 1.0)
     assert (np.diff(escape) >= 0.0).all()
+
+
+def _assert_float64_table(series, shape):
+    assert series.dtype == np.float64 and series.flags.c_contiguous
+    assert series.shape == shape
+
+
+def _count_steps(monkeypatch) -> list:
+    """The times of the steps `_march` yields from now on, one entry per step."""
+    times, march = [], flow._march
+
+    def counted(*args):
+        for out in march(*args):
+            times.append(out[0])
+            yield out
+
+    monkeypatch.setattr(flow, "_march", counted)
+    return times
+
+
+@pytest.mark.parametrize(
+    "lam, integrator, t_end",
+    [
+        (0.1, "imex-be", 5e-3),  # 500 steps at the fixed dt = dt_max
+        (1.05, "imex-be", 0.01),  # ends on the step that detects the blow-up
+        (1.05, "reaction-only", 0.01),  # ends on the last step before the map diverged
+    ],
+)
+@pytest.mark.parametrize("energy", [True, False])
+def test_a_run_series_is_a_c_contiguous_float64_table_of_its_steps(
+    case_solutions, monkeypatch, lam, integrator, t_end, energy
+):
+    sol = case_solutions[KEY]
+    v0 = bt.RadialField(sol.field.grid, lam * sol.field.values, dirichlet=True)
+    times = _count_steps(monkeypatch)
+    res = flow._evolve(v0, sol.params, bt.FlowConfig(t_end=t_end, integrator=integrator), energy)
+    _assert_float64_table(res.series, (len(times), 4))
+    assert np.array_equal(res.series[:, 0], times)
+    if lam == 0.1:
+        assert len(times) == 500
+    else:
+        assert res.status == "BlowUp"
+
+
+def test_the_other_recorders_return_c_contiguous_float64_tables_of_their_steps(
+    case_solutions, case_pairs, monkeypatch
+):
+    sol, pair = case_solutions[KEY], case_pairs[KEY]
+    times = _count_steps(monkeypatch)
+    t_end, dt = 1.0 / abs(pair.lam), 0.002 / abs(pair.lam)
+    lin = bt.linearized_evolve(sol, pair, pair.phi, t_end=t_end, dt=dt)
+    _assert_float64_table(lin["series"], (len(times), 5))
+    assert len(times) == math.ceil(t_end / dt)
+    g = bt.build_grid(0.5, 1.0, 128, N=3)
+    times.clear()
+    params, cfg = bt.ProblemParams(3, 1, 0.5), bt.FlowConfig(t_end=5e-3, dt_max=1e-4)
+    mon = bt.comparison_monitor(_bump(g, 0.8), _bump(g, 1.0), params, cfg)
+    _assert_float64_table(mon["series"], (len(times), 2))
+    # the step that leaves the linear window ends the run without a row
+    times.clear()
+    out = bt.linear_nonlinear_consistency(sol, pair)
+    assert out["t_final"] == times[-1]
+    _assert_float64_table(out["series"], (len(times) - 1, 2))
+
+
+def _late_divergence():
+    """v' = v^3 from 1 blows up at T = 1/2; at dt_max = 3e-3 the map diverges in the
+    step from t = 0.498, at sup 15.8, short of the threshold 1e3."""
+    g = bt.build_grid(0.5, 1.0, 16, N=4)
+    cfg = bt.FlowConfig(integrator="reaction-only", safety=0.6, dt_max=3e-3)
+    return bt.RadialField(g, np.ones(g.nodes.size)), bt.ProblemParams(4, 1, 0.5), cfg
+
+
+@pytest.mark.parametrize("setup, rows", [(_first_step_divergence, 0), (_late_divergence, 166)])
+def test_a_map_diverging_before_the_threshold_takes_t_estimate_from_the_last_row(setup, rows):
+    v0, params, cfg = setup()
+    res = bt.evolve(v0, params, cfg)
+    assert res.status == "BlowUp" and res.message == "exact reaction map diverged within the step"
+    _assert_float64_table(res.series, (rows, 4))
+    # the escape time from (t, sup) of the last row, or (0, sup0) with none, as a Python float
+    t, sup = res.series[-1, :2] if rows else (0.0, res.sup0)
+    assert sup < bt.FlowConfig.blow_threshold * res.sup0
+    assert type(res.T_estimate) is float
+    assert res.T_estimate == t + sup ** (1.0 - params.p) / (params.p - 1.0)
+
+
+def test_a_long_run_keeps_its_rows_in_under_80_bytes_each():
+    # a row is four doubles appended to the run's array("d"); as a tuple of
+    # four floats in a list it took 210-222 traced bytes
+    sol = bt.find_nodal_solution(bt.ProblemParams(3, 1, 0.1), M=256)
+    v0 = bt.RadialField(sol.field.grid, 0.1 * sol.field.values, dirichlet=True)
+    tracemalloc.start()
+    try:
+        res = bt.evolve(v0, sol.params, bt.FlowConfig(t_end=0.2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.series.shape == (20_000, 4)
+    assert peak / 20_000 < 80, f"tracemalloc peak {peak / 20_000:.1f} B per row"
 
 
 def _assert_same_run(got, want):

@@ -14,7 +14,9 @@ the two trees must agree on:
   is compared as JSON without its `started` and `finished` timestamps.
 
 Each difference is printed on its own line, and the exit status is 1 if there
-is any, 0 if there is none. Standard library only.
+is any, 0 if there is none. Each call's peak RSS under both trees (the
+child's ru_maxrss from os.wait4) is printed to stderr at the end, for
+information only: it does not count as a difference. Standard library only.
 """
 from __future__ import annotations
 
@@ -41,6 +43,11 @@ CALLS = [
         (f"flow (4,2,1e-3) lambda={lam}", ["flow", "--N", "4", "--k", "2", "--eps", "1e-3", "--lambda", lam, "--t-end", "0.01"])
         for lam in ("0.1", "1.0", "1.05")
     ),
+    # a long run: 20,000 steps at dt_max, whose 20,001-row series.csv spans five CSV blocks
+    (
+        "flow (4,2,1e-3) lambda=0.1 to t=0.2",
+        ["flow", "--N", "4", "--k", "2", "--eps", "1e-3", "--lambda", "0.1", "--t-end", "0.2"],
+    ),
     # the closed-form reaction map, whose T_bracket is the single step in which the map diverged
     (
         "flow (3,1,0.1) reaction-only",
@@ -61,17 +68,25 @@ CALLS = [
 
 
 def run_tree(src: Path, out: Path, config: Path) -> list:
-    """Run CALLS from src into out; per call (exit code, stdout, stderr, {dir name: {file: content}})."""
+    """Run CALLS from src into out; per call (exit code, stdout, stderr, {dir name: {file: content}},
+    peak RSS in MB)."""
     env = dict(os.environ, PYTHONPATH=str(src))
     results = []
     for label, args in CALLS:
         print(f"  {label}", file=sys.stderr)
         before = set(out.iterdir()) if out.exists() else set()
         argv = [str(config) if arg == "{config}" else arg for arg in args]
-        proc = subprocess.run(
-            [sys.executable, "-m", "bubbletower", *argv, "--out", str(out)],
-            capture_output=True, text=True, env=env, cwd=out.parent,
-        )
+        with tempfile.TemporaryFile("w+") as stdout, tempfile.TemporaryFile("w+") as stderr:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "bubbletower", *argv, "--out", str(out)],
+                stdout=stdout, stderr=stderr, env=env, cwd=out.parent,
+            )
+            # reaped by os.wait4, which reports the child's resource usage, not by proc.wait()
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = code = os.waitstatus_to_exitcode(status)  # so Popen takes it as reaped
+            stdout.seek(0)
+            stderr.seek(0)
+            text_out, text_err = stdout.read(), stderr.read()
 
         def normal(text):
             return text.replace(str(out), "<out>").replace(str(src), "<src>")
@@ -88,14 +103,17 @@ def run_tree(src: Path, out: Path, config: Path) -> list:
                 else:
                     files[path.name] = path.read_bytes()
             runs[run_dir.name] = files
-        results.append((proc.returncode, normal(proc.stdout), normal(proc.stderr), runs))
+        # ru_maxrss is in kilobytes on Linux
+        results.append((code, normal(text_out), normal(text_err), runs, usage.ru_maxrss / 1024))
     return results
 
 
 def differences(parent: list, change: list) -> list:
     """One line per difference between the two trees' results."""
     lines = []
-    for (label, _), (code_a, out_a, err_a, runs_a), (code_b, out_b, err_b, runs_b) in zip(CALLS, parent, change):
+    for (label, _), (code_a, out_a, err_a, runs_a, _), (code_b, out_b, err_b, runs_b, _) in zip(
+        CALLS, parent, change
+    ):
         if code_a != code_b:
             lines.append(f"{label}: exit code {code_a} != {code_b}")
         if out_a != out_b:
@@ -129,6 +147,9 @@ def main(argv: list) -> int:
             print(f"{name}: {src}", file=sys.stderr)
             (tmp / name).mkdir()
             results.append(run_tree(src, tmp / name / "out", config))
+    print("peak RSS (MB): parent, change", file=sys.stderr)
+    for (label, _), parent, change in zip(CALLS, *results):
+        print(f"  {label}: {parent[-1]:.1f}, {change[-1]:.1f}", file=sys.stderr)
     lines = differences(*results)
     for line in lines:
         print(line)
