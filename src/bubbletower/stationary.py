@@ -25,6 +25,9 @@ and one dense-output call gives the orbit u = r^{-beta} w(log r) at all grid
 nodes. A damped Newton iteration then drives the discrete residual
 (`stationary_residual`) of that field down until no damped step lowers it,
 so downstream spectral and flow work acts on an actual discrete solution.
+The shooting stack (`scipy.integrate`, `scipy.optimize`) is imported inside
+`shoot`, `_lobe_time` and `_time_map_slope`, so the first tower solve loads
+it and `import bubbletower` does not.
 """
 from __future__ import annotations
 
@@ -32,9 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 from scipy.linalg.lapack import dgtsv
-from scipy.optimize import brentq
 
 from .errors import SolverError
 from .mesh import RadialField, RadialGrid, apply_radial_laplacian, build_grid, norms
@@ -73,6 +74,9 @@ def shoot(params: ProblemParams, s: float, grid: RadialGrid) -> RadialField:
         return y[1]
 
     turn.terminal, turn.direction = True, -1
+    # imported here: at module level, scipy.integrate and scipy.optimize made up a third of `import bubbletower`
+    from scipy.integrate import solve_ivp
+
     t0 = math.log(eps)
     sol = solve_ivp(
         rhs, (t0, 0.0), (0.0, dw0), method="DOP853", rtol=IVP_RTOL, atol=1e-13, dense_output=True, events=turn
@@ -208,6 +212,9 @@ def _lobe_time(params: ProblemParams, log_y: float) -> float:
         q = -math.expm1(half * log_s2) / c2
         return math.cosh(tau) / math.sqrt(1.0 + ratio * math.sin(theta) ** 2 * q)
 
+    # imported here: at module level, scipy.integrate and scipy.optimize made up a third of `import bubbletower`
+    from scipy.integrate import quad
+
     tau_max = math.asinh(0.5 * math.pi / root_y)
     val = quad(integrand, 0.0, tau_max, epsabs=0.0, epsrel=_TIME_RTOL, limit=200)[0]
     return 2.0 / params.beta * val
@@ -230,6 +237,9 @@ def _time_map_slope(params: ProblemParams) -> float:
         if abs(outer) >= _LOG_Y_MAX:
             raise SolverError(f"no root of k T(a) = log(1/eps) with |log y| <= {_LOG_Y_MAX:g} for {case}")
         inner, outer = outer, 2.0 * outer
+    # imported here: at module level, scipy.integrate and scipy.optimize made up a third of `import bubbletower`
+    from scipy.optimize import brentq
+
     log_y = brentq(excess, min(inner, outer), max(inner, outer), xtol=1e-14)
     m0 = beta * beta * (p + 1.0) / 2.0
     log_a = math.log(beta) + 0.5 * log_y + (math.log(m0) + math.log1p(math.exp(log_y))) / (p - 1.0)

@@ -1,4 +1,10 @@
 """Session-scoped fixtures: the expensive solves are shared across test modules."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import bubbletower as bt
@@ -64,3 +70,37 @@ def solution_hi():
 @pytest.fixture(scope="session")
 def pair_hi(solution_hi):
     return bt.first_eigenpair(bt.assemble_linearized(solution_hi))
+
+
+# none loads with the package: the shooting stack, and scipy.special under it, at the first
+# tower solve; multiprocessing at a sweep; scipy.signal and the process pool never
+LAZY_MODULES = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.signal",
+                "multiprocessing", "concurrent.futures.process")
+
+PROBE = """
+import contextlib, io, json, sys
+import bubbletower, bubbletower.cli
+lazy = set(sys.argv[2:])
+loaded = {"import": sorted(lazy & set(sys.modules))}
+with contextlib.redirect_stdout(io.StringIO()):
+    code = bubbletower.cli.main(["limit", "--N", "3", "--out", sys.argv[1]])
+loaded["limit"] = [code, sorted(lazy & set(sys.modules))]
+bubbletower.find_nodal_solution(bubbletower.ProblemParams(3, 2, 1e-2), M=256)
+loaded["solve"] = sorted(lazy & set(sys.modules))
+print(json.dumps(loaded))
+"""
+
+
+@pytest.fixture(scope="session")
+def import_probe(tmp_path_factory):
+    # one fresh interpreter for every import probe: which of LAZY_MODULES are loaded after
+    # `import bubbletower`, after an in-process `limit` (with its exit code), and after a tower solve
+    env = dict(os.environ)
+    src = str(Path(bt.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, str(tmp_path_factory.mktemp("limit")), *LAZY_MODULES],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)

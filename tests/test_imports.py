@@ -13,13 +13,13 @@ package's `__all__` is exactly the set of names its __init__.py imports from
 its submodules, each of which resolves. Every module-level private
 function, class or constant is read somewhere in the package, by name, as
 an attribute or through a from-import. And `import bubbletower` loads
-neither `multiprocessing`, which `lambda_sweep` imports when it asks whether
-it may fork, nor the process-pool module, which the package does not use.
+only what its lightest entry points (`limit`, `report`, `--help`) need: not
+the shooting stack (`scipy.integrate`, `scipy.optimize`), which loads at the
+first tower solve, nor `multiprocessing`, which `lambda_sweep` imports when
+it asks whether it may fork, nor the process-pool module, which the package
+does not use.
 """
 import ast
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -169,13 +169,20 @@ def test_every_private_default_is_left_by_some_call(path):
     assert not always, f"{path.name}: every call passes the defaulted parameters {always}"
 
 
-def test_import_leaves_the_process_pool_modules_out():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(PACKAGE.parent), env.get("PYTHONPATH"))))
-    probe = "import sys, bubbletower; print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+SHOOTING_STACK = {"scipy.integrate", "scipy.optimize"}
+
+
+def test_import_leaves_the_process_pool_modules_out(import_probe):
+    pool = {"multiprocessing", "concurrent.futures.process"}
+    assert not pool & set(import_probe["import"]), import_probe["import"]
+    assert not pool & set(import_probe["limit"][1]), import_probe["limit"]
+
+
+def test_import_and_limit_leave_the_shooting_stack_to_the_first_solve(import_probe):
+    # the tower solve must load the shooting stack, so a misspelled name cannot pass
+    assert import_probe["import"] == []
+    assert import_probe["limit"] == [0, []]
+    assert SHOOTING_STACK <= set(import_probe["solve"]), import_probe["solve"]
 
 
 def test_no_module_imports_a_process_pool():

@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,11 +83,5 @@ def test_concentrations_match_scipy_peaks(case_solutions):
         assert np.all(np.abs(got - s[idx]) <= cell), (got, s[idx], cell)
 
 
-def test_import_leaves_scipy_signal_out():
-    env = dict(os.environ)
-    pkg_root = str(Path(bt.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (pkg_root, env.get("PYTHONPATH"))))
-    probe = "import sys, bubbletower; print('scipy.signal' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+def test_import_leaves_scipy_signal_out(import_probe):
+    assert "scipy.signal" not in import_probe["import"]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy.integrate import solve_ivp
 
 import bubbletower as bt
@@ -90,7 +91,8 @@ def test_shot_ends_at_the_first_turn(monkeypatch, k):
         ends.append(float(sol.t[-1]))
         return sol
 
-    monkeypatch.setattr(stationary, "solve_ivp", recording)
+    # shoot imports solve_ivp at each call, so it reads the patched attribute
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", recording)
     params = bt.ProblemParams(4, k, 1e-4)
     bt.shoot(params, _time_map_slope(params), _shoot_grid(params))
     log_eps = math.log(params.eps)

@@ -14,9 +14,10 @@ the two trees must agree on:
   is compared as JSON without its `started` and `finished` timestamps.
 
 Each difference is printed on its own line, and the exit status is 1 if there
-is any, 0 if there is none. Each call's peak RSS under both trees (the
-child's ru_maxrss from os.wait4) is printed to stderr at the end, for
-information only: it does not count as a difference. Standard library only.
+is any, 0 if there is none. Each call's peak RSS and CPU seconds under both
+trees (the child's ru_maxrss and ru_utime + ru_stime from os.wait4) are
+printed to stderr at the end, for information only: they do not count as
+differences. Standard library only.
 """
 from __future__ import annotations
 
@@ -69,7 +70,7 @@ CALLS = [
 
 def run_tree(src: Path, out: Path, config: Path) -> list:
     """Run CALLS from src into out; per call (exit code, stdout, stderr, {dir name: {file: content}},
-    peak RSS in MB)."""
+    peak RSS in MB, CPU seconds)."""
     env = dict(os.environ, PYTHONPATH=str(src))
     results = []
     for label, args in CALLS:
@@ -104,14 +105,15 @@ def run_tree(src: Path, out: Path, config: Path) -> list:
                     files[path.name] = path.read_bytes()
             runs[run_dir.name] = files
         # ru_maxrss is in kilobytes on Linux
-        results.append((code, normal(text_out), normal(text_err), runs, usage.ru_maxrss / 1024))
+        cpu = usage.ru_utime + usage.ru_stime
+        results.append((code, normal(text_out), normal(text_err), runs, usage.ru_maxrss / 1024, cpu))
     return results
 
 
 def differences(parent: list, change: list) -> list:
     """One line per difference between the two trees' results."""
     lines = []
-    for (label, _), (code_a, out_a, err_a, runs_a, _), (code_b, out_b, err_b, runs_b, _) in zip(
+    for (label, _), (code_a, out_a, err_a, runs_a, *_), (code_b, out_b, err_b, runs_b, *_) in zip(
         CALLS, parent, change
     ):
         if code_a != code_b:
@@ -147,9 +149,9 @@ def main(argv: list) -> int:
             print(f"{name}: {src}", file=sys.stderr)
             (tmp / name).mkdir()
             results.append(run_tree(src, tmp / name / "out", config))
-    print("peak RSS (MB): parent, change", file=sys.stderr)
+    print("peak RSS (MB): parent, change; CPU (s): parent, change", file=sys.stderr)
     for (label, _), parent, change in zip(CALLS, *results):
-        print(f"  {label}: {parent[-1]:.1f}, {change[-1]:.1f}", file=sys.stderr)
+        print(f"  {label}: {parent[-2]:.1f}, {change[-2]:.1f}; {parent[-1]:.2f}, {change[-1]:.2f}", file=sys.stderr)
     lines = differences(*results)
     for line in lines:
         print(line)
