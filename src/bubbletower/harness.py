@@ -46,7 +46,7 @@ from .spectral import (
     limit_scan,
     sign_condition,
 )
-from .stationary import IVP_RTOL, find_nodal_solution, stationary_residual
+from .stationary import find_nodal_solution, stationary_residual
 
 # key -> (default, parser); list-valued keys hold comma-separated floats. The solver and
 # flow keys take their defaults from find_nodal_solution and FlowConfig; the limit problem
@@ -208,13 +208,13 @@ def _now() -> str:
 
 def _start_manifest(op: str, cfg: dict, config_file) -> dict:
     """The manifest before the run: its config holds exactly the keys op reads, its
-    tolerances the shooting and Newton ones if op solves a tower and the stationarity
+    tolerances the Newton gate if op solves a tower and the stationarity
     one if it runs the flow, and its grid the annuli op's eps or eps_list flag names."""
     file_cfg, digest = config_file or ({}, None)
     read = _read_keys(op)
     tolerances = {}
     if "M" in read:
-        tolerances.update(ivp_rtol=IVP_RTOL, residual_tol=cfg["residual_tol"])
+        tolerances["residual_tol"] = cfg["residual_tol"]
     if "t_end" in read:
         tolerances["stationary_tol"] = FlowConfig.stationary_tol
     manifest = {

@@ -14,20 +14,20 @@ scalar equation k T(a) = log(1/eps), with shooting slope s* = a eps^{-N/2}.
 The lobe is parametrized by y = a^2 / (beta w_max)^2 > 0: energy conservation
 at the turning point w_max becomes w_max^{p-1} = m0 (1 + y) with
 m0 = beta^2 (p+1)/2, free of the cancellation in a^2 << w_max^2, and both a
-and T (see _lobe_time) are explicit in y, a rising and T falling strictly, so
-the root is unique and Brent's method finds it in log y. One shot at s*
-(`shoot`) integrates the oscillator only up to its first turning point
-w' = 0, at tau = T/2 past log eps. Being autonomous, undamped and odd, the
-oscillator repeats that half lobe: w(tau + x) = w(tau - x) and
-w(sigma + 2 tau) = -w(sigma) in the time sigma since launch. So each node's
-sigma folds into [0, tau] with the sign (-1)^m, m = floor(sigma / (2 tau)),
-and one dense-output call gives the orbit u = r^{-beta} w(log r) at all grid
-nodes. A damped Newton iteration then drives the discrete residual
-(`stationary_residual`) of that field down until no damped step lowers it,
-so downstream spectral and flow work acts on an actual discrete solution.
-The shooting stack (`scipy.integrate`, `scipy.optimize`) is imported inside
-`shoot`, `_lobe_time` and `_time_map_slope`, so the first tower solve loads
-it and `import bubbletower` does not.
+and T are explicit in y, a rising and T falling strictly, so the root is
+unique. With w = w_max sin(theta), the time sigma since launch is a quadrature
+in theta, the lobe's clock (_lobe_clock), and one table of its Gauss-Legendre
+panel sums serves the whole solve: its total is T/2; the root of
+k T = log(1/eps) comes from a bracketed false-position search in log y; and
+the shot at s* (`shoot`) reads the clock backwards at each node. Being
+autonomous, undamped and odd, the oscillator repeats its first half lobe:
+with h = T/2, w(h + x) = w(h - x) and w(sigma + 2h) = -w(sigma). So each
+node's sigma folds into [0, h] with the sign (-1)^m, m = floor(sigma / (2h)),
+Newton steps on the table invert the clock there to theta, and
+u = r^{-beta} w_max sin(theta). A damped Newton iteration then drives the
+discrete residual (`stationary_residual`) of that field down until no damped
+step lowers it, so downstream spectral and flow work acts on an actual
+discrete solution.
 """
 from __future__ import annotations
 
@@ -35,6 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import legint, legval, legvander
 from scipy.linalg.lapack import dgtsv
 
 from .errors import SolverError
@@ -42,56 +43,73 @@ from .mesh import RadialField, RadialGrid, apply_radial_laplacian, build_grid, n
 from .params import ProblemParams, _require_finite_positive
 from .profile import extract_concentrations
 
-_TIME_RTOL = 1e-13  # relative tolerance of the lobe-time quadrature
-IVP_RTOL = 1e-10  # relative tolerance of the shooting integrator
-_LOG_Y_MAX = 512.0  # the root search in log y stops at |log y| = 512
-_NEWTON_MAX_ITER = 50  # the Newton polish takes at most this many steps
+
+def _gauss_legendre(n: int) -> tuple:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], by Newton on the
+    recurrence for P_n from cos(pi (i - 1/4) / (n + 1/2)): for n = 16 the fourth step moves
+    no node by more than 5e-16. (numpy's leggauss maps about 1 MB of BLAS buffers into the process.)"""
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(5):
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / dp
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+_GAUSS_X, _GAUSS_W = _gauss_legendre(16)  # one clock panel's rule
+# a panel's 16 rate values -> the Legendre coefficients of their interpolant's antiderivative
+# from x = -1; the interpolant's own are (m + 1/2) sum_i w_i P_m(x_i) f_i
+_ANTIDERIVATIVE = legint((np.arange(16) + 0.5)[:, None] * legvander(_GAUSS_X, 15).T * _GAUSS_W, lbnd=-1)
+_CLOCK_STEPS = 4  # Newton steps inverting the clock: the 4th moves x by <= 2.3e-13 (60 towers, 1e-3..1e3 s*)
+_LOG_Y_MAX = 512.0  # the root search in log y stops at |log y| = 512, and a shot needs log y >= -512
+_NEWTON_MAX_ITER = 50  # a Newton iteration (log y of a shot, the polish) takes at most this many steps
 _NEWTON_STEPS = tuple(0.5**j for j in range(7))  # its damped steps t = 1, 1/2, ..., 1/64
 
 
 def shoot(params: ProblemParams, s: float, grid: RadialGrid) -> RadialField:
-    """Integrate the radial IVP u(eps) = 0, u'(eps) = s and return the orbit on the grid.
+    """The orbit of the radial IVP u(eps) = 0, u'(eps) = s on the grid.
 
     The orbit u(r) = r^{-beta} w(log r) is evaluated at the nodes of grid, a
-    grid on [eps, 1], and its two end values are set to exactly 0. The shot
-    stops at the orbit's first turning point w' = 0, and the rest of the
-    orbit is that half lobe unfolded; when the turn lies past r = 1 the shot
-    covers the grid and is read directly.
+    grid on [eps, 1], and its two end values are set to exactly 0. The launch
+    speed fixes log y (at least -512), each node's time since launch folds onto
+    the first half lobe (module docstring), and the clock's table inverted
+    there gives theta; when the first turn lies past r = 1 no node folds.
     """
     if not math.isfinite(s):
         raise ValueError(f"slope must be finite, got {s}")
     p, beta, eps = params.p, params.beta, params.eps
     r = grid.nodes
     dw0 = abs(s) * eps ** (beta + 1.0)  # chain rule: w'(log eps) from u'(eps); the orbit is odd in s
-    if dw0 == 0.0:  # the zero orbit, on which the turn event would fire at once
+    if dw0 == 0.0:
         return RadialField(grid, np.zeros_like(r), dirichlet=True)
-
-    def rhs(t, y):
-        w, dw = y
-        return (dw, beta * beta * w - abs(w) ** (p - 1.0) * w)
-
-    def turn(t, y):
-        return y[1]
-
-    turn.terminal, turn.direction = True, -1
-    # imported here: at module level, scipy.integrate and scipy.optimize made up a third of `import bubbletower`
-    from scipy.integrate import solve_ivp
-
-    t0 = math.log(eps)
-    sol = solve_ivp(
-        rhs, (t0, 0.0), (0.0, dw0), method="DOP853", rtol=IVP_RTOL, atol=1e-13, dense_output=True, events=turn
-    )
-    if not sol.success:
-        raise SolverError(f"shooting integrator failed: {sol.message}")
-    t = np.log(r)
-    sign = math.copysign(1.0, s)
-    if sol.status == 1:  # stopped at the turn: fold each node onto the half lobe (module docstring)
-        two_tau = 2.0 * (sol.t_events[0][0] - t0)
-        m = np.floor((t - t0) / two_tau)
-        rest = t - t0 - two_tau * m
-        sign = sign * (1.0 - 2.0 * (m % 2.0))
-        t = t0 + np.minimum(rest, two_tau - rest)
-    vals = sign * r ** (-beta) * sol.sol(t)[0]
+    # log y from log a = log beta + log(y)/2 + log(w_max): convex and rising in log y, so Newton converges
+    log_a = math.log(dw0)
+    log_y = 2.0 * (log_a - math.log(beta))
+    for _ in range(_NEWTON_MAX_ITER):
+        step = (_log_launch_speed(params, log_y) - log_a) / (0.5 + math.exp(log_y - _softplus(log_y)) / (p - 1.0))
+        log_y -= step
+        if abs(step) <= 1e-15 * (1.0 + abs(log_y)):
+            break
+    if log_y < -_LOG_Y_MAX:
+        raise SolverError(f"launch speed {dw0:.3g} lies below the lobe clock's range log y >= {-_LOG_Y_MAX:g}")
+    rate, edges, clock, within = _lobe_clock(params, log_y)
+    half_lobe = clock[-1]  # beta T / 2: the clock counts beta sigma
+    t = beta * (np.log(r) - math.log(eps))
+    m = np.floor(t / (2.0 * half_lobe))
+    rest = t - 2.0 * half_lobe * m
+    t = np.minimum(rest, 2.0 * half_lobe - rest)
+    # each node's x in [-1, 1] on its panel, where the clock reads t: from the chord, Newton
+    # steps on the panel's antiderivative with the exact derivative half * rate
+    j = np.minimum(np.searchsorted(clock, t, side="right") - 1, edges.size - 2)
+    mid, half = 0.5 * (edges[j + 1] + edges[j]), 0.5 * (edges[j + 1] - edges[j])
+    x = 2.0 * (t - clock[j]) / (clock[j + 1] - clock[j]) - 1.0
+    coef = within[j].T
+    for _ in range(_CLOCK_STEPS):
+        x = np.clip(x - (clock[j] + legval(x, coef, tensor=False) - t) / (half * rate(mid + half * x)), -1.0, 1.0)
+    w = math.exp(log_a - math.log(beta) - 0.5 * log_y) * np.sin(math.exp(0.5 * log_y) * np.sinh(mid + half * x))
+    vals = math.copysign(1.0, s) * (1.0 - 2.0 * (m % 2.0)) * r ** (-beta) * w  # w = w_max sin(theta)
     vals[0] = vals[-1] = 0.0
     return RadialField(grid, vals, dirichlet=True)
 
@@ -189,40 +207,64 @@ def _interior_zeros(u: RadialField) -> np.ndarray:
     return r[j] - v[j] * (r[j + 1] - r[j]) / (v[j + 1] - v[j])
 
 
-def _lobe_time(params: ProblemParams, log_y: float) -> float:
-    """Duration T of one lobe, as a function of log y (see the module docstring).
+def _softplus(x: float) -> float:
+    """log(1 + e^x), overflow-free."""
+    return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
 
-    With w = w_max sin(theta) and q = (1 - sin^{p-1} theta) / cos^2 theta,
 
-        T = (2/beta) int_0^{pi/2} dtheta / sqrt(y + (1+y) sin^2(theta) q(theta)),
+def _log_launch_speed(params: ProblemParams, log_y: float) -> float:
+    """log a of the lobe with w_max^{p-1} = m0 (1 + y), from a^2 = (beta w_max)^2 y."""
+    p, beta = params.p, params.beta
+    m0 = beta * beta * (p + 1.0) / 2.0
+    return math.log(beta) + 0.5 * log_y + (math.log(m0) + _softplus(log_y)) / (p - 1.0)
 
-    every term nonnegative and q running from 1 to (p-1)/2. The substitution
-    theta = sqrt(y) sinh(tau) spreads the peak of width sqrt(y) at theta = 0
-    over tau = O(1).
+
+def _lobe_clock(params: ProblemParams, log_y: float) -> tuple:
+    """The lobe's clock as a function of log y, on its panel table.
+
+    With w = w_max sin(theta) and q = (1 - sin^{p-1} theta) / cos^2 theta, the
+    time from launch to theta is
+
+        sigma(theta) = (1/beta) int_0^theta dtheta' / sqrt(y + (1+y) sin^2(theta') q(theta')),
+
+    every term nonnegative and q running from 1 to (p-1)/2, so a lobe lasts
+    T = 2 sigma(pi/2). The substitution theta = sqrt(y) sinh(tau) spreads the
+    peak of width sqrt(y) at theta = 0 over tau = O(1), where beta dsigma/dtau
+    is rate(tau). The panels are unit steps in tau up to
+    tau(pi/2) = asinh(pi / (2 sqrt(y))), the first split into 12 geometric
+    ones toward tau = 0, where sin^{p-1} is not smooth. Returns rate, the
+    panel edges, beta sigma at the edges from the 16-point Gauss-Legendre
+    sums, and per panel the Legendre coefficients (in the panel's x in
+    [-1, 1]) of beta sigma past its left edge.
     """
-    half = 0.5 * (params.p - 1.0)
+    power = 0.5 * (params.p - 1.0)  # sin^{p-1} = (sin^2)^power
     root_y = math.exp(0.5 * log_y)
     ratio = 1.0 + math.exp(-log_y)  # (1 + y) / y
 
-    def integrand(tau):
-        theta = root_y * math.sinh(tau)
-        c2 = math.cos(theta) ** 2
-        # log(sin^2 theta) from whichever of sin, cos is not near 1
-        log_s2 = math.log1p(-c2) if c2 < 0.5 else 2.0 * math.log(math.sin(theta))
-        q = -math.expm1(half * log_s2) / c2
-        return math.cosh(tau) / math.sqrt(1.0 + ratio * math.sin(theta) ** 2 * q)
-
-    # imported here: at module level, scipy.integrate and scipy.optimize made up a third of `import bubbletower`
-    from scipy.integrate import quad
+    def rate(tau):
+        theta = root_y * np.sinh(tau)
+        s, c2 = np.sin(theta), np.cos(theta) ** 2
+        q = (1.0 - s ** (params.p - 1.0)) / c2
+        near = c2 < 0.5  # near the turn, sin^{p-1} from log1p(-cos^2): 1 - sin^{p-1} cancels there
+        q[near] = -np.expm1(power * np.log1p(-c2[near])) / c2[near]
+        return np.cosh(tau) / np.sqrt(1.0 + ratio * s * s * q)
 
     tau_max = math.asinh(0.5 * math.pi / root_y)
-    val = quad(integrand, 0.0, tau_max, epsabs=0.0, epsrel=_TIME_RTOL, limit=200)[0]
-    return 2.0 / params.beta * val
+    edges = np.unique(np.concatenate((min(1.0, tau_max) * 0.5 ** np.arange(12), np.arange(tau_max), [tau_max])))
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    values = rate(mid[:, None] + half[:, None] * _GAUSS_X)
+    clock = np.concatenate(([0.0], np.cumsum(half * (values @ _GAUSS_W))))
+    return rate, edges, clock, half[:, None] * (values @ _ANTIDERIVATIVE.T)
+
+
+def _lobe_time(params: ProblemParams, log_y: float) -> float:
+    """Duration T of one lobe, as a function of log y: twice the clock's half lobe."""
+    return 2.0 / params.beta * _lobe_clock(params, log_y)[2][-1]
 
 
 def _time_map_slope(params: ProblemParams) -> float:
     """The slope s* = a eps^{-N/2} of the k-lobe orbit: the root of k T = log(1/eps)."""
-    N, k, eps, p, beta = params.N, params.k, params.eps, params.p, params.beta
+    N, k, eps = params.N, params.k, params.eps
     case = f"(N, k, eps) = ({N}, {k}, {eps:g})"
     log_inv_eps = -math.log(eps)
 
@@ -231,20 +273,26 @@ def _time_map_slope(params: ProblemParams) -> float:
 
     # T falls from infinity to 0 as log y runs over the reals: step outward
     # from log y = 0 with doubling strides until the excess changes sign
-    f0 = excess(0.0)
-    inner, outer = 0.0, math.copysign(1.0, f0)
-    while excess(outer) * f0 > 0:
-        if abs(outer) >= _LOG_Y_MAX:
+    a, fa = 0.0, excess(0.0)
+    b = math.copysign(1.0, fa)
+    fb = excess(b)
+    while fb * fa > 0:
+        if abs(b) >= _LOG_Y_MAX:
             raise SolverError(f"no root of k T(a) = log(1/eps) with |log y| <= {_LOG_Y_MAX:g} for {case}")
-        inner, outer = outer, 2.0 * outer
-    # imported here: at module level, scipy.integrate and scipy.optimize made up a third of `import bubbletower`
-    from scipy.optimize import brentq
-
-    log_y = brentq(excess, min(inner, outer), max(inner, outer), xtol=1e-14)
-    m0 = beta * beta * (p + 1.0) / 2.0
-    log_a = math.log(beta) + 0.5 * log_y + (math.log(m0) + math.log1p(math.exp(log_y))) / (p - 1.0)
+        a, fa, b = b, fb, 2.0 * b
+        fb = excess(b)
+    # false position with the Illinois halving: b is the newest point and a the bracket end of
+    # the other sign, whose excess halves each time the newest point keeps its sign
+    while abs(b - a) > 1e-14 * (1.0 + abs(b)) and fb != 0.0:
+        c = b - fb * (b - a) / (fb - fa)
+        fc = excess(c)
+        if fc * fb < 0:
+            a, fa = b, fb
+        else:
+            fa *= 0.5
+        b, fb = c, fc
     try:
-        return math.exp(log_a + 0.5 * N * log_inv_eps)
+        return math.exp(_log_launch_speed(params, b) + 0.5 * N * log_inv_eps)
     except OverflowError:
         raise SolverError(f"shooting slope overflows for {case}") from None
 

@@ -72,8 +72,9 @@ def pair_hi(solution_hi):
     return bt.first_eigenpair(bt.assemble_linearized(solution_hi))
 
 
-# none loads with the package: the shooting stack, and scipy.special under it, at the first
-# tower solve; multiprocessing at a sweep; scipy.signal and the process pool never
+# none loads with the package or a tower solve: the solve's quadrature is numpy's, so
+# scipy.integrate, scipy.optimize, scipy.special and scipy.signal never load; multiprocessing
+# loads at a sweep, and the process pool never
 LAZY_MODULES = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.signal",
                 "multiprocessing", "concurrent.futures.process")
 
@@ -87,6 +88,8 @@ with contextlib.redirect_stdout(io.StringIO()):
 loaded["limit"] = [code, sorted(lazy & set(sys.modules))]
 bubbletower.find_nodal_solution(bubbletower.ProblemParams(3, 2, 1e-2), M=256)
 loaded["solve"] = sorted(lazy & set(sys.modules))
+import scipy.integrate  # the control: a module the probe loads itself is seen
+loaded["control"] = sorted(lazy & set(sys.modules))
 print(json.dumps(loaded))
 """
 
@@ -94,7 +97,8 @@ print(json.dumps(loaded))
 @pytest.fixture(scope="session")
 def import_probe(tmp_path_factory):
     # one fresh interpreter for every import probe: which of LAZY_MODULES are loaded after
-    # `import bubbletower`, after an in-process `limit` (with its exit code), and after a tower solve
+    # `import bubbletower`, after an in-process `limit` (with its exit code), after a tower solve,
+    # and after the probe imports scipy.integrate itself
     env = dict(os.environ)
     src = str(Path(bt.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))

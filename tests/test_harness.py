@@ -513,8 +513,8 @@ def test_manifest_config_is_exactly_the_keys_the_operation_reads(op):
     assert set(manifest["config"]) == _read_keys(op)
     assert manifest["config"] == _sanitize({key: cfg[key] for key in _read_keys(op)})
     expected = set()
-    if "M" in _read_keys(op):  # solves a tower: the shot and the Newton gate
-        expected |= {"ivp_rtol", "residual_tol"}
+    if "M" in _read_keys(op):  # solves a tower: the Newton gate
+        expected.add("residual_tol")
     if "t_end" in _read_keys(op):  # runs the flow: the stationarity test
         expected.add("stationary_tol")
     assert set(manifest["tolerances"]) == expected

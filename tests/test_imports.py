@@ -14,10 +14,10 @@ its submodules, each of which resolves. Every module-level private
 function, class or constant is read somewhere in the package, by name, as
 an attribute or through a from-import. And `import bubbletower` loads
 only what its lightest entry points (`limit`, `report`, `--help`) need: not
-the shooting stack (`scipy.integrate`, `scipy.optimize`), which loads at the
-first tower solve, nor `multiprocessing`, which `lambda_sweep` imports when
-it asks whether it may fork, nor the process-pool module, which the package
-does not use.
+`scipy.integrate`, `scipy.optimize` or `scipy.special`, which no path of the
+package loads (a tower solve included), nor `multiprocessing`, which
+`lambda_sweep` imports when it asks whether it may fork, nor the
+process-pool module, which the package does not use.
 """
 import ast
 from pathlib import Path
@@ -169,7 +169,7 @@ def test_every_private_default_is_left_by_some_call(path):
     assert not always, f"{path.name}: every call passes the defaulted parameters {always}"
 
 
-SHOOTING_STACK = {"scipy.integrate", "scipy.optimize"}
+SCIPY_QUADRATURE = {"scipy.integrate", "scipy.optimize", "scipy.special"}
 
 
 def test_import_leaves_the_process_pool_modules_out(import_probe):
@@ -178,11 +178,12 @@ def test_import_leaves_the_process_pool_modules_out(import_probe):
     assert not pool & set(import_probe["limit"][1]), import_probe["limit"]
 
 
-def test_import_and_limit_leave_the_shooting_stack_to_the_first_solve(import_probe):
-    # the tower solve must load the shooting stack, so a misspelled name cannot pass
+def test_import_limit_and_a_tower_solve_leave_scipys_quadrature_out(import_probe):
+    # the probe's own `import scipy.integrate` must show, so a misspelled name cannot pass
     assert import_probe["import"] == []
     assert import_probe["limit"] == [0, []]
-    assert SHOOTING_STACK <= set(import_probe["solve"]), import_probe["solve"]
+    assert not SCIPY_QUADRATURE & set(import_probe["solve"]), import_probe["solve"]
+    assert SCIPY_QUADRATURE <= set(import_probe["control"]), import_probe["control"]
 
 
 def test_no_module_imports_a_process_pool():

@@ -1,0 +1,22 @@
+"""The per-column report of tools/same_outputs.py, on hand-made file contents."""
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import same_outputs  # noqa: E402
+
+
+def test_csv_columns_report_their_largest_relative_change():
+    parent = same_outputs._columns("a.csv", b"r,u,status,T\n1,2.0,ok,\n2,-4.0,ok,0.5\n")
+    change = same_outputs._columns("a.csv", b"r,u,status,T\n1,2.0,ok,\n2,-4.000004,BlowUp,0.5\n")
+    # u moved by 4e-6 against its column's sup 4; the blank T cells agree and count as equal text
+    assert same_outputs.moved(parent, change) == ["status text", "u 1.0e-06"]
+
+
+def test_json_keys_gather_across_lists_and_name_what_is_not_numeric():
+    parent = same_outputs._columns("s.json", {"table": [{"T": 1.0}, {"T": None}], "tol": 1e-8, "x": True})
+    change = same_outputs._columns("s.json", b'{"table": [{"T": 1.5}, {"T": 2.0}], "x": false, "y": 1}')
+    assert same_outputs.moved(parent, change) == [
+        "table[].T 5.0e-01 and text", "tol only in the parent", "x text", "y only in the change",
+    ]
+    assert same_outputs._columns("report.txt", b"") is None

@@ -2,20 +2,20 @@ import math
 
 import numpy as np
 import pytest
-import scipy.integrate
 from scipy.integrate import solve_ivp
+from scipy.special import ellipkm1
 
 import bubbletower as bt
 from bubbletower import stationary
 from bubbletower.errors import SolverError
-from bubbletower.stationary import _interior_zeros, _lobe_time, _time_map_slope
+from bubbletower.stationary import _interior_zeros, _lobe_clock, _lobe_time, _time_map_slope
 
 from conftest import CASES
 from oracles import oracle_slope
 
 # converged shooting slopes, frozen from a slope scan + Brent on the terminal
-# value at the shooting tolerance stationary.IVP_RTOL = 1e-10 (the time map
-# reproduces them to about 3e-11)
+# value of a DOP853 shot at rtol 1e-10 (the time map reproduces them to about
+# 3e-11)
 FROZEN_SLOPES = {
     (3, 2, 1e-3): 2.4268142479e4,
     (4, 2, 1e-3): 9.6575040361e5,
@@ -82,22 +82,30 @@ def test_shoot_matches_a_whole_interval_integration(key, slope):
 
 @pytest.mark.parametrize("k", (1, 2, 3, 4))
 def test_shot_ends_at_the_first_turn(monkeypatch, k):
-    # each lobe of the k-lobe orbit lasts log(1/eps)/k, so its first turn
-    # lies half a lobe past log eps; the integration stops there
-    ends = []
-
-    def recording(*args, **kwargs):
-        sol = solve_ivp(*args, **kwargs)
-        ends.append(float(sol.t[-1]))
-        return sol
-
-    # shoot imports solve_ivp at each call, so it reads the patched attribute
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", recording)
+    # each lobe of the k-lobe orbit lasts log(1/eps)/k, so the shot at s*
+    # folds its nodes at half of that: the clock table the shot reads must be
+    # the time map's own
     params = bt.ProblemParams(4, k, 1e-4)
-    bt.shoot(params, _time_map_slope(params), _shoot_grid(params))
-    log_eps = math.log(params.eps)
-    assert len(ends) == 1
-    assert abs(ends[0] - (log_eps - log_eps / (2 * k))) <= 1e-9
+    s_star = _time_map_slope(params)
+    half_lobes = []
+
+    def recording(params, log_y):
+        table = _lobe_clock(params, log_y)
+        half_lobes.append(table[2][-1] / params.beta)
+        return table
+
+    # shoot reads _lobe_clock from the module at each call, so it reads the patched attribute
+    monkeypatch.setattr(stationary, "_lobe_clock", recording)
+    bt.shoot(params, s_star, _shoot_grid(params))
+    assert len(half_lobes) == 1
+    assert abs(half_lobes[0] + math.log(params.eps) / (2 * k)) <= 1e-9
+
+
+def test_shoot_rejects_a_launch_below_the_clocks_range():
+    # a launch speed of 1e-123 puts log y near -566, past the table's -512
+    params = bt.ProblemParams(3, 2, 1e-2)
+    with pytest.raises(SolverError, match="below the lobe clock's range"):
+        bt.shoot(params, 1e-120, _shoot_grid(params))
 
 
 def test_zero_count_transitions_with_slope():
@@ -227,6 +235,18 @@ def test_lobe_time_strictly_decreasing_in_the_slope(N):
     assert np.all(np.diff(_log_launch_slope(params, log_y)) > 0)
     assert np.all(np.diff(T) < 0)
     assert np.all(np.isfinite(T)) and T[-1] > 0
+
+
+def test_lobe_time_matches_the_closed_form_for_n4():
+    # for N = 4 (p = 3, beta = 1) the lobe is an elliptic orbit: with
+    # s = sqrt(1 + 2 a^2), T = (2 / sqrt(s)) K(m), 1 - m = a^2 / (s (1 + s))
+    params = bt.ProblemParams(4)
+    log_y = np.linspace(-70.0, 60.0, 261)
+    a = np.exp(_log_launch_slope(params, log_y))
+    s = np.sqrt(1.0 + 2.0 * a * a)
+    exact = 2.0 / np.sqrt(s) * ellipkm1(a * a / (s * (1.0 + s)))
+    T = np.array([_lobe_time(params, ly) for ly in log_y])
+    assert np.max(np.abs(T - exact) / exact) <= 1e-14
 
 
 @pytest.mark.parametrize("N", (3, 8))

@@ -1,10 +1,12 @@
-"""Check that two source trees give the same CLI outputs, byte for byte.
+"""Check that two source trees give the same CLI outputs, byte for byte, and say by how much they differ.
 
     python tools/same_outputs.py PARENT_SRC CHANGE_SRC
 
 PARENT_SRC and CHANGE_SRC are the `src` directories of two checkouts. Each
 call in CALLS runs as `python -m bubbletower ...` with PYTHONPATH=<src>, into
-one fresh --out root per tree, the calls of a tree in order. For every call
+one fresh --out root per tree. The trees take turns: call i runs under both
+before call i+1, with the parent first on even i and the change first on odd
+i, so a drift of the host's speed falls on both trees alike. For every call
 the two trees must agree on:
 
 - the exit code, and stdout and stderr once the out root and the src
@@ -14,14 +16,22 @@ the two trees must agree on:
   is compared as JSON without its `started` and `finished` timestamps.
 
 Each difference is printed on its own line, and the exit status is 1 if there
-is any, 0 if there is none. Each call's peak RSS and CPU seconds under both
-trees (the child's ru_maxrss and ru_utime + ru_stime from os.wait4) are
-printed to stderr at the end, for information only: they do not count as
-differences. Standard library only.
+is any, 0 if there is none. A CSV or JSON file that differs is followed on its
+line by the largest relative difference in each CSV column or JSON key that
+moved: max |parent - change| over the column's max |parent|, taken over the
+entries that are numbers in both trees, where a JSON key inside lists gathers
+its values across them (`table[].T_estimate`). A column whose presence,
+length or text (an entry that is not a number in both) differs says so. Each call's
+peak RSS and CPU seconds under both trees (the child's ru_maxrss and
+ru_utime + ru_stime from os.wait4) are printed to stderr at the end, for
+information only: they do not count as differences. Standard library only.
 """
 from __future__ import annotations
 
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -68,46 +78,104 @@ CALLS = [
 ]
 
 
-def run_tree(src: Path, out: Path, config: Path) -> list:
-    """Run CALLS from src into out; per call (exit code, stdout, stderr, {dir name: {file: content}},
+def run_call(src: Path, out: Path, config: Path, args: list) -> tuple:
+    """Run one call from src into out: (exit code, stdout, stderr, {dir name: {file: content}},
     peak RSS in MB, CPU seconds)."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    results = []
-    for label, args in CALLS:
-        print(f"  {label}", file=sys.stderr)
-        before = set(out.iterdir()) if out.exists() else set()
-        argv = [str(config) if arg == "{config}" else arg for arg in args]
-        with tempfile.TemporaryFile("w+") as stdout, tempfile.TemporaryFile("w+") as stderr:
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "bubbletower", *argv, "--out", str(out)],
-                stdout=stdout, stderr=stderr, env=env, cwd=out.parent,
-            )
-            # reaped by os.wait4, which reports the child's resource usage, not by proc.wait()
-            _, status, usage = os.wait4(proc.pid, 0)
-            proc.returncode = code = os.waitstatus_to_exitcode(status)  # so Popen takes it as reaped
-            stdout.seek(0)
-            stderr.seek(0)
-            text_out, text_err = stdout.read(), stderr.read()
+    out.mkdir(parents=True, exist_ok=True)
+    before = set(out.iterdir())
+    argv = [str(config) if arg == "{config}" else arg for arg in args]
+    with tempfile.TemporaryFile("w+") as stdout, tempfile.TemporaryFile("w+") as stderr:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bubbletower", *argv, "--out", str(out)],
+            stdout=stdout, stderr=stderr, env=env, cwd=out.parent,
+        )
+        # reaped by os.wait4, which reports the child's resource usage, not by proc.wait()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = code = os.waitstatus_to_exitcode(status)  # so Popen takes it as reaped
+        stdout.seek(0)
+        stderr.seek(0)
+        text_out, text_err = stdout.read(), stderr.read()
 
-        def normal(text):
-            return text.replace(str(out), "<out>").replace(str(src), "<src>")
+    def normal(text):
+        return text.replace(str(out), "<out>").replace(str(src), "<src>")
 
-        runs = {}
-        for run_dir in sorted(set(out.iterdir()) - before if out.exists() else ()):
-            files = {}
-            for path in sorted(run_dir.iterdir()):
-                if path.name == "manifest.json":
-                    manifest = json.loads(path.read_text())
-                    manifest.pop("started", None)
-                    manifest.pop("finished", None)
-                    files[path.name] = manifest
-                else:
-                    files[path.name] = path.read_bytes()
-            runs[run_dir.name] = files
-        # ru_maxrss is in kilobytes on Linux
-        cpu = usage.ru_utime + usage.ru_stime
-        results.append((code, normal(text_out), normal(text_err), runs, usage.ru_maxrss / 1024, cpu))
-    return results
+    runs = {}
+    for run_dir in sorted(set(out.iterdir()) - before):
+        files = {}
+        for path in sorted(run_dir.iterdir()):
+            if path.name == "manifest.json":
+                manifest = json.loads(path.read_text())
+                manifest.pop("started", None)
+                manifest.pop("finished", None)
+                files[path.name] = manifest
+            else:
+                files[path.name] = path.read_bytes()
+        runs[run_dir.name] = files
+    # ru_maxrss is in kilobytes on Linux
+    cpu = usage.ru_utime + usage.ru_stime
+    return code, normal(text_out), normal(text_err), runs, usage.ru_maxrss / 1024, cpu
+
+
+def _gather(value, path: str, columns: dict) -> dict:
+    """The leaves of a JSON value by key path, each list's entries gathered under `path[]`."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _gather(item, f"{path}.{key}" if path else key, columns)
+    elif isinstance(value, list):
+        for item in value:
+            _gather(item, path + "[]", columns)
+    else:
+        columns.setdefault(path, []).append(value)
+    return columns
+
+
+def _columns(fname: str, content) -> dict | None:
+    """A CSV file's columns by header name, or a JSON file's leaves by key path; None for other files."""
+    if fname.endswith(".csv"):
+        header, *rows = csv.reader(io.StringIO(content.decode()))
+        return {name: [row[i] for row in rows] for i, name in enumerate(header)}
+    if fname.endswith(".json"):
+        return _gather(content if isinstance(content, dict) else json.loads(content), "", {})
+    return None
+
+
+def _number(value) -> float | None:
+    """value as a finite float, or None: a bool, text, nan or inf counts as text."""
+    if isinstance(value, bool):
+        return None
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        return None
+    return x if math.isfinite(x) else None
+
+
+def moved(cols_a: dict, cols_b: dict) -> list:
+    """'name change' for each column of two versions of one file that differs: change is
+    max |a - b| / max |a| over the entries where both are numbers, and a column whose
+    presence, length or text (an entry that is not a number in both) differs says so."""
+    out = []
+    for name in sorted(set(cols_a) | set(cols_b)):
+        a, b = cols_a.get(name), cols_b.get(name)
+        if a == b:
+            continue
+        if a is None or b is None:
+            out.append(f"{name} only in the {'change' if a is None else 'parent'}")
+            continue
+        if len(a) != len(b):
+            out.append(f"{name} length {len(a)} != {len(b)}")
+            continue
+        pairs = [(_number(x), _number(y), x == y) for x, y in zip(a, b)]
+        numbers = [(x, y) for x, y, _ in pairs if x is not None and y is not None]
+        note = " and text" if any(not same and None in (x, y) for x, y, same in pairs) else ""
+        if not numbers:
+            out.append(f"{name} text")
+            continue
+        sup = max(abs(x) for x, _ in numbers)
+        diff = max(abs(x - y) for x, y in numbers)
+        out.append(f"{name} {diff / sup:.1e}{note}" if sup > 0 else f"{name} {diff:.1e} (absolute; parent all 0){note}")
+    return out
 
 
 def differences(parent: list, change: list) -> list:
@@ -131,7 +199,11 @@ def differences(parent: list, change: list) -> list:
             for fname in sorted(set(files_a) & set(files_b)):
                 if files_a[fname] != files_b[fname]:
                     what = "without started/finished" if fname == "manifest.json" else "byte for byte"
-                    lines.append(f"{label}: {name}/{fname} differs ({what})")
+                    line = f"{label}: {name}/{fname} differs ({what})"
+                    cols_a, cols_b = _columns(fname, files_a[fname]), _columns(fname, files_b[fname])
+                    if cols_a is not None:
+                        line += "; largest relative difference: " + ", ".join(moved(cols_a, cols_b))
+                    lines.append(line)
     return lines
 
 
@@ -140,19 +212,21 @@ def main(argv: list) -> int:
         print("usage: python tools/same_outputs.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
         return 2
     parent_src, change_src = (Path(arg).resolve() for arg in argv)
+    trees = {"parent": parent_src, "change": change_src}
+    results = {name: [] for name in trees}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         config = tmp / "failing_solve.cfg"
         config.write_text(FAILING_SOLVE)
-        results = []
-        for name, src in (("parent", parent_src), ("change", change_src)):
-            print(f"{name}: {src}", file=sys.stderr)
-            (tmp / name).mkdir()
-            results.append(run_tree(src, tmp / name / "out", config))
+        for i, (label, args) in enumerate(CALLS):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            print(f"  {label} ({order[0]} first)", file=sys.stderr)
+            for name in order:
+                results[name].append(run_call(trees[name], tmp / name / "out", config, args))
     print("peak RSS (MB): parent, change; CPU (s): parent, change", file=sys.stderr)
-    for (label, _), parent, change in zip(CALLS, *results):
+    for (label, _), parent, change in zip(CALLS, results["parent"], results["change"]):
         print(f"  {label}: {parent[-2]:.1f}, {change[-2]:.1f}; {parent[-1]:.2f}, {change[-1]:.2f}", file=sys.stderr)
-    lines = differences(*results)
+    lines = differences(results["parent"], results["change"])
     for line in lines:
         print(line)
     print(f"{len(lines)} differences over {len(CALLS)} calls")
