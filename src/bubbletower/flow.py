@@ -3,10 +3,11 @@
 Every run is driven by one marching engine, `_march`: it advances a state by
 a step function at the step sizes its caller picks, yields the time, step,
 state, sup norm and dt-collapse count after each step, and raises
-IntegratorFailure once a step leaves the floats. Its five callers (`evolve`,
-`find_separation_time`, `linearized_evolve`, `linear_nonlinear_consistency`
-and `comparison_monitor`) keep only their stopping rules and bookkeeping; the
-two lockstep callers march a stacked 2 x n state.
+IntegratorFailure once a step leaves the floats. Four loops drive it:
+`_evolve`, the one that classifies a run, which its caller watches or stops
+by a per-step probe (the energy of `evolve`, the search of
+`find_separation_time`); `linearized_evolve` at a fixed dt; and the lockstep
+`linear_nonlinear_consistency` and `comparison_monitor` on a 2 x n state.
 
 Every diffusive run takes the one IMEX step, `_Stepper`: backward Euler on
 the diffusion and explicit reaction. It keeps the discrete maximum principle
@@ -32,18 +33,15 @@ is reported by `_march` from the sup norm, not by numpy: each caller runs its
 whole loop under one np.errstate, entered outside the generator so that a
 loop left early leaves no error state behind.
 
-Every run from lambda * phi (the `flow` operation's and each sweep row's)
-starts in `_run_from`, the one place that builds the zero-trace data, gives
-the lambda = 1 run, phi itself, its horizon 10/|lambda_1| from the eigenpair,
-which `lambda_sweep` therefore requires, and writes the run's record (lambda,
-status, T_estimate, drift_rel, t_end), which the `flow` summary and every
-sweep row carry unchanged. `_sweep_rows` fans the sweep's
-independent runs out over the usable cores (`_fan_out`): the caller forks one
-child per extra core and runs its share too, and no child outlives the call.
-Each run does the same arithmetic as a serial run, so the rows are
-bit-identical to a serial sweep's. A sweep row keeps no energy, so its runs
-go through `evolve`'s loop (`_evolve`) with the per-step energy switched off;
-every other number of the run is the same.
+Every run from lambda * phi (the `flow` operation's, each sweep row's and the
+separation search's) starts in `_run_from`, the one place that builds the
+zero-trace data, gives the lambda = 1 run, phi itself, its horizon
+10/|lambda_1| from the eigenpair, which `lambda_sweep` therefore requires,
+and writes the run's record (lambda, status, T_estimate, drift_rel, t_end),
+which the `flow` summary and every sweep row carry unchanged. `_sweep_rows`
+fans the sweep's independent runs out over the usable cores (`_fan_out`),
+bit-identical to a serial sweep's, and no child outlives the call. A sweep
+row keeps no energy, so its runs take no probe.
 
 Each per-step row recorder (`evolve`'s series and the rows of the lockstep
 callers and `linearized_evolve`) appends its floats to an array("d"), 8 bytes
@@ -112,11 +110,12 @@ class FlowResult:
     """Classification of one run plus its series, a float64 view of the array("d") of its rows.
 
     status is one of 'Stationary', 'GlobalBounded', 'BlowUp', 'Undetermined'.
-    series columns: t, sup norm, energy, dt, a row per step. For blow-up runs T_estimate is
-    the escape time t + sup^{1-p}/(p-1) of v' = v^p at the first series row
-    past the threshold, or, when the closed-form reaction map diverges first,
-    at the last finite row (t = 0 and sup0 if there is none). The escape time
-    never decreases along an IMEX-BE run, so T_estimate lies in
+    series columns: t, sup norm, the probe's value (`evolve`'s: the energy), dt,
+    a row per step. For blow-up runs T_estimate is the escape time
+    t + sup^{1-p}/(p-1) of v' = v^p at the first series row past the
+    threshold, or, when the closed-form reaction map diverges first, at the
+    last finite row (t = 0 and sup0 if there is none). The escape time never
+    decreases along an IMEX-BE run, so T_estimate lies in
     [T_bracket[0], T_bracket[1] + dt_min/(safety (p-1))]. T_bracket is the
     detection window: (first threshold crossing, detection time) for the
     threshold + dt-collapse rule, or the single step inside which the
@@ -137,22 +136,27 @@ class FlowResult:
     message: str = ""
 
 
-def _energy_parts(v: np.ndarray, grid, p: float) -> tuple:
-    """(grad2, pot) at nodal values v: sum beta (v_{j+1} - v_j)^2 and sum D |v|^{p+1}.
+def _energy_of(v: np.ndarray, grid, p: float) -> float:
+    """The energy of nodal values v: omega (1/2 sum beta (v_{j+1} - v_j)^2 - sum D |v|^{p+1} / (p+1)).
 
     |v|^{p+1} is taken as (v v)^{(p+1)/2}; |v| ** (p + 1) would round
     differently. Overflow is left to the caller's np.errstate.
     """
     du = v[1:] - v[:-1]
-    return float(np.dot(grid.face_weights * du, du)), float(np.dot(grid.cell_weights, (v * v) ** (0.5 * (p + 1.0))))
+    grad2 = float(np.dot(grid.face_weights * du, du))
+    pot = float(np.dot(grid.cell_weights, (v * v) ** (0.5 * (p + 1.0))))
+    return sphere_area(grid.N) * (0.5 * grad2 - pot / (p + 1.0))
+
+
+def _energy_probe(grid, p: float):
+    """The `_evolve` probe that fills the series' third column with the energy and never stops the run."""
+    return lambda t, v: (_energy_of(v, grid, p), None)
 
 
 def energy(u: RadialField, params: ProblemParams) -> float:
     """Dissipated functional: 1/2 |grad u|^2 - |u|^{p+1}/(p+1), weighted volume integral."""
-    g = u.grid
     with np.errstate(over="ignore", invalid="ignore"):
-        grad2, pot = _energy_parts(u.values, g, params.p)
-    return sphere_area(g.N) * (0.5 * grad2 - pot / (params.p + 1.0))
+        return _energy_of(u.values, u.grid, params.p)
 
 
 class _Stepper:
@@ -262,33 +266,36 @@ def _adaptive_dt(cfg: FlowConfig, p: float):
 
 def evolve(v0: RadialField, params: ProblemParams, cfg: FlowConfig) -> FlowResult:
     """Integrate v_t = Delta v + |v|^{p-1}v from v0 and classify the trajectory."""
-    return _evolve(v0, params, cfg, energy=True)
+    return _evolve(v0, params, cfg, _energy_probe(v0.grid, params.p))
 
 
-def _evolve(v0: RadialField, params: ProblemParams, cfg: FlowConfig, energy: bool) -> FlowResult:
-    """`evolve`'s run. With energy false no step evaluates the energy and the
-    series' energy column is NaN; the status, the other columns, the final
-    state, the drift and T_estimate (which reads only t and sup) are unchanged."""
+def _evolve(v0: RadialField, params: ProblemParams, cfg: FlowConfig, probe) -> FlowResult:
+    """`evolve`'s run: the one loop that classifies a run, watched or stopped by probe.
+
+    probe(t, v) -> (value, stop) is called after each step, before that step's
+    threshold and collapse checks; value fills the series' third column, and a
+    truthy stop ends the run 'Undetermined' with message stop and no T. With
+    probe None no call is made per step and the column is NaN.
+    """
     reaction_only = cfg.integrator == "reaction-only"
     if not (reaction_only or v0.dirichlet):
         raise ValueError("diffusive runs need zero-trace initial data")
-    g, p = v0.grid, params.p
-    advance = (lambda v, dt: _reaction_map(v, dt, p)) if reaction_only else _Stepper(g, params).step
+    p = params.p
+    advance = (lambda v, dt: _reaction_map(v, dt, p)) if reaction_only else _Stepper(v0.grid, params).step
     sup0 = float(np.max(np.abs(v0.values)))
     thr = cfg.blow_threshold * sup0
-    omega = sphere_area(g.N)
     lo, hi = v0.values.copy(), v0.values.copy()  # node-wise min and max of the state over the run
-    v, series, crossed, blowup = v0.values.copy(), array("d"), None, None  # crossed: (t, sup) at the first crossing
+    v, series, stop = v0.values.copy(), array("d"), None
+    crossed, blowup = None, None  # crossed: (t, sup) at the first crossing
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for t, dt, v, sup, collapse in _march(advance, v, cfg.t_end, _adaptive_dt(cfg, p), cfg.dt_min):
                 np.minimum(lo, v, out=lo)
                 np.maximum(hi, v, out=hi)
-                if energy:
-                    grad2, pot = _energy_parts(v, g, p)
-                    series.extend((t, sup, omega * (0.5 * grad2 - pot / (p + 1.0)), dt))
-                else:
-                    series.extend((t, sup, math.nan, dt))
+                value, stop = (math.nan, None) if probe is None else probe(t, v)
+                series.extend((t, sup, value, dt))
+                if stop:
+                    break
                 if sup0 > 0.0 and sup > thr:
                     if crossed is None:
                         crossed = (t, sup)
@@ -312,8 +319,8 @@ def _evolve(v0: RadialField, params: ProblemParams, cfg: FlowConfig, energy: boo
         t, sup = crossed or ((series[-4], series[-3]) if series else (0.0, sup0))
         T = t + sup ** (1.0 - p) / (p - 1.0)  # the escape time of v' = v^p from sup at t
         return FlowResult("BlowUp", arr, final, sup0, drift, T, *blowup)
-    if crossed is not None:
-        status, msg = "Undetermined", "threshold crossed without time-step collapse"
+    if stop or crossed is not None:
+        status, msg = "Undetermined", stop or "threshold crossed without time-step collapse"
     elif sup0 > 0.0 and drift <= cfg.stationary_tol * sup0:
         status, msg = "Stationary", ""
     else:
@@ -322,9 +329,9 @@ def _evolve(v0: RadialField, params: ProblemParams, cfg: FlowConfig, energy: boo
 
 
 def _run_from(
-    sol: StationarySolution, pair: EigenPair | None, lam: float, cfg: FlowConfig, energy: bool
+    sol: StationarySolution, pair: EigenPair | None, lam: float, cfg: FlowConfig, probe=None
 ) -> tuple[FlowResult, dict]:
-    """The run from the zero-trace lam * phi (`_evolve`) and its record.
+    """The run from the zero-trace lam * phi (`_evolve`, watched by probe) and its record.
 
     The record, {lambda, status, T_estimate, drift_rel, t_end}, is what the
     `flow` summary and every sweep row share, so a per-run field is added here.
@@ -340,7 +347,7 @@ def _run_from(
             raise ValueError("lambda = 1 needs the first eigenpair: its horizon is t_end = 10/|lambda_1|")
         cfg = replace(cfg, t_end=10.0 / abs(pair.lam))
     v0 = RadialField(sol.field.grid, lam * sol.field.values, dirichlet=True)
-    res = _evolve(v0, sol.params, cfg, energy)
+    res = _evolve(v0, sol.params, cfg, probe)
     return res, {
         "lambda": lam, "status": res.status, "T_estimate": res.T_estimate,
         "drift_rel": res.drift / max(res.sup0, 1e-300), "t_end": cfg.t_end,
@@ -348,12 +355,10 @@ def _run_from(
 
 
 def _sweep_row(sol: StationarySolution, pair: EigenPair, lam: float, cfg: FlowConfig) -> dict:
-    """One `lambda_sweep` row: the run's record (`_run_from`) plus sup_final, or a 'Failed' row if it overflows.
-
-    The row keeps no energy, so the run skips it (`_run_from` with energy off).
-    """
+    """One `lambda_sweep` row: the record of a run without a probe (`_run_from`) plus
+    sup_final, or a 'Failed' row if it overflows. The row keeps no energy, so no step evaluates it."""
     try:
-        res, record = _run_from(sol, pair, lam, cfg, energy=False)
+        res, record = _run_from(sol, pair, lam, cfg)
     except IntegratorFailure as exc:
         return {"lambda": lam, "status": "Failed", "message": str(exc)}
     return {**record, "sup_final": float(np.max(np.abs(res.final.values)))}
@@ -465,8 +470,8 @@ def lambda_sweep(sol: StationarySolution, lambdas, cfg: FlowConfig, pair: EigenP
     lambdas itself, and every child is reaped before the call returns. Each
     run does the same arithmetic as in the caller, so the rows are
     bit-identical to a serial sweep's. A row keeps no energy, so no run
-    evaluates it (`_sweep_row`). An overflowing run gives a 'Failed' row;
-    any other exception is raised here, the first in lambda order.
+    evaluates it. An overflowing run gives a 'Failed' row; any other
+    exception is raised here, the first in lambda order.
     """
     return _sweep_rows([(sol, pair, float(lam)) for lam in lambdas], cfg)[0]
 
@@ -599,49 +604,38 @@ def find_separation_time(
 ) -> dict:
     """Earliest time at which the flow from lam*phi differs from phi with one sign everywhere.
 
-    Checks every accepted step after a 10-step transient, interior nodes only,
-    demanding sign + for lam > 1 and - for lam < 1. Returns t0 = None when the
-    horizon is reached or the run blows up first; diagnostics then carry the
-    best single-signed node fraction achieved, the sign of the projection of
-    v - phi on the first eigenfunction (which stabilizes almost immediately),
-    and the preempting blow-up time if any. The flow always takes the IMEX-BE
-    step; cfg.integrator is not read.
+    A probe on `_run_from`'s IMEX-BE run checks every step after a 10-step
+    transient, interior nodes only, demanding sign + for lam > 1 and - for
+    lam < 1, and stops the run at the first that passes. t0 = None when the
+    horizon or `_evolve`'s blow-up comes first; diagnostics then carry the best
+    single-signed node fraction, the sign of the projection of v - phi on the
+    first eigenfunction (it stabilizes almost immediately) and t_blowup if any.
     """
     if lam == 1.0:
         return {"t0": None, "diagnostics": {"note": "difference identically ~0 at lambda=1"}}
     want = 1.0 if lam > 1.0 else -1.0
-    params = sol.params
-    g = sol.field.grid
-    phi = sol.field.values
-    stepper = _Stepper(g, params)
-    v = lam * phi
-    thr = cfg.blow_threshold * float(np.max(np.abs(v)))
+    g, phi = sol.field.grid, sol.field.values
     nstep, best_frac, proj_sign = 0, 0.0, 0.0
+
+    def separation_probe(t, v):
+        nonlocal nstep, best_frac, proj_sign
+        nstep += 1
+        if proj_sign == 0.0:
+            proj_sign = float(np.sign(integrate_weighted(RadialField(g, v - phi), pair.phi)))
+        if nstep <= 10:
+            return math.nan, None
+        frac = float(np.mean(want * (v[1:-1] - phi[1:-1]) > 0.0))
+        best_frac = max(best_frac, frac)
+        return frac, "v - phi one-signed at every interior node" if frac == 1.0 else None
+
+    res, _ = _run_from(sol, pair, lam, replace(cfg, integrator="imex-be"), separation_probe)
+    if best_frac == 1.0:
+        return {"t0": float(res.series[-1, 0]), "diagnostics": {"steps": nstep, "projection_sign": proj_sign}}
     reason, blowup = "horizon reached without full separation", {}
-    steps = _march(stepper.step, v, cfg.t_end, _adaptive_dt(cfg, params.p), cfg.dt_min)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for nstep, (t, _, v, sup, collapse) in enumerate(steps, start=1):
-            dv = v[1:-1] - phi[1:-1]
-            if proj_sign == 0.0:
-                proj_sign = float(np.sign(integrate_weighted(RadialField(g, v - phi), pair.phi)))
-            if nstep > 10:
-                frac = float(np.mean(want * dv > 0.0))
-                best_frac = max(best_frac, frac)
-                if frac == 1.0:
-                    return {"t0": t, "diagnostics": {"steps": nstep, "projection_sign": proj_sign}}
-            if sup > thr and collapse >= _COLLAPSE_RUN:
-                reason, blowup = "blow-up preempted full separation", {"t_blowup": t}
-                break
-    return {
-        "t0": None,
-        "diagnostics": {
-            "reason": reason,
-            **blowup,
-            "best_fraction": best_frac,
-            "projection_sign": proj_sign,
-            "steps": nstep,
-        },
-    }
+    if res.status == "BlowUp":
+        reason, blowup = "blow-up preempted full separation", {"t_blowup": res.T_bracket[1]}
+    diagnostics = {"reason": reason, **blowup, "best_fraction": best_frac, "projection_sign": proj_sign, "steps": nstep}
+    return {"t0": None, "diagnostics": diagnostics}
 
 
 def subsupersolution_residual(

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .errors import SolverError
-from .flow import FlowConfig, _run_from, _sweep_rows, comparison_monitor, evolve
+from .flow import FlowConfig, _energy_probe, _run_from, _sweep_rows, comparison_monitor, evolve
 from .mesh import RadialField, apply_radial_laplacian, build_grid
 from .params import ProblemParams
 from .profile import Bubble, bubble_eval, ef_peak_height
@@ -302,7 +302,7 @@ def _flow(cfg: dict, root):
     sol = _build_solution(cfg)
     lam = cfg["lambda"]
     pair = first_eigenpair(assemble_linearized(sol)) if lam == 1.0 else None  # only lambda = 1 reads it
-    res, record = _run_from(sol, pair, lam, fcfg, energy=True)
+    res, record = _run_from(sol, pair, lam, fcfg, _energy_probe(sol.field.grid, sol.params.p))
     summary = {
         "N": sol.params.N,
         "k": sol.params.k,

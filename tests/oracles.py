@@ -10,7 +10,9 @@ package's shooting route except the ODE itself.
 The flow references are the allocating IMEX-BE step, reaction-only map,
 energy and bookkeeping loops: the same operations in the same order as
 `bubbletower.flow`, written as plain array expressions and kept verbatim so
-that tests can require the package to reproduce them bit for bit.
+that tests can require the package to reproduce them bit for bit. The
+separation search has its own loop here, with its own copy of the BlowUp
+rule; the package leaves that rule to `evolve`'s loop.
 
 `assert_no_child_process` is the check that no call leaves a child process
 behind, running or unreaped, whatever started it.
@@ -24,7 +26,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from bubbletower.errors import IntegratorFailure
 from bubbletower.flow import _COLLAPSE_RUN, FlowResult, _adaptive_dt, _march
-from bubbletower.mesh import RadialField
+from bubbletower.mesh import RadialField, integrate_weighted
 from bubbletower.params import sphere_area
 
 _HARD_STEP_CAP = 4_000_000
@@ -217,6 +219,34 @@ def reference_evolve(v0, params, cfg):
     else:
         status, msg = "GlobalBounded", ""
     return FlowResult(status=status, series=arr, final=final, sup0=sup0, drift=drift, message=msg)
+
+
+def reference_separation_time(sol, pair, lam, cfg):
+    """`bubbletower.find_separation_time` as its own loop over the allocating step."""
+    if lam == 1.0:
+        return {"t0": None, "diagnostics": {"note": "difference identically ~0 at lambda=1"}}
+    want = 1.0 if lam > 1.0 else -1.0
+    g, phi = sol.field.grid, sol.field.values
+    v = lam * phi
+    thr = cfg.blow_threshold * float(np.max(np.abs(v)))
+    nstep, best_frac, proj_sign = 0, 0.0, 0.0
+    reason, blowup = "horizon reached without full separation", {}
+    steps = _march(ReferenceStepper(g, sol.params).step, v, cfg.t_end, _adaptive_dt(cfg, sol.params.p), cfg.dt_min)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for nstep, (t, _, v, sup, collapse) in enumerate(steps, start=1):
+            dv = v[1:-1] - phi[1:-1]
+            if proj_sign == 0.0:
+                proj_sign = float(np.sign(integrate_weighted(RadialField(g, v - phi), pair.phi)))
+            if nstep > 10:
+                frac = float(np.mean(want * dv > 0.0))
+                best_frac = max(best_frac, frac)
+                if frac == 1.0:
+                    return {"t0": t, "diagnostics": {"steps": nstep, "projection_sign": proj_sign}}
+            if sup > thr and collapse >= _COLLAPSE_RUN:
+                reason, blowup = "blow-up preempted full separation", {"t_blowup": t}
+                break
+    diagnostics = {"reason": reason, **blowup, "best_fraction": best_frac, "projection_sign": proj_sign, "steps": nstep}
+    return {"t0": None, "diagnostics": diagnostics}
 
 
 def reference_linearized_series(sol, pair, z0, t_end, dt):

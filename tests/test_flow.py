@@ -24,6 +24,7 @@ from oracles import (
     reference_evolve,
     reference_linearized_series,
     reference_reaction_map,
+    reference_separation_time,
 )
 
 # numpy's overflow and invalid warnings must not escape a flow loop (each runs
@@ -302,6 +303,28 @@ def test_separation_time_on_a_one_lobe_tower(one_lobe, lam, sign):
     out = bt.find_separation_time(*one_lobe, lam, bt.FlowConfig())
     assert out["t0"] == pytest.approx(1.1e-4, rel=1e-12)
     assert out["diagnostics"] == {"steps": 11, "projection_sign": sign}
+
+
+@pytest.mark.parametrize(
+    "case, lam, t_end",
+    [
+        ("tower", 1.02, 0.02),  # blow-up at t ~ 1.84e-5 after 117 steps
+        ("tower", 0.98, 0.02),  # blow-up at t ~ 8.73e-3 after 996 steps
+        ("one_lobe", 1.5, 2.0),  # one-signed at the 11th step
+        ("one_lobe", 0.5, 2.0),
+        ("one_lobe", 1.0001, 1e-4),  # the horizon after 10 steps
+    ],
+)
+def test_separation_time_matches_its_own_loop(case_solutions, case_pairs, one_lobe, case, lam, t_end):
+    # the reference keeps the search's old loop and its copy of the BlowUp rule;
+    # the package leaves that rule to evolve's loop
+    sol, pair = one_lobe if case == "one_lobe" else (case_solutions[KEY], case_pairs[KEY])
+    cfg = bt.FlowConfig(t_end=t_end)
+    got, want = bt.find_separation_time(sol, pair, lam, cfg), reference_separation_time(sol, pair, lam, cfg)
+    assert got == want
+    assert list(got["diagnostics"]) == list(want["diagnostics"])
+    # the search always takes the IMEX-BE step
+    assert bt.find_separation_time(sol, pair, lam, dataclasses.replace(cfg, integrator="reaction-only")) == want
 
 
 def test_onesided_window(case_solutions, case_pairs):
@@ -695,7 +718,7 @@ def test_lambda_sweep_never_evaluates_the_energy(case_solutions, case_pairs, mon
     def no_energy(*args):
         raise AssertionError("a sweep run evaluated the energy")
 
-    monkeypatch.setattr(flow, "_energy_parts", no_energy)
+    monkeypatch.setattr(flow, "_energy_of", no_energy)
     assert flow._sweep_workers(len(lams)) == 1
     assert bt.lambda_sweep(sol, lams, cfg, pair) == rows
     assert_no_child_process()
@@ -703,14 +726,69 @@ def test_lambda_sweep_never_evaluates_the_energy(case_solutions, case_pairs, mon
 
 @pytest.mark.parametrize("lam", [0.97, 1.03])
 def test_a_run_without_the_energy_differs_only_in_the_energy_column(case_solutions, lam):
+    # evolve's run is the one with the energy probe; without a probe the column is NaN
     sol = case_solutions[KEY]
     v0 = bt.RadialField(sol.field.grid, lam * sol.field.values, dirichlet=True)
     cfg = bt.FlowConfig(t_end=0.01)
-    got, want = flow._evolve(v0, sol.params, cfg, energy=False), bt.evolve(v0, sol.params, cfg)
+    got, want = flow._evolve(v0, sol.params, cfg, None), bt.evolve(v0, sol.params, cfg)
     assert np.isnan(got.series[:, 2]).all()
     got.series[:, 2] = want.series[:, 2]
     _assert_same_run(got, want)
     assert (got.sup0, got.message) == (want.sup0, want.message)
+
+
+class _CountingProbe:
+    """A probe that records the t it sees and puts its call count in column 3; it stops at call stop_at."""
+
+    def __init__(self, stop_at=None):
+        self.times, self.stop_at = [], stop_at
+
+    def __call__(self, t, v):
+        self.times.append(t)
+        n = len(self.times)
+        return float(n), (f"stopped at step {n}" if n == self.stop_at else None)
+
+
+def _lam_phi(sol, lam):
+    return bt.RadialField(sol.field.grid, lam * sol.field.values, dirichlet=True)
+
+
+@pytest.mark.parametrize("lam", [0.97, 1.03])
+def test_a_probe_that_stops_the_run_ends_it_undetermined_with_its_reason(case_solutions, lam):
+    sol, cfg = case_solutions[KEY], bt.FlowConfig(t_end=0.01)
+    free = flow._evolve(_lam_phi(sol, lam), sol.params, cfg, None)
+    probe = _CountingProbe(stop_at=37)
+    res = flow._evolve(_lam_phi(sol, lam), sol.params, cfg, probe)
+    assert (res.status, res.message) == ("Undetermined", "stopped at step 37")
+    assert res.T_estimate is None and res.T_bracket is None
+    assert res.series.shape == (37, 4)
+    assert np.array_equal(res.series[:, 2], np.arange(1.0, 38.0))
+    # the other columns are the first 37 rows of the run without a probe
+    assert np.array_equal(res.series[:, [0, 1, 3]], free.series[:37, [0, 1, 3]])
+    assert probe.times == list(res.series[:, 0])
+
+
+@pytest.mark.parametrize("lam", [0.97, 1.03])
+def test_a_probe_that_never_stops_changes_only_the_third_column(case_solutions, lam):
+    sol, cfg = case_solutions[KEY], bt.FlowConfig(t_end=0.01)
+    want = flow._evolve(_lam_phi(sol, lam), sol.params, cfg, None)
+    got = flow._evolve(_lam_phi(sol, lam), sol.params, cfg, _CountingProbe())
+    assert np.array_equal(got.series[:, 2], np.arange(1.0, got.series.shape[0] + 1.0))
+    want.series[:, 2] = got.series[:, 2]  # NaN there, which no comparison equates
+    _assert_same_run(got, want)
+    assert (got.sup0, got.message) == (want.sup0, want.message)
+
+
+def test_the_probe_sees_every_step_of_a_blowup_run_up_to_the_detecting_one(case_solutions):
+    sol, cfg = case_solutions[KEY], bt.FlowConfig(t_end=0.01)
+    probe = _CountingProbe()
+    res = flow._evolve(_lam_phi(sol, 1.05), sol.params, cfg, probe)
+    assert res.status == "BlowUp"
+    assert probe.times == list(res.series[:, 0]) and probe.times[-1] == res.T_bracket[1]
+    # it is called before the step's own checks, so a stop at the detecting step wins
+    stopped = flow._evolve(_lam_phi(sol, 1.05), sol.params, cfg, _CountingProbe(stop_at=len(probe.times)))
+    assert (stopped.status, stopped.message) == ("Undetermined", f"stopped at step {len(probe.times)}")
+    assert np.array_equal(stopped.series, res.series)
 
 
 def test_overflow_in_separation_search_raises(overflowing_state):
@@ -826,7 +904,8 @@ def test_a_run_series_is_a_c_contiguous_float64_table_of_its_steps(
     sol = case_solutions[KEY]
     v0 = bt.RadialField(sol.field.grid, lam * sol.field.values, dirichlet=True)
     times = _count_steps(monkeypatch)
-    res = flow._evolve(v0, sol.params, bt.FlowConfig(t_end=t_end, integrator=integrator), energy)
+    probe = flow._energy_probe(v0.grid, sol.params.p) if energy else None
+    res = flow._evolve(v0, sol.params, bt.FlowConfig(t_end=t_end, integrator=integrator), probe)
     _assert_float64_table(res.series, (len(times), 4))
     assert np.array_equal(res.series[:, 0], times)
     if lam == 0.1:

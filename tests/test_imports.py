@@ -17,7 +17,9 @@ only what its lightest entry points (`limit`, `report`, `--help`) need: not
 `scipy.integrate`, `scipy.optimize` or `scipy.special`, which no path of the
 package loads (a tower solve included), nor `multiprocessing`, which
 `lambda_sweep` imports when it asks whether it may fork, nor the
-process-pool module, which the package does not use.
+process-pool module, which the package does not use. And the BlowUp rule's
+`_COLLAPSE_RUN` is read by `flow._evolve` alone, the one loop that
+classifies a run.
 """
 import ast
 from pathlib import Path
@@ -196,3 +198,25 @@ def test_no_module_imports_a_process_pool():
         for alias in node.names
     }
     assert not {m for m in imported if m and m.startswith("concurrent")}
+
+
+def _reads_of(node, name: str) -> int:
+    return sum(
+        (isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load))
+        or (isinstance(n, ast.Attribute) and n.attr == name)
+        for n in ast.walk(node)
+    )
+
+
+def test_the_blowup_rule_is_read_by_evolve_alone():
+    # a caller that wants its own stopping rule gives `_evolve` a probe, not a copy of the rule
+    evolve = next(n for n in TREES["flow.py"].body if isinstance(n, ast.FunctionDef) and n.name == "_evolve")
+    readers = [
+        f"{path}:{getattr(node, 'name', f'line {node.lineno}')}"
+        for path, tree in TREES.items()
+        for node in tree.body
+        if _reads_of(node, "_COLLAPSE_RUN") and node is not evolve
+    ]
+    in_evolve = _reads_of(evolve, "_COLLAPSE_RUN")
+    assert in_evolve >= 1
+    assert sum(_reads_of(tree, "_COLLAPSE_RUN") for tree in TREES.values()) == in_evolve, readers
