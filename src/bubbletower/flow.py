@@ -16,8 +16,9 @@ order in time, as the explicit reaction makes any such scheme. `evolve` alone
 also runs `reaction-only`, the closed-form map of v' = |v|^{p-1} v without
 diffusion. The diffusion solve (D + dt K) x = D b, with D and K the grid's
 mass and stiffness (`RadialGrid.stiffness`), is symmetric positive definite
-and tridiagonal: it is factored once per step size (LAPACK dpttrf), and every
-step at that size is one dpttrs solve. Each step is bounded by
+and tridiagonal: it is factored once per step size (LAPACK dpttrf, from
+scipy's compiled module through `_lapack`), and every step at that size is one
+dpttrs solve. Each step is bounded by
 dt <= safety / sup|v|^{p-1}, which resolves the reaction-dominated ramp into
 blow-up; `FlowConfig`'s class constants set the rules that classify a run.
 
@@ -58,8 +59,8 @@ from itertools import islice
 from typing import ClassVar
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
+from ._lapack import dpttrf, dpttrs
 from .errors import IntegratorFailure
 from .mesh import RadialField, integrate_weighted
 from .params import ProblemParams, _require_finite_positive, sphere_area

@@ -7,15 +7,17 @@ consistent with `integrate_weighted`.
 Eigenvalues come from LAPACK's Sturm-sequence bisection (dstebz, Kahan's
 bisection), selected by index with absolute tolerance tiny, so it stops only
 at its relative floor: a bracket two ulps wide. The first eigenvector comes
-from LAPACK's inverse iteration (dstein) on that same dstebz output.
+from LAPACK's inverse iteration (dstein) on that same dstebz output. Both
+come from scipy's compiled LAPACK module through `_lapack`, which loads it
+without running scipy's Python package.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dstebz, dstein
 
+from ._lapack import dstebz, dstein
 from .errors import SolverError
 from .mesh import RadialField, RadialGrid, build_grid, integrate_weighted
 from .params import critical_exponent

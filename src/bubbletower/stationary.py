@@ -27,7 +27,9 @@ Newton steps on the table invert the clock there to theta, and
 u = r^{-beta} w_max sin(theta). A damped Newton iteration then drives the
 discrete residual (`stationary_residual`) of that field down until no damped
 step lowers it, so downstream spectral and flow work acts on an actual
-discrete solution.
+discrete solution. Each step of that polish is one tridiagonal solve (LAPACK
+dgtsv, from scipy's compiled module through `_lapack`), and the quadrature is
+numpy's.
 """
 from __future__ import annotations
 
@@ -36,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import legint, legval, legvander
-from scipy.linalg.lapack import dgtsv
 
+from ._lapack import dgtsv
 from .errors import SolverError
 from .mesh import RadialField, RadialGrid, apply_radial_laplacian, build_grid, norms
 from .params import ProblemParams, _require_finite_positive

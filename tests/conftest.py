@@ -72,23 +72,36 @@ def pair_hi(solution_hi):
     return bt.first_eigenpair(bt.assemble_linearized(solution_hi))
 
 
-# none loads with the package or a tower solve: the solve's quadrature is numpy's, so
-# scipy.integrate, scipy.optimize, scipy.special and scipy.signal never load; multiprocessing
-# loads at a sweep, and the process pool never
-LAZY_MODULES = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.signal",
-                "multiprocessing", "concurrent.futures.process")
+# none loads with the package, a tower solve, an eigenpair or a run: LAPACK comes from scipy's
+# compiled module alone (`bubbletower._lapack`), so scipy's Python package never runs, and the
+# solve's quadrature is numpy's, so scipy.integrate, scipy.optimize, scipy.special and
+# scipy.signal never load; multiprocessing loads at a sweep, and the process pool never
+LAZY_MODULES = ("scipy", "scipy.linalg", "scipy.integrate", "scipy.optimize", "scipy.special",
+                "scipy.signal", "multiprocessing", "concurrent.futures.process")
+LAPACK_ROUTINES = ("dgtsv", "dpttrf", "dpttrs", "dstebz", "dstein")
 
-PROBE = """
+PROBE = f"ROUTINES = {LAPACK_ROUTINES!r}" + """
 import contextlib, io, json, sys
 import bubbletower, bubbletower.cli
 lazy = set(sys.argv[2:])
 loaded = {"import": sorted(lazy & set(sys.modules))}
+loaded["registered"] = sys.modules.get("scipy.linalg._flapack") is bubbletower._lapack._flapack
 with contextlib.redirect_stdout(io.StringIO()):
     code = bubbletower.cli.main(["limit", "--N", "3", "--out", sys.argv[1]])
 loaded["limit"] = [code, sorted(lazy & set(sys.modules))]
-bubbletower.find_nodal_solution(bubbletower.ProblemParams(3, 2, 1e-2), M=256)
+params = bubbletower.ProblemParams(3, 2, 1e-2)
+sol = bubbletower.find_nodal_solution(params, M=256)  # dgtsv
 loaded["solve"] = sorted(lazy & set(sys.modules))
-import scipy.integrate  # the control: a module the probe loads itself is seen
+bubbletower.first_eigenpair(bubbletower.assemble_linearized(sol))  # dstebz, dstein
+loaded["eig"] = sorted(lazy & set(sys.modules))
+run = bubbletower.evolve(sol.field, params, bubbletower.FlowConfig(t_end=5e-5))  # dpttrf, dpttrs
+loaded["evolve"] = [len(run.series), sorted(lazy & set(sys.modules))]
+import scipy.linalg.lapack  # the controls: modules the probe loads itself are seen
+loaded["lapack"] = [
+    sorted(lazy & set(sys.modules)),
+    [getattr(bubbletower._lapack, name) is getattr(scipy.linalg.lapack, name) for name in ROUTINES],
+]
+import scipy.integrate
 loaded["control"] = sorted(lazy & set(sys.modules))
 print(json.dumps(loaded))
 """
@@ -97,8 +110,11 @@ print(json.dumps(loaded))
 @pytest.fixture(scope="session")
 def import_probe(tmp_path_factory):
     # one fresh interpreter for every import probe: which of LAZY_MODULES are loaded after
-    # `import bubbletower`, after an in-process `limit` (with its exit code), after a tower solve,
-    # and after the probe imports scipy.integrate itself
+    # `import bubbletower` (and whether its LAPACK module is registered under its real name),
+    # after an in-process `limit` (with its exit code), after a tower solve, its first eigenpair
+    # and a short run from it (with its row count), after the probe imports scipy.linalg.lapack
+    # itself (with whether each routine of LAPACK_ROUTINES is its export), and after it imports
+    # scipy.integrate
     env = dict(os.environ)
     src = str(Path(bt.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))

@@ -14,19 +14,29 @@ its submodules, each of which resolves. Every module-level private
 function, class or constant is read somewhere in the package, by name, as
 an attribute or through a from-import. And `import bubbletower` loads
 only what its lightest entry points (`limit`, `report`, `--help`) need: not
-`scipy.integrate`, `scipy.optimize` or `scipy.special`, which no path of the
-package loads (a tower solve included), nor `multiprocessing`, which
+scipy's Python package, whose compiled LAPACK module `bubbletower._lapack`
+loads by its file, nor `scipy.integrate`, `scipy.optimize` or
+`scipy.special`; no path of the package loads any of them (a tower solve, an
+eigenpair and a run included). Nor does it load `multiprocessing`, which
 `lambda_sweep` imports when it asks whether it may fork, nor the
-process-pool module, which the package does not use. And the BlowUp rule's
-`_COLLAPSE_RUN` is read by `flow._evolve` alone, the one loop that
-classifies a run.
+process-pool module, which the package does not use. The LAPACK routines
+are the very objects `scipy.linalg.lapack` exports, whichever of the two is
+imported first, and a missing extension is an ImportError that names where
+it was looked for. And the BlowUp rule's `_COLLAPSE_RUN` is read by
+`flow._evolve` alone, the one loop that classifies a run.
 """
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import bubbletower
+from bubbletower import _lapack
+from conftest import LAPACK_ROUTINES
 
 PACKAGE = Path(bubbletower.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -186,6 +196,55 @@ def test_import_limit_and_a_tower_solve_leave_scipys_quadrature_out(import_probe
     assert import_probe["limit"] == [0, []]
     assert not SCIPY_QUADRATURE & set(import_probe["solve"]), import_probe["solve"]
     assert SCIPY_QUADRATURE <= set(import_probe["control"]), import_probe["control"]
+
+
+def test_no_path_runs_scipys_python_package(import_probe):
+    # the tower solve reaches dgtsv, the eigenpair dstebz and dstein, the run dpttrf and dpttrs
+    scipy = {"scipy", "scipy.linalg"}
+    assert import_probe["registered"], "bubbletower._lapack is not sys.modules['scipy.linalg._flapack']"
+    for step in ("import", "solve", "eig"):
+        assert not scipy & set(import_probe[step]), (step, import_probe[step])
+    assert not scipy & set(import_probe["limit"][1]), import_probe["limit"]
+    rows, after_run = import_probe["evolve"]
+    assert rows > 1 and not scipy & set(after_run), import_probe["evolve"]
+    # the control: the probe's own `import scipy.linalg.lapack` shows, and exports the same objects
+    after_lapack, same = import_probe["lapack"]
+    assert scipy <= set(after_lapack), after_lapack
+    assert same == [True] * len(LAPACK_ROUTINES), dict(zip(LAPACK_ROUTINES, same))
+
+
+def test_scipy_linalg_first_shares_the_one_extension():
+    # the benchmark imports scipy.linalg before the package: no second copy of the extension loads
+    code = f"""
+import sys
+import scipy.linalg.lapack as lapack
+import bubbletower._lapack as ours
+ext = sys.modules["scipy.linalg._flapack"]
+print(ext is ours._flapack is lapack._flapack, [getattr(ours, n) is getattr(lapack, n) for n in {LAPACK_ROUTINES!r}])
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(PACKAGE.parent), env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"True {[True] * len(LAPACK_ROUTINES)}"
+
+
+def test_a_missing_extension_names_the_directory_searched(tmp_path):
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path))):
+        _lapack._load(tmp_path)
+
+
+def test_no_module_imports_scipy():
+    # `_lapack` is the one place that locates scipy's extension, and it imports nothing of scipy
+    imported = {
+        (node.module if isinstance(node, ast.ImportFrom) else alias.name)
+        for tree in TREES.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert not {m for m in imported if m and m.split(".")[0] == "scipy"}
+    assert [name for name, tree in TREES.items() if "find_spec" in ast.dump(tree)] == ["_lapack.py"]
 
 
 def test_no_module_imports_a_process_pool():

@@ -22,9 +22,10 @@ moved: max |parent - change| over the column's max |parent|, taken over the
 entries that are numbers in both trees, where a JSON key inside lists gathers
 its values across them (`table[].T_estimate`). A column whose presence,
 length or text (an entry that is not a number in both) differs says so. Each call's
-peak RSS and CPU seconds under both trees (the child's ru_maxrss and
-ru_utime + ru_stime from os.wait4) are printed to stderr at the end, for
-information only: they do not count as differences. Standard library only.
+peak RSS, CPU seconds and wall seconds under both trees (the child's ru_maxrss
+and ru_utime + ru_stime from os.wait4, and time.perf_counter from the child's
+start to its reaping) are printed to stderr at the end, for information only:
+they do not count as differences. Standard library only.
 """
 from __future__ import annotations
 
@@ -36,6 +37,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 FAILING_SOLVE = "residual_tol = 1e-30\n"  # no tower reaches it: every sweep cell is a 'Failed' row
@@ -80,18 +82,20 @@ CALLS = [
 
 def run_call(src: Path, out: Path, config: Path, args: list) -> tuple:
     """Run one call from src into out: (exit code, stdout, stderr, {dir name: {file: content}},
-    peak RSS in MB, CPU seconds)."""
+    peak RSS in MB, CPU seconds, wall seconds)."""
     env = dict(os.environ, PYTHONPATH=str(src))
     out.mkdir(parents=True, exist_ok=True)
     before = set(out.iterdir())
     argv = [str(config) if arg == "{config}" else arg for arg in args]
     with tempfile.TemporaryFile("w+") as stdout, tempfile.TemporaryFile("w+") as stderr:
+        start = time.perf_counter()
         proc = subprocess.Popen(
             [sys.executable, "-m", "bubbletower", *argv, "--out", str(out)],
             stdout=stdout, stderr=stderr, env=env, cwd=out.parent,
         )
         # reaped by os.wait4, which reports the child's resource usage, not by proc.wait()
         _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
         proc.returncode = code = os.waitstatus_to_exitcode(status)  # so Popen takes it as reaped
         stdout.seek(0)
         stderr.seek(0)
@@ -114,7 +118,7 @@ def run_call(src: Path, out: Path, config: Path, args: list) -> tuple:
         runs[run_dir.name] = files
     # ru_maxrss is in kilobytes on Linux
     cpu = usage.ru_utime + usage.ru_stime
-    return code, normal(text_out), normal(text_err), runs, usage.ru_maxrss / 1024, cpu
+    return code, normal(text_out), normal(text_err), runs, usage.ru_maxrss / 1024, cpu, wall
 
 
 def _gather(value, path: str, columns: dict) -> dict:
@@ -223,9 +227,10 @@ def main(argv: list) -> int:
             print(f"  {label} ({order[0]} first)", file=sys.stderr)
             for name in order:
                 results[name].append(run_call(trees[name], tmp / name / "out", config, args))
-    print("peak RSS (MB): parent, change; CPU (s): parent, change", file=sys.stderr)
+    print("peak RSS (MB): parent, change; CPU (s): parent, change; wall (s): parent, change", file=sys.stderr)
     for (label, _), parent, change in zip(CALLS, results["parent"], results["change"]):
-        print(f"  {label}: {parent[-2]:.1f}, {change[-2]:.1f}; {parent[-1]:.2f}, {change[-1]:.2f}", file=sys.stderr)
+        (rss_a, cpu_a, wall_a), (rss_b, cpu_b, wall_b) = parent[-3:], change[-3:]
+        print(f"  {label}: {rss_a:.1f}, {rss_b:.1f}; {cpu_a:.2f}, {cpu_b:.2f}; {wall_a:.2f}, {wall_b:.2f}", file=sys.stderr)
     lines = differences(results["parent"], results["change"])
     for line in lines:
         print(line)
