@@ -13,7 +13,6 @@ from .flow import (
     find_onesided_window,
     find_separation_time,
     lambda_sweep,
-    linear_nonlinear_consistency,
     linearized_evolve,
     subsupersolution_residual,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "integrate_weighted",
     "lambda_sweep",
     "limit_eigenpair",
-    "linear_nonlinear_consistency",
     "limit_overlap",
     "limit_scan",
     "linearized_evolve",

@@ -3,15 +3,16 @@
 Every run is driven by one marching engine, `_march`: it advances a state by
 a step function at the step sizes its caller picks, yields the time, step,
 state, sup norm and dt-collapse count after each step, and raises
-IntegratorFailure once a step leaves the floats. Four loops drive it:
+IntegratorFailure once a step leaves the floats. Three loops drive it:
 `_evolve`, the one that classifies a run, which its caller watches or stops
 by a per-step probe (the energy of `evolve`, the search of
-`find_separation_time`); `linearized_evolve` at a fixed dt; and the lockstep
-`linear_nonlinear_consistency` and `comparison_monitor` on a 2 x n state.
+`find_separation_time`); `linearized_evolve` at a fixed dt; and
+`comparison_monitor`, the one lockstep caller, on a 2 x n state. The entry
+points that take two fields require both on one grid (`mesh._same_grid`).
 
 Every diffusive run takes the one IMEX step, `_Stepper`: backward Euler on
 the diffusion and explicit reaction. It keeps the discrete maximum principle
-on the diffusion side, which the comparison diagnostics need, and it is first
+on the diffusion side, which `comparison_monitor` needs, and it is first
 order in time, as the explicit reaction makes any such scheme. `evolve` alone
 also runs `reaction-only`, the closed-form map of v' = |v|^{p-1} v without
 diffusion. The diffusion solve (D + dt K) x = D b, with D and K the grid's
@@ -44,10 +45,11 @@ fans the sweep's independent runs out over the usable cores (`_fan_out`),
 bit-identical to a serial sweep's, and no child outlives the call. A sweep
 row keeps no energy, so its runs take no probe.
 
-Each per-step row recorder (`evolve`'s series and the rows of the lockstep
-callers and `linearized_evolve`) appends its floats to an array("d"), 8 bytes
-a value, and returns np.frombuffer(rows).reshape(-1, ncols): a float64 view
-of the doubles it stored, with no copy at the end of the run.
+Each of the three per-step row recorders (`evolve`'s series and the rows of
+`linearized_evolve` and `comparison_monitor`) appends its floats to an
+array("d"), 8 bytes a value, and returns np.frombuffer(rows).reshape(-1,
+ncols): a float64 view of the doubles it stored, with no copy at the end of
+the run.
 """
 from __future__ import annotations
 
@@ -62,7 +64,7 @@ import numpy as np
 
 from ._lapack import dpttrf, dpttrs
 from .errors import IntegratorFailure
-from .mesh import RadialField, integrate_weighted
+from .mesh import RadialField, _same_grid, integrate_weighted
 from .params import ProblemParams, _require_finite_positive, sphere_area
 from .spectral import EigenPair
 from .stationary import StationarySolution, stationary_residual
@@ -70,11 +72,6 @@ from .stationary import StationarySolution, stationary_residual
 _INTEGRATORS = ("imex-be", "reaction-only")
 # consecutive steps at dt_min with a growing sup norm that count as a dt collapse
 _COLLAPSE_RUN = 5
-# linear_nonlinear_consistency: the data's multiple lam of phi, the horizon in units of
-# 1/|lambda_1|, and the end of the linear window as a fraction of sup|phi|
-_CONSISTENCY_LAM = 1.001
-_CONSISTENCY_HORIZON = 8.0
-_LINEAR_WINDOW = 0.02
 _ONESIDED_CANDIDATES = np.logspace(-7, -2, 11)  # the eps' values find_onesided_window scans
 
 
@@ -496,7 +493,7 @@ def linearized_evolve(
     and the eigenfunction, log norm.
     The backward-Euler-diffusion step makes the fitted rates first-order
     accurate in dt, so the default dt = 0.002/|lambda_1| keeps the rate error
-    well under a percent.
+    well under a percent. z0 must lie on sol's grid.
     """
     lam = pair.lam
     if t_end is None:
@@ -504,6 +501,7 @@ def linearized_evolve(
     if dt is None:
         dt = 0.002 / abs(lam)
     _require_finite_positive(t_end=t_end, dt=dt)
+    _same_grid(z0, sol.field)
     n_steps = int(np.ceil(t_end / dt))
     if n_steps < 3:  # the rate is fitted over the second half of the rows
         raise ValueError(f"t_end={t_end:g} at dt={dt:g} gives {n_steps} steps; the rate fit needs at least 3")
@@ -556,45 +554,6 @@ def linearized_evolve(
         "orthogonal_start": orthogonal_start,
         "series": arr,
     }
-
-
-def linear_nonlinear_consistency(sol: StationarySolution, pair: EigenPair) -> dict:
-    """Compare (v^lam - phi)/(lam - 1), lam = _CONSISTENCY_LAM, with the linearized flow z from z0 = phi.
-
-    Both flows take identical lockstep steps (backward-Euler diffusion, the
-    nonlinear one with explicit full reaction, the linear one with the frozen
-    potential p|phi|^{p-1}), so the difference quotient matches z to first
-    order in lam - 1 step by step. The quadratic remainder grows at twice the
-    exponential rate of z, so the comparison is meaningful only while the
-    perturbation is small; the window ends when sup|v - phi| exceeds
-    _LINEAR_WINDOW * sup|phi|, or at t = _CONSISTENCY_HORIZON / |lambda_1|.
-    """
-    lam = _CONSISTENCY_LAM
-    params = sol.params
-    g = sol.field.grid
-    phi = sol.field.values
-    t_end = _CONSISTENCY_HORIZON / abs(pair.lam)
-    dt = 0.002 / abs(pair.lam)
-    stepper = _Stepper(g, params)
-    sup_phi = float(np.max(np.abs(phi)))
-    t, max_err, rows = 0.0, 0.0, array("d")
-    with np.errstate(over="ignore", invalid="ignore"):
-        gain = 1.0 + dt * params.reaction_derivative(phi)[g.unknowns]
-        steps = _march(
-            lambda s, h: np.array([stepper.step(s[0], h), stepper.linear_step(s[1], h, gain)]),
-            np.array([lam * phi, phi]),
-            t_end,
-            lambda sup, rest: dt,  # the last step is not clipped to t_end
-            0.0,
-        )
-        for t, _, (v, z), _, _ in steps:
-            dv = v - phi
-            if float(np.max(np.abs(dv))) > _LINEAR_WINDOW * sup_phi:
-                break
-            err = float(np.max(np.abs(dv / (lam - 1.0) - z))) / max(float(np.max(np.abs(z))), 1e-300)
-            max_err = max(max_err, err)
-            rows.extend((t, err))
-    return {"max_rel_err": max_err, "t_final": t, "series": np.frombuffer(rows).reshape(-1, 2)}
 
 
 def find_separation_time(
@@ -651,8 +610,9 @@ def subsupersolution_residual(
     <= 0 at interior nodes), so max_wrong_sign is the largest positive
     residual; with eps_prime < 0 the supersolution side is checked and
     max_wrong_sign is the largest negative excursion. Both one-sided maxima
-    are reported either way.
+    are reported either way. psi and phi1 must lie on one grid.
     """
+    _same_grid(psi, phi1)
     s = RadialField(psi.grid, psi.values + eps_prime * phi1.values)
     interior = stationary_residual(s, params).values[1:-1]
     max_pos = float(np.max(np.maximum(interior, 0.0)))
@@ -705,6 +665,8 @@ def comparison_monitor(
 ) -> dict:
     """Evolve an ordered pair in lockstep and track the worst ordering violation.
 
+    vA0 <= vB0 must be zero-trace fields (dirichlet=True) on one grid, as an
+    `evolve` run's data must be zero-trace.
     Both trajectories take the same step sizes (driven by the larger sup
     norm); monitoring stops at the horizon or when either flow crosses the
     blow-up threshold. A step that overflows either flow raises
@@ -712,6 +674,9 @@ def comparison_monitor(
     monotone, so the violation should sit at roundoff level; cfg.integrator is
     not read.
     """
+    _same_grid(vA0, vB0)
+    if not (vA0.dirichlet and vB0.dirichlet):
+        raise ValueError("diffusive runs need zero-trace initial data")
     if float(np.max(vA0.values - vB0.values)) > 0.0:
         raise ValueError("initial data are not ordered: need vA0 <= vB0 pointwise")
     stepper = _Stepper(vA0.grid, params)

@@ -262,11 +262,23 @@ def test_linearized_rejects_zero_data(case_solutions, case_pairs):
         bt.linearized_evolve(sol, pair, z0)
 
 
-def test_linear_nonlinear_consistency(case_solutions, case_pairs):
-    sol, pair = case_solutions[KEY], case_pairs[KEY]
-    out = bt.linear_nonlinear_consistency(sol, pair)
-    assert out["max_rel_err"] <= 5e-2
-    assert out["t_final"] > 0
+@pytest.mark.parametrize("key", (KEY, (4, 1, 1e-3)), ids=lambda key: "-".join(map(str, key)))
+def test_the_flow_leaves_phi_at_the_rate_of_its_first_eigenvalue(key):
+    # the escape law: v - phi ~ (lambda - 1) <phi, phi_1> e^{|lambda_1| t} phi_1, so T moves by
+    # ln(100)/|lambda_1| from lambda - 1 = 1e-6 to 1e-8 and r = |lambda_1| dT / ln 100 = 1. The runs
+    # read f and lambda_1 reads f'. T is first order in the step, so r(m) at (0.1, 1e-5)/m is
+    # extrapolated; 2 r(4) - r(2) reads 1 to 5.3e-4 and 1.5e-4 here, and f' x 1.001 moves it by
+    # 2.5e-3 and 1.1e-2 (docs/decisions.md, "The escape law replaces the lockstep consistency check")
+    sol = bt.find_nodal_solution(bt.ProblemParams(*key))
+    pair = bt.first_eigenpair(bt.assemble_linearized(sol))
+
+    def ratio(m):
+        cfg = bt.FlowConfig(safety=0.1 / m, dt_max=1e-5 / m)
+        rows = bt.lambda_sweep(sol, (1.0 + 1e-6, 1.0 + 1e-8), cfg, pair)
+        assert [row["status"] for row in rows] == ["BlowUp", "BlowUp"]
+        return abs(pair.lam) * (rows[1]["T_estimate"] - rows[0]["T_estimate"]) / math.log(100.0)
+
+    assert abs(2.0 * ratio(4) - ratio(2) - 1.0) <= 2e-3
 
 
 def test_separation_time_lambda_one(case_solutions, case_pairs):
@@ -393,6 +405,44 @@ def test_comparison_monitor_rejects_unordered():
         )
 
 
+def _uniform_twin(g):
+    """A grid with g's ends and node count, graded uniformly in r where g is graded in log r."""
+    return bt.build_grid(g.inner, g.outer, g.M, "uniform", N=g.N)
+
+
+def test_comparison_monitor_rejects_fields_on_two_grids():
+    # as many nodes on both grids, so only the grid check tells them apart
+    g = bt.build_grid(0.5, 1.0, 128, N=3)
+    zero = bt.RadialField(g, np.zeros(g.nodes.size), dirichlet=True)
+    with pytest.raises(ValueError, match=r"^fields live on different grids$"):
+        bt.comparison_monitor(zero, _bump(_uniform_twin(g)), bt.ProblemParams(3, 1, 0.5), bt.FlowConfig(t_end=1e-3))
+
+
+def test_comparison_monitor_rejects_data_without_zero_trace():
+    # ordered, so only the trace check rejects it, with evolve's message for the same data
+    g = bt.build_grid(0.5, 1.0, 128, N=3)
+    low = bt.RadialField(g, np.full(g.nodes.size, 0.1))
+    high = bt.RadialField(g, low.values + _bump(g).values)
+    with pytest.raises(ValueError, match=r"^diffusive runs need zero-trace initial data$"):
+        bt.comparison_monitor(low, high, bt.ProblemParams(3, 1, 0.5), bt.FlowConfig(t_end=1e-3))
+
+
+def test_linearized_rejects_data_on_another_grid(case_solutions, case_pairs):
+    # as many nodes on both grids, so only the grid check tells them apart
+    sol, pair = case_solutions[KEY], case_pairs[KEY]
+    z0 = bt.RadialField(_uniform_twin(sol.field.grid), pair.phi.values, dirichlet=True)
+    with pytest.raises(ValueError, match=r"^fields live on different grids$"):
+        bt.linearized_evolve(sol, pair, z0)
+
+
+def test_subsupersolution_residual_rejects_fields_on_two_grids(case_solutions, case_pairs):
+    # as many nodes on both grids, so only the grid check tells them apart
+    sol, pair = case_solutions[KEY], case_pairs[KEY]
+    psi = bt.RadialField(_uniform_twin(sol.field.grid), sol.field.values, dirichlet=True)
+    with pytest.raises(ValueError, match=r"^fields live on different grids$"):
+        bt.subsupersolution_residual(psi, pair.phi, 1e-3, sol.params)
+
+
 def test_positivity_preserved():
     g = bt.build_grid(0.5, 1.0, 128, N=3)
     params = bt.ProblemParams(3, 1, 0.5)
@@ -489,7 +539,7 @@ def test_overflowing_reaction_raises_integrator_failure():
         np.array([0.0, np.nan, 1.0, 0.0]),
         np.array([0.0, -np.inf, 1.0, 0.0]),
         np.array([0.0, np.inf, -np.inf, 0.0]),
-        np.array([[0.0, 1.0, 0.0], [0.0, -2.0, 0.0]]),  # the lockstep callers' stacked state
+        np.array([[0.0, 1.0, 0.0], [0.0, -2.0, 0.0]]),  # comparison_monitor's stacked state
     ],
 )
 def test_sup_norm_is_the_max_of_the_absolute_values(state):
@@ -803,12 +853,6 @@ def test_overflow_in_linearized_flow_raises(overflowing_state):
         bt.linearized_evolve(sol, pair, pair.phi)
 
 
-def test_overflow_in_linear_nonlinear_consistency_raises(overflowing_state):
-    sol, pair = overflowing_state
-    with pytest.raises(IntegratorFailure, match="overflow"):
-        bt.linear_nonlinear_consistency(sol, pair)
-
-
 def _tower_run(key, lam):
     """The IMEX-BE run from lam * phi on the (N, k, eps) tower, at the default FlowConfig."""
     sol = bt.find_nodal_solution(bt.ProblemParams(*key))
@@ -928,11 +972,6 @@ def test_the_other_recorders_return_c_contiguous_float64_tables_of_their_steps(
     params, cfg = bt.ProblemParams(3, 1, 0.5), bt.FlowConfig(t_end=5e-3, dt_max=1e-4)
     mon = bt.comparison_monitor(_bump(g, 0.8), _bump(g, 1.0), params, cfg)
     _assert_float64_table(mon["series"], (len(times), 2))
-    # the step that leaves the linear window ends the run without a row
-    times.clear()
-    out = bt.linear_nonlinear_consistency(sol, pair)
-    assert out["t_final"] == times[-1]
-    _assert_float64_table(out["series"], (len(times) - 1, 2))
 
 
 def _late_divergence():
@@ -1071,24 +1110,15 @@ def test_linear_step_follows_a_new_dt_or_potential():
         assert np.array_equal(shared.linear_step(z, dt, gain), ref.linear_step(z, dt, gain))
 
 
-def test_lockstep_callers_match_the_allocating_stepper(case_solutions, case_pairs, monkeypatch):
-    sol, pair = case_solutions[KEY], case_pairs[KEY]
+def test_lockstep_callers_match_the_allocating_stepper(monkeypatch):
     g = bt.build_grid(0.5, 1.0, 128, N=3)
     params, cfg = bt.ProblemParams(3, 1, 0.5), bt.FlowConfig(t_end=5e-3, dt_max=1e-4)
-
-    def run():
-        return (
-            bt.comparison_monitor(_bump(g, 0.8), _bump(g, 1.0), params, cfg),
-            bt.linear_nonlinear_consistency(sol, pair),
-        )
-
-    got = run()
+    got = bt.comparison_monitor(_bump(g, 0.8), _bump(g, 1.0), params, cfg)
     monkeypatch.setattr(flow, "_Stepper", ReferenceStepper)
-    want = run()
-    for g_out, w_out in zip(got, want):
-        assert g_out.keys() == w_out.keys()
-        for key in w_out:
-            assert np.array_equal(np.asarray(g_out[key]), np.asarray(w_out[key])), key
+    want = bt.comparison_monitor(_bump(g, 0.8), _bump(g, 1.0), params, cfg)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert np.array_equal(np.asarray(got[key]), np.asarray(want[key])), key
 
 
 @pytest.mark.parametrize("case", ("horizon", "blow-up", "failure"))

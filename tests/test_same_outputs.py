@@ -1,4 +1,4 @@
-"""The per-column report of tools/same_outputs.py, on hand-made file contents."""
+"""The per-column and per-module reports of tools/same_outputs.py, on hand-made file contents and module lists."""
 import sys
 from pathlib import Path
 
@@ -20,3 +20,13 @@ def test_json_keys_gather_across_lists_and_name_what_is_not_numeric():
         "table[].T 5.0e-01 and text", "tol only in the parent", "x text", "y only in the change",
     ]
     assert same_outputs._columns("report.txt", b"") is None
+
+
+def test_a_module_that_one_tree_alone_loads_is_a_difference_that_names_it():
+    parent = ["bubbletower", "numpy", "sys", "tempfile"]
+    change = ["bubbletower", "multiprocessing", "numpy", "sys"]
+    assert same_outputs.module_differences(parent, change) == [
+        "import bubbletower: multiprocessing loaded only by the change",
+        "import bubbletower: tempfile loaded only by the parent",
+    ]
+    assert same_outputs.module_differences(parent, parent[::-1]) == []

@@ -15,6 +15,11 @@ the two trees must agree on:
 - every file in those directories byte for byte, except manifest.json, which
   is compared as JSON without its `started` and `finished` timestamps.
 
+One more item is compared: the modules in sys.modules after a fresh
+`python -c "import bubbletower"` under each tree, the part of a cold start's
+cost that does not depend on the host's speed. A module that only one tree
+loads is a difference that names it.
+
 Each difference is printed on its own line, and the exit status is 1 if there
 is any, 0 if there is none. A CSV or JSON file that differs is followed on its
 line by the largest relative difference in each CSV column or JSON key that
@@ -121,6 +126,23 @@ def run_call(src: Path, out: Path, config: Path, args: list) -> tuple:
     return code, normal(text_out), normal(text_err), runs, usage.ru_maxrss / 1024, cpu, wall
 
 
+def loaded_modules(src: Path) -> list:
+    """The names in sys.modules after a fresh `import bubbletower` from src, sorted."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, bubbletower; print(*sorted(sys.modules))"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), cwd=src, check=True,
+    )
+    return proc.stdout.split()
+
+
+def module_differences(parent: list, change: list) -> list:
+    """One line per module that a fresh `import bubbletower` loads under one tree only."""
+    return [
+        f"import bubbletower: {name} loaded only by the {'parent' if name in parent else 'change'}"
+        for name in sorted(set(parent) ^ set(change))
+    ]
+
+
 def _gather(value, path: str, columns: dict) -> dict:
     """The leaves of a JSON value by key path, each list's entries gathered under `path[]`."""
     if isinstance(value, dict):
@@ -218,6 +240,7 @@ def main(argv: list) -> int:
     parent_src, change_src = (Path(arg).resolve() for arg in argv)
     trees = {"parent": parent_src, "change": change_src}
     results = {name: [] for name in trees}
+    modules = {name: loaded_modules(src) for name, src in trees.items()}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         config = tmp / "failing_solve.cfg"
@@ -231,10 +254,10 @@ def main(argv: list) -> int:
     for (label, _), parent, change in zip(CALLS, results["parent"], results["change"]):
         (rss_a, cpu_a, wall_a), (rss_b, cpu_b, wall_b) = parent[-3:], change[-3:]
         print(f"  {label}: {rss_a:.1f}, {rss_b:.1f}; {cpu_a:.2f}, {cpu_b:.2f}; {wall_a:.2f}, {wall_b:.2f}", file=sys.stderr)
-    lines = differences(results["parent"], results["change"])
+    lines = differences(results["parent"], results["change"]) + module_differences(modules["parent"], modules["change"])
     for line in lines:
         print(line)
-    print(f"{len(lines)} differences over {len(CALLS)} calls")
+    print(f"{len(lines)} differences over {len(CALLS)} calls and the modules of a fresh import")
     return 1 if lines else 0
 
 
