@@ -11,13 +11,19 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .errors import SolverError
 from .harness import OPERATIONS, load_config, parse_value, resolve_config, run
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
-    """One subcommand per operation; a flag --some-key sets config key some_key."""
+    """One subcommand per operation; a flag --some-key sets config key some_key.
+
+    Built once per process: it reads only the operations' keys and help text
+    and the config defaults; `main` looks each operation's body up per call.
+    """
     parser = argparse.ArgumentParser(
         prog="bubbletower",
         description="Sign-changing bubble-tower equilibria of the critical heat "

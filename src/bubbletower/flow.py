@@ -8,7 +8,9 @@ IntegratorFailure once a step leaves the floats. Three loops drive it:
 by a per-step probe (the energy of `evolve`, the search of
 `find_separation_time`); `linearized_evolve` at a fixed dt; and
 `comparison_monitor`, the one lockstep caller, on a 2 x n state. The entry
-points that take two fields require both on one grid (`mesh._same_grid`).
+points that take two fields require both on equal grids (`mesh._same_grid`:
+the same N and nodes), and those that take params require its N
+(`mesh._same_dimension`).
 
 Every diffusive run takes the one IMEX step, `_Stepper`: backward Euler on
 the diffusion and explicit reaction. It keeps the discrete maximum principle
@@ -64,7 +66,7 @@ import numpy as np
 
 from ._lapack import dpttrf, dpttrs
 from .errors import IntegratorFailure
-from .mesh import RadialField, _same_grid, integrate_weighted
+from .mesh import RadialField, _same_dimension, _same_grid, integrate_weighted
 from .params import ProblemParams, _require_finite_positive, sphere_area
 from .spectral import EigenPair
 from .stationary import StationarySolution, stationary_residual
@@ -103,7 +105,7 @@ class FlowConfig:
             raise ValueError(f"integrator must be one of {_INTEGRATORS}, got {self.integrator!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class FlowResult:
     """Classification of one run plus its series, a float64 view of the array("d") of its rows.
 
@@ -153,6 +155,7 @@ def _energy_probe(grid, p: float):
 
 def energy(u: RadialField, params: ProblemParams) -> float:
     """Dissipated functional: 1/2 |grad u|^2 - |u|^{p+1}/(p+1), weighted volume integral."""
+    _same_dimension(u.grid, params)
     with np.errstate(over="ignore", invalid="ignore"):
         return _energy_of(u.values, u.grid, params.p)
 
@@ -278,6 +281,7 @@ def _evolve(v0: RadialField, params: ProblemParams, cfg: FlowConfig, probe) -> F
     reaction_only = cfg.integrator == "reaction-only"
     if not (reaction_only or v0.dirichlet):
         raise ValueError("diffusive runs need zero-trace initial data")
+    _same_dimension(v0.grid, params)
     p = params.p
     advance = (lambda v, dt: _reaction_map(v, dt, p)) if reaction_only else _Stepper(v0.grid, params).step
     sup0 = float(np.max(np.abs(v0.values)))
@@ -675,6 +679,7 @@ def comparison_monitor(
     not read.
     """
     _same_grid(vA0, vB0)
+    _same_dimension(vA0.grid, params)
     if not (vA0.dirichlet and vB0.dirichlet):
         raise ValueError("diffusive runs need zero-trace initial data")
     if float(np.max(vA0.values - vB0.values)) > 0.0:

@@ -17,7 +17,7 @@ import numpy as np
 from .params import sphere_area
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialGrid:
     """Strictly increasing radial nodes r_0 < ... < r_M with dimension metadata.
 
@@ -39,6 +39,12 @@ class RadialGrid:
             raise ValueError(f"dimension N must be >= 3, got {self.N}")
         if nodes[0] < 0.0:
             raise ValueError(f"radii must be nonnegative, got r_0 = {nodes[0]}")
+
+    def __eq__(self, other) -> bool:
+        """The same grid, or the same N and nodes: fields on equal grids may be combined. Grids are unhashable."""
+        return self is other or (
+            isinstance(other, RadialGrid) and self.N == other.N and np.array_equal(self.nodes, other.nodes)
+        )
 
     @property
     def origin(self) -> bool:
@@ -112,7 +118,7 @@ class RadialGrid:
         return self.cell_weights[u], diag, beta[u.start : self.M - 1]
 
 
-@dataclass
+@dataclass(eq=False)
 class RadialField:
     """Nodal values of a radial function on a grid.
 
@@ -159,8 +165,14 @@ def build_grid(inner: float, outer: float, M: int, grading: str = "log", N: int 
 
 
 def _same_grid(u: RadialField, v: RadialField) -> None:
-    if u.grid is not v.grid and not np.array_equal(u.grid.nodes, v.grid.nodes):
+    if u.grid is not v.grid and u.grid != v.grid:
         raise ValueError("fields live on different grids")
+
+
+def _same_dimension(grid: RadialGrid, params) -> None:
+    """Raise ValueError when the grid's N, which sets the weights, is not params' N, which sets p."""
+    if grid.N != params.N:
+        raise ValueError(f"the grid has dimension N = {grid.N} but the params have N = {params.N}")
 
 
 def integrate_weighted(u: RadialField, v: RadialField) -> float:

@@ -27,7 +27,7 @@ from .stationary import StationarySolution
 _TINY = float(np.finfo(float).tiny)  # dstebz's absolute tolerance: bisect to rounding
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearizedOperator:
     """Symmetrized tridiagonal representation of -Delta - V with Dirichlet trace.
 
@@ -54,7 +54,7 @@ class LinearizedOperator:
         return out
 
 
-@dataclass
+@dataclass(eq=False)
 class EigenPair:
     """Eigenvalue with its weighted-L2-normalized, interior-positive eigenfunction.
 

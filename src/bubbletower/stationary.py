@@ -41,7 +41,7 @@ from numpy.polynomial.legendre import legint, legval, legvander
 
 from ._lapack import dgtsv
 from .errors import SolverError
-from .mesh import RadialField, RadialGrid, apply_radial_laplacian, build_grid, norms
+from .mesh import RadialField, RadialGrid, _same_dimension, apply_radial_laplacian, build_grid, norms
 from .params import ProblemParams, _require_finite_positive
 from .profile import extract_concentrations
 
@@ -81,6 +81,7 @@ def shoot(params: ProblemParams, s: float, grid: RadialGrid) -> RadialField:
     """
     if not math.isfinite(s):
         raise ValueError(f"slope must be finite, got {s}")
+    _same_dimension(grid, params)
     p, beta, eps = params.p, params.beta, params.eps
     r = grid.nodes
     dw0 = abs(s) * eps ** (beta + 1.0)  # chain rule: w'(log eps) from u'(eps); the orbit is odd in s
@@ -116,7 +117,7 @@ def shoot(params: ProblemParams, s: float, grid: RadialGrid) -> RadialField:
     return RadialField(grid, vals, dirichlet=True)
 
 
-@dataclass
+@dataclass(eq=False)
 class StationarySolution:
     """A converged sign-changing stationary solution resident on its grid.
 
@@ -152,6 +153,7 @@ def stationary_residual(u: RadialField, params: ProblemParams) -> RadialField:
     Sign convention matches the sub/supersolution checks: a subsolution has
     residual <= 0 at interior nodes.
     """
+    _same_dimension(u.grid, params)
     lap = apply_radial_laplacian(u)
     vals = -lap.values - params.reaction(u.values)
     vals[0] = 0.0

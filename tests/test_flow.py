@@ -405,17 +405,19 @@ def test_comparison_monitor_rejects_unordered():
         )
 
 
-def _uniform_twin(g):
-    """A grid with g's ends and node count, graded uniformly in r where g is graded in log r."""
-    return bt.build_grid(g.inner, g.outer, g.M, "uniform", N=g.N)
+def _twins(g):
+    """Grids with g's node count that g must not be combined with: graded uniformly in r where g
+    is graded in log r, and g's own nodes in the next dimension (the same nodes, other weights)."""
+    return bt.build_grid(g.inner, g.outer, g.M, "uniform", N=g.N), bt.RadialGrid(g.nodes, N=g.N + 1)
 
 
 def test_comparison_monitor_rejects_fields_on_two_grids():
     # as many nodes on both grids, so only the grid check tells them apart
     g = bt.build_grid(0.5, 1.0, 128, N=3)
     zero = bt.RadialField(g, np.zeros(g.nodes.size), dirichlet=True)
-    with pytest.raises(ValueError, match=r"^fields live on different grids$"):
-        bt.comparison_monitor(zero, _bump(_uniform_twin(g)), bt.ProblemParams(3, 1, 0.5), bt.FlowConfig(t_end=1e-3))
+    for twin in _twins(g):
+        with pytest.raises(ValueError, match=r"^fields live on different grids$"):
+            bt.comparison_monitor(zero, _bump(twin), bt.ProblemParams(3, 1, 0.5), bt.FlowConfig(t_end=1e-3))
 
 
 def test_comparison_monitor_rejects_data_without_zero_trace():
@@ -430,17 +432,35 @@ def test_comparison_monitor_rejects_data_without_zero_trace():
 def test_linearized_rejects_data_on_another_grid(case_solutions, case_pairs):
     # as many nodes on both grids, so only the grid check tells them apart
     sol, pair = case_solutions[KEY], case_pairs[KEY]
-    z0 = bt.RadialField(_uniform_twin(sol.field.grid), pair.phi.values, dirichlet=True)
-    with pytest.raises(ValueError, match=r"^fields live on different grids$"):
-        bt.linearized_evolve(sol, pair, z0)
+    for twin in _twins(sol.field.grid):
+        z0 = bt.RadialField(twin, pair.phi.values, dirichlet=True)
+        with pytest.raises(ValueError, match=r"^fields live on different grids$"):
+            bt.linearized_evolve(sol, pair, z0)
 
 
 def test_subsupersolution_residual_rejects_fields_on_two_grids(case_solutions, case_pairs):
     # as many nodes on both grids, so only the grid check tells them apart
     sol, pair = case_solutions[KEY], case_pairs[KEY]
-    psi = bt.RadialField(_uniform_twin(sol.field.grid), sol.field.values, dirichlet=True)
-    with pytest.raises(ValueError, match=r"^fields live on different grids$"):
-        bt.subsupersolution_residual(psi, pair.phi, 1e-3, sol.params)
+    for twin in _twins(sol.field.grid):
+        psi = bt.RadialField(twin, sol.field.values, dirichlet=True)
+        with pytest.raises(ValueError, match=r"^fields live on different grids$"):
+            bt.subsupersolution_residual(psi, pair.phi, 1e-3, sol.params)
+
+
+# each entry that takes a field and params, called with the field on an N = 4 grid and N = 3 params
+ONE_DIMENSION_ENTRIES = {
+    "evolve": lambda v, params: bt.evolve(v, params, bt.FlowConfig(t_end=1e-3)),
+    "energy": bt.energy,
+    "comparison_monitor": lambda v, params: bt.comparison_monitor(v, v, params, bt.FlowConfig(t_end=1e-3)),
+}
+
+
+@pytest.mark.parametrize("entry", ONE_DIMENSION_ENTRIES)
+def test_entries_reject_params_of_another_dimension(entry):
+    # the weights would carry r^3 and the reaction p = 5
+    v = _bump(bt.build_grid(0.5, 1.0, 128, N=4))
+    with pytest.raises(ValueError, match=r"^the grid has dimension N = 4 but the params have N = 3$"):
+        ONE_DIMENSION_ENTRIES[entry](v, bt.ProblemParams(3, 1, 0.5))
 
 
 def test_positivity_preserved():

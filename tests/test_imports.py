@@ -23,7 +23,10 @@ process-pool module, which the package does not use. The LAPACK routines
 are the very objects `scipy.linalg.lapack` exports, whichever of the two is
 imported first, and a missing extension is an ImportError that names where
 it was looked for. And the BlowUp rule's `_COLLAPSE_RUN` is read by
-`flow._evolve` alone, the one loop that classifies a run.
+`flow._evolve` alone, the one loop that classifies a run. And no dataclass
+that holds an array, directly or through a grid, field or eigenpair, has a
+generated `==`: it would compare the arrays and raise on their ambiguous
+truth value.
 """
 import ast
 import os
@@ -279,3 +282,43 @@ def test_the_blowup_rule_is_read_by_evolve_alone():
     in_evolve = _reads_of(evolve, "_COLLAPSE_RUN")
     assert in_evolve >= 1
     assert sum(_reads_of(tree, "_COLLAPSE_RUN") for tree in TREES.values()) == in_evolve, readers
+
+
+
+ARRAY_HOLDERS = {"ndarray", "RadialGrid", "RadialField", "EigenPair"}
+
+
+def _generates_eq(node: ast.ClassDef) -> bool:
+    """True when node is a @dataclass that does not pass eq=False."""
+    for dec in node.decorator_list:
+        call = dec if isinstance(dec, ast.Call) else None
+        name = call.func if call else dec
+        if (name.id if isinstance(name, ast.Name) else getattr(name, "attr", None)) == "dataclass":
+            eq = next((k.value for k in call.keywords if k.arg == "eq"), None) if call else None
+            return not (isinstance(eq, ast.Constant) and eq.value is False)
+    return False
+
+
+def _annotated_names(node: ast.ClassDef) -> set:
+    """Every name or attribute in the annotations of the class's fields."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign)
+        for n in ast.walk(stmt.annotation)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def test_no_array_holding_dataclass_generates_eq():
+    # `mesh._same_grid` reads RadialGrid's own ==, and every other such type compares by identity
+    generated = [
+        f"{path}:{node.name}"
+        for path, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and _generates_eq(node)
+        and _annotated_names(node) & ARRAY_HOLDERS
+        and not any(isinstance(s, ast.FunctionDef) and s.name == "__eq__" for s in node.body)
+    ]
+    assert not generated, f"dataclasses with a generated == over arrays: {generated}"

@@ -37,6 +37,57 @@ def test_grid_validation():
         bt.RadialGrid(np.linspace(0.1, 1.0, 33), N=2)
 
 
+def test_grid_rejects_nodes_out_of_order():
+    # enough nodes that only the order check can reject them
+    nodes = np.linspace(0.1, 1.0, 33)
+    nodes[[10, 11]] = nodes[[11, 10]]
+    with pytest.raises(ValueError, match=r"^nodes must be strictly increasing$"):
+        bt.RadialGrid(nodes, N=3)
+
+
+def test_field_rejects_a_value_count_other_than_the_node_count():
+    g = bt.build_grid(0.5, 1.0, 32)
+    with pytest.raises(ValueError, match=r"^field has 32 values for 33 nodes$"):
+        bt.RadialField(g, np.zeros(32))
+
+
+def test_grids_are_equal_when_dimension_and_nodes_agree():
+    g = bt.build_grid(0.5, 1.0, 128, N=3)
+    assert g == bt.build_grid(0.5, 1.0, 128, N=3)
+    assert g != bt.build_grid(0.5, 1.0, 128, N=4)  # same nodes, other weights
+    assert g != bt.build_grid(0.5, 1.0, 128, "uniform", N=3)  # same size, other nodes
+    assert g != g.nodes
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(g)
+
+
+def _two_of_each():
+    """Two distinct instances with equal contents of each array-holding type other than the grid."""
+    g = bt.build_grid(0.5, 1.0, 32)
+    ones = np.ones(g.nodes.size)
+    field = bt.RadialField(g, ones)
+    d, e = np.full(31, 2.0), np.full(30, -1.0)
+    return {
+        "RadialField": [bt.RadialField(g, ones.copy()) for _ in range(2)],
+        "LinearizedOperator": [bt.LinearizedOperator(g, d.copy(), e.copy()) for _ in range(2)],
+        "EigenPair": [bt.EigenPair(-1.0, bt.RadialField(g, ones.copy()), 0.0) for _ in range(2)],
+        "StationarySolution": [
+            bt.StationarySolution(bt.ProblemParams(3, 3), field, np.array([0.6, 0.8]), np.ones(3), 1.0, 0.0)
+            for _ in range(2)
+        ],
+        "FlowResult": [bt.FlowResult("Stationary", np.zeros((3, 4)), field, 1.0, 0.0) for _ in range(2)],
+    }
+
+
+@pytest.mark.parametrize("kind", _two_of_each())
+def test_array_holding_types_compare_by_identity(kind):
+    # a generated == compares the arrays and raises on the ambiguous truth value
+    a, b = _two_of_each()[kind]
+    assert a == a
+    assert not a == b
+    assert a != b
+
+
 def test_dirichlet_field_demands_exact_zero_trace():
     g = bt.build_grid(0.5, 1.0, 32, grading="uniform")
     vals = np.sin(np.pi * (g.nodes - 0.5) / 0.5)
@@ -115,6 +166,12 @@ def test_integrate_rejects_mismatched_grids():
     v = bt.RadialField(g2, np.ones(g2.nodes.size))
     with pytest.raises(ValueError):
         bt.integrate_weighted(u, v)
+    # the same nodes in another dimension: the weights carry r^{N-1}, so either order would read
+    # its own first argument's weights
+    w = bt.RadialField(bt.RadialGrid(g1.nodes, N=4), u.values)
+    for a, b in ((u, w), (w, u)):
+        with pytest.raises(ValueError, match=r"^fields live on different grids$"):
+            bt.integrate_weighted(a, b)
 
 
 def test_ball_grid_origin_cell():

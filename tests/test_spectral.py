@@ -95,6 +95,28 @@ def test_dstein_failure_raises(monkeypatch):
     assert err.value.diagnostics == {"info": 1}
 
 
+def test_a_sign_changing_first_eigenvector_is_named():
+    # d = 2, e = 1: the lowest mode of this tridiagonal alternates in sign
+    op = LinearizedOperator(None, np.full(31, 2.0), np.full(30, 1.0))
+    with pytest.raises(SolverError, match=r"^first eigenvector is not positive"):
+        spectral.first_eigenpair(op)
+
+
+def test_first_eigenvector_is_oriented_whatever_sign_dstein_returns(monkeypatch):
+    op = _zero_potential_operator(M=64)
+    want = spectral.first_eigenpair(op)
+    dstein = spectral.dstein
+
+    def flipped(*args):
+        z, info = dstein(*args)
+        return -z, info
+
+    monkeypatch.setattr(spectral, "dstein", flipped)
+    got = spectral.first_eigenpair(op)
+    assert np.array_equal(got.phi.values, want.phi.values)
+    assert (got.lam, got.residual) == (want.lam, want.residual)
+
+
 def test_zero_potential_first_eigenvalue():
     # -Delta on the (0.5, 1) annulus: sin(2 pi (r - 1/2))/r, eigenvalue 4 pi^2
     op = _zero_potential_operator()

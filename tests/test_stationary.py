@@ -206,6 +206,47 @@ def test_unconverged_solve_raises_naming_its_cause():
         bt.find_nodal_solution(bt.ProblemParams(4, 2, 1e-3), M=1024, residual_tol=1e-30)
 
 
+def test_params_reject_a_tower_without_bubbles():
+    with pytest.raises(ValueError, match=r"^tower count k must be >= 1, got 0$"):
+        bt.ProblemParams(3, 0, 1e-2)
+
+
+def _shot_of(values_of):
+    """A stand-in for `stationary.shoot` that returns values_of(nodes) with zero ends."""
+
+    def shot(params, s, grid):
+        vals = values_of(grid.nodes)
+        vals[0] = vals[-1] = 0.0
+        return bt.RadialField(grid, vals, dirichlet=True)
+
+    return shot
+
+
+@pytest.mark.parametrize(
+    "k, cause",
+    [(2, r"^refined solution has 0 interior zeros, expected 1$"), (1, r"^solution collapsed toward zero")],
+)
+def test_a_shot_that_collapses_to_zero_is_named(monkeypatch, k, cause):
+    # Newton keeps the zero field, a stationary solution with no lobe: too few zeros for k = 2, and
+    # for k = 1 no mass
+    monkeypatch.setattr(stationary, "shoot", _shot_of(np.zeros_like))
+    with pytest.raises(SolverError, match=cause):
+        bt.find_nodal_solution(bt.ProblemParams(3, k, 1e-2), M=256)
+
+
+def test_a_non_finite_shot_is_named(monkeypatch):
+    monkeypatch.setattr(stationary, "shoot", _shot_of(lambda r: np.full_like(r, np.nan)))
+    with pytest.raises(SolverError, match=r"^non-finite Newton residual nan at the initial field$") as err:
+        bt.find_nodal_solution(bt.ProblemParams(3, 2, 1e-2), M=256)
+    assert math.isnan(err.value.diagnostics["history"][0])
+
+
+def test_a_singular_newton_system_is_named(monkeypatch):
+    monkeypatch.setattr(stationary, "dgtsv", lambda dl, d, du, b: (dl, d, du, b, 1))
+    with pytest.raises(SolverError, match=r"^singular Newton system: zero pivot in row 1$"):
+        bt.find_nodal_solution(bt.ProblemParams(3, 2, 1e-2), M=256)
+
+
 @pytest.mark.parametrize(
     "N, k, eps, cause",
     [(40, 1, 1e-20, "no root of k T"), (40, 4, 1e-20, "shooting slope overflows")],
@@ -302,6 +343,22 @@ def test_robustness_matrix_solves_or_names_the_cause():
     assert set(failures) <= KNOWN_STALLS, failures
     for msg in failures.values():
         assert msg.startswith("Newton refinement stalled at scaled residual"), msg
+
+
+@pytest.fixture(scope="module")
+def small_tower():
+    return bt.find_nodal_solution(bt.ProblemParams(4, 2, 1e-2), M=512)
+
+
+def test_residual_rejects_params_of_another_dimension(small_tower):
+    # with N = 3 the residual of the N = 4 tower reads 2.4e9 instead of rounding
+    with pytest.raises(ValueError, match=r"^the grid has dimension N = 4 but the params have N = 3$"):
+        bt.stationary_residual(small_tower.field, bt.ProblemParams(3, 2, 1e-2))
+
+
+def test_shoot_rejects_a_grid_of_another_dimension(small_tower):
+    with pytest.raises(ValueError, match=r"^the grid has dimension N = 4 but the params have N = 3$"):
+        bt.shoot(bt.ProblemParams(3, 2, 1e-2), small_tower.shooting_slope, small_tower.field.grid)
 
 
 def test_residual_field_vanishes_at_solution(case_solutions):
