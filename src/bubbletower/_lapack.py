@@ -1,10 +1,10 @@
-"""The five LAPACK routines the package calls, from scipy's compiled wrapper module.
+"""The four LAPACK routines the package calls, from scipy's compiled wrapper module.
 
-`dgtsv` (the Newton polish), `dpttrf`/`dpttrs` (the flow's diffusion solve)
-and `dstebz`/`dstein` (the spectrum) all live in the one extension
-`scipy/linalg/_flapack`. Importing it through `scipy.linalg` would first run
-that package's `__init__`, most of the import time of this package, for
-nothing it uses. So the extension is loaded by its file, next to scipy's
+`dgtsv` (the Newton polish), `dpttrf`/`dpttrs` (the flow's diffusion solve;
+`dpttrf` also builds the first eigenvector) and `dstebz` (the eigenvalues) all
+live in the one extension `scipy/linalg/_flapack`. Importing it through
+`scipy.linalg` would first run that package's `__init__`, most of the import
+time of this package, for nothing it uses. So the extension is loaded by its file, next to scipy's
 `linalg` package (found without running scipy's `__init__`), and registered
 under its real name: a later `import scipy.linalg` reuses it, so these are the
 very objects `scipy.linalg.lapack` exports. If that name is already loaded, it
@@ -39,6 +39,4 @@ def _scipy_linalg() -> Path:
 
 
 _flapack = sys.modules.get(_NAME) or _load(_scipy_linalg())
-dgtsv, dpttrf, dpttrs, dstebz, dstein = (
-    _flapack.dgtsv, _flapack.dpttrf, _flapack.dpttrs, _flapack.dstebz, _flapack.dstein
-)
+dgtsv, dpttrf, dpttrs, dstebz = _flapack.dgtsv, _flapack.dpttrf, _flapack.dpttrs, _flapack.dstebz

@@ -7,9 +7,10 @@ consistent with `integrate_weighted`.
 Eigenvalues come from LAPACK's Sturm-sequence bisection (dstebz, Kahan's
 bisection), selected by index with absolute tolerance tiny, so it stops only
 at its relative floor: a bracket two ulps wide. The first eigenvector comes
-from LAPACK's inverse iteration (dstein) on that same dstebz output. Both
-come from scipy's compiled LAPACK module through `_lapack`, which loads it
-without running scipy's Python package.
+from a twisted factorization of T - lambda_1 (Parlett-Dhillon): two LAPACK
+dpttrf sweeps, one from each end, give it to full relative accuracy and
+positive. Both routines come from scipy's compiled LAPACK module through
+`_lapack`, which loads it without running scipy's Python package.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import dstebz, dstein
+from ._lapack import dpttrf, dstebz
 from .errors import SolverError
 from .mesh import RadialField, RadialGrid, build_grid, integrate_weighted
 from .params import critical_exponent
@@ -56,11 +57,11 @@ class LinearizedOperator:
 
 @dataclass(eq=False)
 class EigenPair:
-    """Eigenvalue with its weighted-L2-normalized, interior-positive eigenfunction.
+    """Eigenvalue with its weighted-L2-normalized eigenfunction, positive at the unknowns.
 
     residual is ||T psi - lambda psi||_2 / max(1, |lambda|) in the symmetrized
-    coordinates (psi unit); the eigenfunction's deep tail may underflow to 0
-    in double precision, which the positivity check tolerates.
+    coordinates (psi unit). The eigenfunction is never negative; its deep tail
+    may underflow to +0.0 in double precision.
     """
 
     lam: float
@@ -87,61 +88,61 @@ def assemble_linearized(sol: StationarySolution) -> LinearizedOperator:
     return assemble_operator(sol.field.grid, V)
 
 
-def _dstebz(op: LinearizedOperator, j: int):
-    """LAPACK dstebz for the j-th smallest eigenvalue alone: (w, iblock, isplit), in dstein's order.
-
-    info != 0 or other than one eigenvalue returned raises SolverError naming both.
-    """
-    m, w, iblock, isplit, info = dstebz(op.d, op.e, 2, 0.0, 0.0, j, j, _TINY, b"B")
-    if info != 0 or m != 1:
-        raise SolverError(
-            f"LAPACK dstebz failed on eigenvalue {j}: info = {info}, m = {m}",
-            {"info": int(info), "m": int(m)},
-        )
-    return w[:1], iblock, isplit
-
-
 def eigenvalue_k(op: LinearizedOperator, j: int = 1) -> float:
     """j-th smallest eigenvalue by LAPACK dstebz's Sturm bisection (absolute tolerance tiny).
 
     A 1x1 operator is its own eigenvalue (the dstebz wrapper wants an
-    off-diagonal of length >= 1).
+    off-diagonal of length >= 1). info != 0 or other than one eigenvalue
+    returned raises SolverError naming both.
     """
     if j < 1 or j > op.size:
         raise ValueError(f"eigenvalue index {j} out of range 1..{op.size}")
     if op.size == 1:
         return float(op.d[0])
-    return float(_dstebz(op, j)[0][0])
+    m, w, *_, info = dstebz(op.d, op.e, 2, 0.0, 0.0, j, j, _TINY, b"B")
+    if info != 0 or m != 1:
+        raise SolverError(
+            f"LAPACK dstebz failed on eigenvalue {j}: info = {info}, m = {m}",
+            {"info": int(info), "m": int(m)},
+        )
+    return float(w[0])
 
 
 def first_eigenpair(op: LinearizedOperator) -> EigenPair:
-    """Smallest eigenvalue (dstebz bisection) + positive eigenvector (dstein on dstebz's output).
+    """Smallest eigenvalue (dstebz bisection) + its eigenvector from a twisted factorization.
 
-    A failed call of either, info != 0, raises SolverError naming info.
+    dpttrf on s = d - lambda gives the top-down pivots D+ of T - lambda, and on
+    the reversed arrays the bottom-up pivots D-; each stops at its first
+    nonpositive pivot. The twist k is the node of their overlap where
+    |D+ + D- - s| is least, and log psi is two cumulative sums of log(-e/D+-)
+    away from it: psi > 0 by construction. An off-diagonal that is not negative
+    (no Perron-Frobenius) or an empty overlap raises SolverError.
     """
-    w, iblock, isplit = _dstebz(op, 1)
-    z, info = dstein(op.d, op.e, w, iblock, isplit)
-    if info != 0:
+    lam = eigenvalue_k(op, 1)
+    s = op.d - lam
+    down, l_down, stop_down = dpttrf(s, op.e)
+    up, l_up, stop_up = dpttrf(s[::-1], op.e[::-1])
+    up, l_up = up[::-1], l_up[::-1]  # l_down[i] = e_i / D+_i, l_up[i] = e_i / D-_{i+1}
+    lo, hi = op.size - stop_up if stop_up else 0, stop_down - 1 if stop_down else op.size - 1
+    if not np.all(op.e < 0) or lo > hi:
         raise SolverError(
-            f"LAPACK dstein failed on the first eigenvector: info = {info}", {"info": int(info)}
+            "first eigenvector is not positive (an off-diagonal >= 0, or D+ and D- do not overlap)",
+            {"max_offdiagonal": float(np.max(op.e)), "overlap": [lo, hi]},
         )
-    lam, psi = float(w[0]), z[:, 0]
-    if psi[np.argmax(np.abs(psi))] < 0:
-        psi = -psi
-    if np.min(psi) < -1e-12 * np.max(np.abs(psi)):
-        raise SolverError(
-            "first eigenvector is not positive (discretization or multiplicity failure)",
-            {"min": float(np.min(psi)), "max": float(np.max(psi))},
-        )
+    ov = slice(lo, hi + 1)
+    k = lo + int(np.argmin(np.abs(down[ov] + up[ov] - s[ov])))
+    log_psi = np.zeros(op.size)
+    log_psi[:k] = np.cumsum(np.log(-l_down[:k])[::-1])[::-1]
+    log_psi[k + 1 :] = np.cumsum(np.log(-l_up[k:]))
+    psi = np.exp(log_psi - np.max(log_psi))
+    psi /= np.linalg.norm(psi)
     # residual in the symmetrized coordinates
-    Tpsi = op.apply(psi)
-    residual = float(np.linalg.norm(Tpsi - lam * psi)) / max(1.0, abs(lam))
+    residual = float(np.linalg.norm(op.apply(psi) - lam * psi)) / max(1.0, abs(lam))
     # back to nodal values and weighted-L2 normalization
     vals = np.zeros_like(op.grid.nodes)
     vals[op.grid.unknowns] = psi / np.sqrt(op.grid.stiffness[0])
     phi = RadialField(op.grid, vals)
-    nrm = np.sqrt(integrate_weighted(phi, phi))
-    phi.values /= nrm
+    phi.values /= np.sqrt(integrate_weighted(phi, phi))
     return EigenPair(lam=lam, phi=phi, residual=residual)
 
 

@@ -166,9 +166,9 @@ def _newton_refine(u0: RadialField, params: ProblemParams) -> tuple[RadialField,
 
     Takes the first t in _NEWTON_STEPS whose step cuts the residual sup norm
     by 1 - t/4, and stops at the first direction where none does: rounding
-    sets the residual there. The test compares two norms of one step, so it
-    needs no scale. Returns the field and the unscaled history of interior
-    residual sup norms, the shot's first.
+    sets the residual there, or it is exactly 0, which no step cuts. The test
+    compares two norms of one step, so it needs no scale. Returns the field
+    and the unscaled history of interior residual sup norms, the shot's first.
     """
     g = u0.grid
     mass, diag, off = g.stiffness
@@ -195,7 +195,7 @@ def _newton_refine(u0: RadialField, params: ProblemParams) -> tuple[RadialField,
             trial[1:-1] += t * delta
             Ft = resid(trial)
             rest = float(np.max(np.abs(Ft)))
-            if rest <= res * (1.0 - 0.25 * t):
+            if rest < res * (1.0 - 0.25 * t):
                 break
         else:
             break  # no damped step helps: the residual sits at its rounding floor

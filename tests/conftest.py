@@ -63,6 +63,11 @@ def limit_pair4(limit4):
 
 
 @pytest.fixture(scope="session")
+def limit_pair3():
+    return bt.limit_eigenpair(3, 80.0, 4096)
+
+
+@pytest.fixture(scope="session")
 def solution_hi():
     return bt.find_nodal_solution(bt.ProblemParams(4, 2, 1e-3), M=8192)
 
@@ -78,7 +83,7 @@ def pair_hi(solution_hi):
 # scipy.signal never load; multiprocessing loads at a sweep, and the process pool never
 LAZY_MODULES = ("scipy", "scipy.linalg", "scipy.integrate", "scipy.optimize", "scipy.special",
                 "scipy.signal", "multiprocessing", "concurrent.futures.process")
-LAPACK_ROUTINES = ("dgtsv", "dpttrf", "dpttrs", "dstebz", "dstein")
+LAPACK_ROUTINES = ("dgtsv", "dpttrf", "dpttrs", "dstebz")
 
 PROBE = f"ROUTINES = {LAPACK_ROUTINES!r}" + """
 import contextlib, io, json, sys
@@ -92,7 +97,7 @@ loaded["limit"] = [code, sorted(lazy & set(sys.modules))]
 params = bubbletower.ProblemParams(3, 2, 1e-2)
 sol = bubbletower.find_nodal_solution(params, M=256)  # dgtsv
 loaded["solve"] = sorted(lazy & set(sys.modules))
-bubbletower.first_eigenpair(bubbletower.assemble_linearized(sol))  # dstebz, dstein
+bubbletower.first_eigenpair(bubbletower.assemble_linearized(sol))  # dstebz, dpttrf
 loaded["eig"] = sorted(lazy & set(sys.modules))
 run = bubbletower.evolve(sol.field, params, bubbletower.FlowConfig(t_end=5e-5))  # dpttrf, dpttrs
 loaded["evolve"] = [len(run.series), sorted(lazy & set(sys.modules))]

@@ -202,7 +202,7 @@ def test_import_limit_and_a_tower_solve_leave_scipys_quadrature_out(import_probe
 
 
 def test_no_path_runs_scipys_python_package(import_probe):
-    # the tower solve reaches dgtsv, the eigenpair dstebz and dstein, the run dpttrf and dpttrs
+    # the tower solve reaches dgtsv, the eigenpair dstebz and dpttrf, the run dpttrf and dpttrs
     scipy = {"scipy", "scipy.linalg"}
     assert import_probe["registered"], "bubbletower._lapack is not sys.modules['scipy.linalg._flapack']"
     for step in ("import", "solve", "eig"):

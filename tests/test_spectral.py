@@ -70,7 +70,7 @@ def test_ball_eigenvalues_match_dense_eigvalsh(N):
     G = max(abs(float(np.min(op.d)) - spread), abs(float(np.max(op.d)) + spread))
     for j in (1, 2):
         assert abs(eigenvalue_k(op, j) - want[j - 1]) <= 2.0 * np.finfo(float).eps * G, (N, j)
-    # the first eigenvector in the symmetrized coordinates, unit norm; measured worst 7e-15
+    # the first eigenvector in the symmetrized coordinates, unit norm; measured worst 1.05e-14
     pair = spectral.first_eigenpair(op)
     psi = pair.phi.values[op.grid.unknowns] * np.sqrt(op.grid.stiffness[0])
     psi /= np.linalg.norm(psi)
@@ -87,34 +87,27 @@ def test_dstebz_failure_raises(monkeypatch, info, m):
     assert err.value.diagnostics == {"info": info, "m": m}
 
 
-def test_dstein_failure_raises(monkeypatch):
-    op = _zero_potential_operator(M=64)
-    monkeypatch.setattr(spectral, "dstein", lambda *args: (np.zeros((op.size, 1)), 1))
-    with pytest.raises(SolverError, match="info = 1") as err:
-        spectral.first_eigenpair(op)
-    assert err.value.diagnostics == {"info": 1}
-
-
 def test_a_sign_changing_first_eigenvector_is_named():
-    # d = 2, e = 1: the lowest mode of this tridiagonal alternates in sign
-    op = LinearizedOperator(None, np.full(31, 2.0), np.full(30, 1.0))
-    with pytest.raises(SolverError, match=r"^first eigenvector is not positive"):
-        spectral.first_eigenpair(op)
+    # d = 2, e = 1: the lowest mode alternates in sign; e = 0: it is not simple. Either way an
+    # off-diagonal is not negative, so Perron-Frobenius does not hold
+    for e in (1.0, 0.0):
+        op = LinearizedOperator(None, np.full(31, 2.0), np.full(30, e))
+        with pytest.raises(SolverError, match=r"^first eigenvector is not positive") as err:
+            spectral.first_eigenpair(op)
+        assert err.value.diagnostics["max_offdiagonal"] == e
 
 
-def test_first_eigenvector_is_oriented_whatever_sign_dstein_returns(monkeypatch):
+@pytest.mark.parametrize("j", [2, 3])
+def test_factorizations_that_do_not_overlap_are_named(monkeypatch, j):
+    # at lambda_2 or lambda_3 in place of lambda_1 the top-down pivots turn nonpositive before the
+    # bottom-up ones start: no twist holds both, and the error is named, not numpy's argmin's
     op = _zero_potential_operator(M=64)
-    want = spectral.first_eigenpair(op)
-    dstein = spectral.dstein
-
-    def flipped(*args):
-        z, info = dstein(*args)
-        return -z, info
-
-    monkeypatch.setattr(spectral, "dstein", flipped)
-    got = spectral.first_eigenpair(op)
-    assert np.array_equal(got.phi.values, want.phi.values)
-    assert (got.lam, got.residual) == (want.lam, want.residual)
+    lam = eigenvalue_k(op, j)
+    monkeypatch.setattr(spectral, "dstebz", lambda *args: (1, np.array([lam]), None, None, 0))
+    with pytest.raises(SolverError, match=r"^first eigenvector is not positive") as err:
+        spectral.first_eigenpair(op)
+    lo, hi = err.value.diagnostics["overlap"]
+    assert lo > hi
 
 
 def test_zero_potential_first_eigenvalue():
@@ -156,15 +149,57 @@ def test_eigenvalue_index_bounds():
         eigenvalue_k(op, op.size + 1)
 
 
-@pytest.mark.parametrize("key", CASES, ids=lambda c: f"N{c[0]}k{c[1]}eps{c[2]:g}")
-def test_first_eigenpair_invariants(case_pairs, key):
-    pair = case_pairs[key]
+def _case_id(key):
+    return f"N{key[0]}k{key[1]}eps{key[2]:g}" if isinstance(key, tuple) else key
+
+
+def _pair(request, key):
+    """The first eigenpair of a CASES tower, or a limit pair named by its fixture."""
+    return request.getfixturevalue("case_pairs")[key] if isinstance(key, tuple) else request.getfixturevalue(key)
+
+
+@pytest.mark.parametrize("key", (*CASES, "limit_pair4"), ids=_case_id)
+def test_first_eigenpair_invariants(request, key):
+    pair = _pair(request, key)
     assert pair.lam < 0
     assert pair.residual <= 1e-8
     nrm = bt.integrate_weighted(pair.phi, pair.phi)
     assert abs(nrm - 1.0) <= 1e-10
-    mx = float(np.max(np.abs(pair.phi.values)))
-    assert float(np.min(pair.phi.values)) >= -1e-12 * mx
+    assert float(np.min(pair.phi.values)) >= 0.0
+
+
+@pytest.mark.parametrize("key", ((4, 2, 1e-3), (3, 2, 1e-3), "limit_pair3", "limit_pair4"), ids=_case_id)
+def test_first_eigenvector_is_positive_at_every_unknown(request, key):
+    # Perron-Frobenius: the discrete phi_1 is positive, and these tails stay above underflow
+    # (log10 of the smallest entry over the largest: -166, -186, -69 and -79)
+    phi = _pair(request, key).phi
+    assert np.all(phi.values[phi.grid.unknowns] > 0)
+
+
+def test_outer_tail_decays_at_the_agmon_rate(case_pairs):
+    # there V is tiny against |lambda_1| = 1.5e5, so phi_1 falls like exp(-sqrt|lambda_1| r);
+    # measured slope -389.4 against -390.6 (0.3%)
+    pair = case_pairs[(4, 2, 1e-3)]
+    r, phi = pair.phi.grid.nodes, pair.phi.values
+    outer = (r > 0.5) & (r < 0.9)
+    slope = np.polyfit(r[outer], np.log(phi[outer]), 1)[0]
+    rate = math.sqrt(-pair.lam)
+    assert abs(slope + rate) <= 0.01 * rate, (slope, rate)
+
+
+def test_first_eigenvector_matches_eigh_tridiagonal(case_solutions, case_pairs, sweep_solutions, sweep_pairs):
+    # scipy's own route (bisection at its default tolerance, then inverse iteration); relative
+    # agreement wherever psi > 1e-6 max, measured 5.4e-12 to 1.4e-10 over the five towers
+    towers = [(case_solutions[key], case_pairs[key]) for key in CASES]
+    towers += [(sweep_solutions[eps], sweep_pairs[eps]) for eps in SWEEP_EPS if (4, 2, eps) not in CASES]
+    for sol, pair in towers:
+        op = bt.assemble_linearized(sol)
+        psi = pair.phi.values[op.grid.unknowns] * np.sqrt(op.grid.stiffness[0])
+        psi /= np.linalg.norm(psi)
+        _, vectors = eigh_tridiagonal(op.d, op.e, select="i", select_range=(0, 0))
+        ref = vectors[:, 0] * np.sign(vectors[:, 0] @ psi)
+        big = psi > 1e-6 * np.max(psi)
+        assert np.max(np.abs(ref[big] - psi[big]) / psi[big]) <= 1e-9, sol.params
 
 
 def test_first_eigenvalue_regression(case_pairs):
@@ -247,8 +282,8 @@ def test_limit_pair_and_overlap_n4(limit_pair4):
     assert abs(c4 - FROZEN_C4) <= 1e-6 * FROZEN_C4
 
 
-def test_limit_pair_and_overlap_n3():
-    pair = bt.limit_eigenpair(3, 80.0, 4096)
+def test_limit_pair_and_overlap_n3(limit_pair3):
+    pair = limit_pair3
     assert abs(pair.lam - FROZEN_LAM3_LADDER) <= 1e-6 * abs(FROZEN_LAM3_LADDER)
     c3 = bt.limit_overlap(3, pair)
     assert abs(c3 - FROZEN_C3) <= 1e-6 * FROZEN_C3

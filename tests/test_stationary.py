@@ -234,6 +234,15 @@ def test_a_shot_that_collapses_to_zero_is_named(monkeypatch, k, cause):
         bt.find_nodal_solution(bt.ProblemParams(3, k, 1e-2), M=256)
 
 
+def test_newton_polish_stops_at_a_zero_residual():
+    # the zero field solves the discrete problem exactly: no step can cut a residual of 0
+    params = bt.ProblemParams(3, 2, 1e-2)
+    zero = bt.RadialField(bt.build_grid(1e-2, 1.0, 256, "log", 3), np.zeros(257), dirichlet=True)
+    u, hist = stationary._newton_refine(zero, params)
+    assert hist == [0.0]
+    assert not np.any(u.values)
+
+
 def test_a_non_finite_shot_is_named(monkeypatch):
     monkeypatch.setattr(stationary, "shoot", _shot_of(lambda r: np.full_like(r, np.nan)))
     with pytest.raises(SolverError, match=r"^non-finite Newton residual nan at the initial field$") as err:

@@ -53,6 +53,8 @@ CALLS = [
     ("tower (4,2,1e-3)", ["tower", "--N", "4", "--k", "2", "--eps", "1e-3"]),
     ("eig (3,2,1e-3)", ["eig", "--N", "3", "--k", "2", "--eps", "1e-3"]),
     ("eig (4,2,1e-3)", ["eig", "--N", "4", "--k", "2", "--eps", "1e-3"]),
+    # the tower whose phi_1 tail goes deepest, to about 1e-1419 of its maximum
+    ("eig (4,3,1e-4)", ["eig", "--N", "4", "--k", "3", "--eps", "1e-4"]),
     ("tower (4,1,1e-4), fails", ["tower", "--N", "4", "--k", "1", "--eps", "1e-4"]),
     # limit is the one CLI path that builds ball grids
     ("limit N=3", ["limit", "--N", "3"]),
