@@ -342,8 +342,10 @@ def _run_from(
     ValueError. Past a few dozen multiples of 1/|lambda_1| double precision
     necessarily seeds the unstable mode and any discrete stationary run blows
     up spuriously, so stationarity is only a meaningful statement on that
-    horizon. Other lambdas keep cfg.t_end.
+    horizon. Other lambdas keep cfg.t_end. A pair must live on sol's grid.
     """
+    if pair is not None:
+        _same_grid(pair.phi, sol.field)
     if lam == 1.0:
         if pair is None:
             raise ValueError("lambda = 1 needs the first eigenpair: its horizon is t_end = 10/|lambda_1|")

@@ -291,7 +291,7 @@ def _limit(cfg: dict, root):
         "lambda_star": scan["lambda_star"],
         "r_convergence": scan["r_convergence"],
         "h_gap": scan["h_gap"],
-        "overlap": limit_overlap(N, pair),
+        "overlap": limit_overlap(pair),
     }
     table = np.column_stack((pair.phi.grid.nodes, pair.phi.values))
     return summary, {"limit_eigenfunction.csv": (["r", "phi_star"], table)}

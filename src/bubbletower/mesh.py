@@ -164,9 +164,12 @@ def build_grid(inner: float, outer: float, M: int, grading: str = "log", N: int 
     return RadialGrid(nodes=nodes, N=N)
 
 
-def _same_grid(u: RadialField, v: RadialField) -> None:
-    if u.grid is not v.grid and u.grid != v.grid:
-        raise ValueError("fields live on different grids")
+def _same_grid(u: RadialField | RadialGrid, v: RadialField | RadialGrid) -> None:
+    """Raise ValueError naming both grids when u and v, each a field or a grid, do not live on equal grids."""
+    a, b = getattr(u, "grid", u), getattr(v, "grid", v)
+    if a is not b and a != b:
+        sides = [f"N = {g.N}, {g.M + 1} nodes {g.inner:.6g}, {g.nodes[1]:.6g}, ..., {g.outer:.6g}" for g in (a, b)]
+        raise ValueError(f"fields live on different grids: {sides[0]} and {sides[1]}")
 
 
 def _same_dimension(grid: RadialGrid, params) -> None:

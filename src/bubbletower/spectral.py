@@ -20,7 +20,7 @@ import numpy as np
 
 from ._lapack import dpttrf, dstebz
 from .errors import SolverError
-from .mesh import RadialField, RadialGrid, build_grid, integrate_weighted
+from .mesh import RadialField, RadialGrid, _same_dimension, _same_grid, build_grid, integrate_weighted
 from .params import critical_exponent
 from .profile import Bubble, bubble_eval, bubble_linearization
 from .stationary import StationarySolution
@@ -70,7 +70,8 @@ class EigenPair:
 
 
 def assemble_operator(grid: RadialGrid, potential: RadialField) -> LinearizedOperator:
-    """Build -Delta - V on the grid's unknown nodes (V entering with a minus sign)."""
+    """Build -Delta - V on the grid's unknown nodes (V entering with a minus sign); V must live on grid."""
+    _same_grid(potential, grid)
     V = potential.values
     if not np.all(np.isfinite(V)):
         raise ValueError("potential must be finite (it holds NaN or inf)")
@@ -199,10 +200,10 @@ def limit_scan(N: int) -> dict:
     }
 
 
-def limit_overlap(N: int, pair: EigenPair) -> float:
-    """Overlap of the unit bubble's reaction with the limit eigenfunction: int f(U) phi*."""
+def limit_overlap(pair: EigenPair) -> float:
+    """Overlap of the unit bubble's reaction with the limit eigenfunction: int f(U) phi*, in the pair's N."""
     grid = pair.phi.grid
-    f = bubble_eval(Bubble(1.0, N), grid.nodes) ** critical_exponent(N)
+    f = bubble_eval(Bubble(1.0, grid.N), grid.nodes) ** critical_exponent(grid.N)
     return integrate_weighted(RadialField(grid, f), pair.phi)
 
 
@@ -214,7 +215,8 @@ def _innermost_scale(sol: StationarySolution) -> float:
 
 
 def scaled_eigenvalue_diagnostic(sol: StationarySolution, pair: EigenPair, lambda_star: float) -> dict:
-    """lambda_tilde = (measured delta_k)^2 * lambda, and its gap to the limit value."""
+    """lambda_tilde = (measured delta_k)^2 * lambda, and its gap to the limit value; pair must live on sol's grid."""
+    _same_grid(pair.phi, sol.field)
     delta_k = _innermost_scale(sol)
     lam_tilde = delta_k * delta_k * pair.lam
     return {
@@ -229,10 +231,12 @@ def scaled_eigenfunction_distance(
 ) -> float:
     """Weighted-L2 distance between the rescaled annulus eigenfunction and the limit one.
 
-    The annulus eigenfunction is rescaled by the innermost concentration
-    scale, phi_tilde(x) = delta_k^{N/2} phi1(delta_k x), extended by zero
-    outside the annulus image, and compared on the limit grid.
+    The annulus eigenfunction is rescaled by the innermost concentration scale,
+    phi_tilde(x) = delta_k^{N/2} phi1(delta_k x), extended by zero outside the annulus
+    image, and compared on the limit grid. pair must live on sol's grid, limit_pair have sol's N.
     """
+    _same_grid(pair.phi, sol.field)
+    _same_dimension(limit_pair.phi.grid, sol.params)
     delta_k = _innermost_scale(sol)
     N = sol.params.N
     g_lim = limit_pair.phi.grid

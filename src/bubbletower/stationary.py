@@ -41,7 +41,7 @@ from numpy.polynomial.legendre import legint, legval, legvander
 
 from ._lapack import dgtsv
 from .errors import SolverError
-from .mesh import RadialField, RadialGrid, _same_dimension, apply_radial_laplacian, build_grid, norms
+from .mesh import RadialField, RadialGrid, _same_dimension, apply_radial_laplacian, build_grid
 from .params import ProblemParams, _require_finite_positive
 from .profile import extract_concentrations
 
@@ -82,6 +82,8 @@ def shoot(params: ProblemParams, s: float, grid: RadialGrid) -> RadialField:
     if not math.isfinite(s):
         raise ValueError(f"slope must be finite, got {s}")
     _same_dimension(grid, params)
+    if grid.inner != params.eps or grid.outer != 1.0:
+        raise ValueError(f"the grid spans [{grid.inner!r}, {grid.outer!r}] but the params need [{params.eps!r}, 1.0]")
     p, beta, eps = params.p, params.beta, params.eps
     r = grid.nodes
     dw0 = abs(s) * eps ** (beta + 1.0)  # chain rule: w'(log eps) from u'(eps); the orbit is odd in s
@@ -205,10 +207,12 @@ def _newton_refine(u0: RadialField, params: ProblemParams) -> tuple[RadialField,
 
 
 def _interior_zeros(u: RadialField) -> np.ndarray:
+    """Radii where interior values change sign: exact zeros are skipped, and a change across them sits at the first."""
     r, v = u.grid.nodes, u.values
-    sign = np.sign(v[1:-1])
-    j = np.nonzero(sign[:-1] * sign[1:] < 0)[0] + 1
-    return r[j] - v[j] * (r[j + 1] - r[j]) / (v[j + 1] - v[j])
+    j = np.nonzero(v[1:-1])[0] + 1
+    sign = np.sign(v[j])
+    j = j[:-1][sign[:-1] * sign[1:] < 0]
+    return np.where(v[j + 1] == 0.0, r[j + 1], r[j] - v[j] * (r[j + 1] - r[j]) / (v[j + 1] - v[j]))
 
 
 def _softplus(x: float) -> float:
@@ -312,7 +316,7 @@ def find_nodal_solution(
     gives the orbit; damped Newton polishes it on the grid. A SolverError
     names the cause when the root lies out of range, the scaled residual
     stays above residual_tol, the refined field has the wrong number of
-    interior zeros, or it collapses.
+    interior zeros, or it collapses: sup|u|^{p-1} < pi^2/(1-eps)^2.
 
     Orientation: s* is positive, so the innermost lobe of the returned
     solution is positive; the mirrored solution is -field.
@@ -337,8 +341,10 @@ def find_nodal_solution(
             f"refined solution has {zeros.size} interior zeros, expected {params.k - 1}",
             {"zeros": zeros.tolist()},
         )
-    if norms(u)["l2_weighted"] < 1e-3:
-        raise SolverError("solution collapsed toward zero (weighted L2 < 1e-3)")
+    # a nonzero solution has sup|u|^{p-1} >= mu_1(nodal domain) >= mu_1(annulus) >= pi^2/(1-eps)^2 (N >= 3)
+    peak, bound = float(np.max(np.abs(u.values))) ** (params.p - 1.0), (math.pi / (1.0 - params.eps)) ** 2
+    if peak < bound:
+        raise SolverError(f"solution collapsed toward zero: sup|u|^(p-1) = {peak:.3e} < pi^2/(1-eps)^2 = {bound:.3e}")
 
     deltas = extract_concentrations(u, params.k)
     return StationarySolution(

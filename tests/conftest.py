@@ -1,6 +1,7 @@
 """Session-scoped fixtures: the expensive solves are shared across test modules."""
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,13 @@ import bubbletower as bt
 
 CASES = ((3, 2, 1e-3), (4, 2, 1e-3), (4, 3, 1e-4))
 SWEEP_EPS = (1e-2, 1e-3, 1e-4)
+
+
+def different_grids(a, b):
+    """The exact pattern of the ValueError for inputs on grids a and b: it names each grid by N,
+    node count and its first, second and last node."""
+    sides = [f"N = {g.N}, {g.M + 1} nodes {g.inner:.6g}, {g.nodes[1]:.6g}, ..., {g.outer:.6g}" for g in (a, b)]
+    return "^" + re.escape(f"fields live on different grids: {sides[0]} and {sides[1]}") + "$"
 
 
 @pytest.fixture(scope="session")

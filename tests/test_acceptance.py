@@ -164,7 +164,7 @@ def test_criterion_07_sign_condition_and_bubble_overlap(
         sc = bt.sign_condition(case_solutions[key], case_pairs[key])
         assert sc["inner_product"] > 0.0, f"{key}: int phi phi1 = {sc['inner_product']:.3e}"
         ips.append(sc["inner_product"])
-    C4 = bt.limit_overlap(4, limit_pair4)
+    C4 = bt.limit_overlap(limit_pair4)
     sc_small = bt.sign_condition(sweep_solutions[1e-4], sweep_pairs[1e-4])
     ratio = sc_small["overlap_scaled"] / C4
     assert abs(ratio - 1.0) <= 0.20, f"scaled overlap / limit overlap = {ratio:.4f}"

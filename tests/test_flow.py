@@ -17,6 +17,7 @@ from bubbletower import flow
 from bubbletower.errors import IntegratorFailure
 from bubbletower.flow import _Stepper
 
+from conftest import different_grids
 from oracles import (
     ReferenceStepper,
     assert_no_child_process,
@@ -416,7 +417,7 @@ def test_comparison_monitor_rejects_fields_on_two_grids():
     g = bt.build_grid(0.5, 1.0, 128, N=3)
     zero = bt.RadialField(g, np.zeros(g.nodes.size), dirichlet=True)
     for twin in _twins(g):
-        with pytest.raises(ValueError, match=r"^fields live on different grids$"):
+        with pytest.raises(ValueError, match=different_grids(g, twin)):
             bt.comparison_monitor(zero, _bump(twin), bt.ProblemParams(3, 1, 0.5), bt.FlowConfig(t_end=1e-3))
 
 
@@ -434,7 +435,7 @@ def test_linearized_rejects_data_on_another_grid(case_solutions, case_pairs):
     sol, pair = case_solutions[KEY], case_pairs[KEY]
     for twin in _twins(sol.field.grid):
         z0 = bt.RadialField(twin, pair.phi.values, dirichlet=True)
-        with pytest.raises(ValueError, match=r"^fields live on different grids$"):
+        with pytest.raises(ValueError, match=different_grids(twin, sol.field.grid)):
             bt.linearized_evolve(sol, pair, z0)
 
 
@@ -443,7 +444,7 @@ def test_subsupersolution_residual_rejects_fields_on_two_grids(case_solutions, c
     sol, pair = case_solutions[KEY], case_pairs[KEY]
     for twin in _twins(sol.field.grid):
         psi = bt.RadialField(twin, sol.field.values, dirichlet=True)
-        with pytest.raises(ValueError, match=r"^fields live on different grids$"):
+        with pytest.raises(ValueError, match=different_grids(twin, sol.field.grid)):
             bt.subsupersolution_residual(psi, pair.phi, 1e-3, sol.params)
 
 
@@ -777,6 +778,24 @@ def test_a_missing_eigenpair_at_lambda_one_is_named(lams, cfg, monkeypatch):
     sol = bt.find_nodal_solution(bt.ProblemParams(3, 1, 0.1), M=256)
     with pytest.raises(ValueError, match=r"first eigenpair.*t_end = 10/\|lambda_1\|"):
         bt.lambda_sweep(sol, lams, cfg, None)
+
+
+@pytest.mark.parametrize("lams", [(1.0,), (0.5, 1.0)], ids=["serial", "forked"])
+def test_runs_from_phi_refuse_the_eigenpair_of_another_tower(case_solutions, case_pairs, lams, monkeypatch):
+    # the (4,3,1e-4) pair on the (4,2,1e-3) tower: the lambda = 1 horizon read 10/|lambda_1| of the
+    # foreign pair, and the run was called Stationary; every run is refused before it starts
+    sol, pair = case_solutions[KEY], case_pairs[(4, 3, 1e-4)]
+    monkeypatch.setattr(flow, "_sweep_workers", lambda n_runs: n_runs)
+
+    def no_run(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(flow, "_evolve", no_run)
+    mismatch = different_grids(pair.phi.grid, sol.field.grid)
+    with pytest.raises(ValueError, match=mismatch):
+        bt.lambda_sweep(sol, lams, bt.FlowConfig(t_end=1e-3), pair)
+    with pytest.raises(ValueError, match=mismatch):
+        bt.find_separation_time(sol, pair, lams[0] + 0.02, bt.FlowConfig(t_end=1e-3))
 
 
 def test_lambda_sweep_never_evaluates_the_energy(case_solutions, case_pairs, monkeypatch):

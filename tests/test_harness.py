@@ -383,7 +383,7 @@ def test_limit_run_writes_the_largest_rung_of_the_scan(tmp_path, monkeypatch):
     pair = real(4, 80.0, 4096)
     write_csv(tmp_path / "fresh.csv", ["r", "phi_star"], zip(pair.phi.grid.nodes, pair.phi.values))
     assert (outdir / "limit_eigenfunction.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
-    assert summary["overlap"] == bubbletower.limit_overlap(4, pair)
+    assert summary["overlap"] == bubbletower.limit_overlap(pair)
     assert json.loads((outdir / "summary.json").read_text())["overlap"] == summary["overlap"]
 
 

@@ -22,6 +22,19 @@ def test_json_keys_gather_across_lists_and_name_what_is_not_numeric():
     assert same_outputs._columns("report.txt", b"") is None
 
 
+def test_src_lines_are_counted_per_module_and_netted(tmp_path):
+    for tree, files in (("parent", {"pkg/a.py": "x\n" * 3, "pkg/gone.py": "y\n"}), ("change", {"pkg/a.py": "x\n" * 5})):
+        for name, text in files.items():
+            (tmp_path / tree / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / tree / name).write_text(text)
+    (tmp_path / "change" / "pkg" / "notes.txt").write_text("not a module\n")
+    parent, change = (same_outputs.source_lines(tmp_path / tree) for tree in ("parent", "change"))
+    assert parent == {"pkg/a.py": 3, "pkg/gone.py": 1} and change == {"pkg/a.py": 5}
+    assert same_outputs.line_report(parent, change) == [
+        "  pkg/a.py: 3, 5", "  pkg/gone.py: 1, -", "  total: 4 -> 5, net +1 lines",
+    ]
+
+
 def test_a_module_that_one_tree_alone_loads_is_a_difference_that_names_it():
     parent = ["bubbletower", "numpy", "sys", "tempfile"]
     change = ["bubbletower", "multiprocessing", "numpy", "sys"]

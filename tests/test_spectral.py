@@ -10,7 +10,7 @@ from bubbletower.errors import SolverError
 from bubbletower.profile import Bubble, bubble_linearization
 from bubbletower.spectral import LinearizedOperator, eigenvalue_k
 
-from conftest import CASES, SWEEP_EPS
+from conftest import CASES, SWEEP_EPS, different_grids
 
 # frozen spectral regressions (M=4096 annulus grids; R=80, M=4096 ball grids)
 FROZEN_LAM1 = -1.525308e5  # (4, 2, 1e-3)
@@ -130,6 +130,14 @@ def test_assemble_rejects_negative_potential():
     g = bt.build_grid(0.5, 1.0, 64, N=3)
     with pytest.raises(ValueError):
         bt.assemble_operator(g, bt.RadialField(g, -np.ones(g.nodes.size)))
+
+
+def test_assemble_rejects_a_potential_on_another_grid():
+    # a uniform (0.5, 1) potential on a log (1e-2, 1) grid gave lambda_1 = 13.69
+    g = bt.build_grid(1e-2, 1.0, 1024, "log", 4)
+    elsewhere = bt.build_grid(0.5, 1.0, 1024, "uniform", 4)
+    with pytest.raises(ValueError, match=different_grids(elsewhere, g)):
+        bt.assemble_operator(g, bt.RadialField(elsewhere, np.ones(elsewhere.nodes.size)))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -278,14 +286,14 @@ def test_the_limit_ladder_rungs_agree_to_rounding(N):
 def test_limit_pair_and_overlap_n4(limit_pair4):
     assert limit_pair4.lam < 0
     assert limit_pair4.residual <= 1e-8
-    c4 = bt.limit_overlap(4, limit_pair4)
+    c4 = bt.limit_overlap(limit_pair4)
     assert abs(c4 - FROZEN_C4) <= 1e-6 * FROZEN_C4
 
 
 def test_limit_pair_and_overlap_n3(limit_pair3):
     pair = limit_pair3
     assert abs(pair.lam - FROZEN_LAM3_LADDER) <= 1e-6 * abs(FROZEN_LAM3_LADDER)
-    c3 = bt.limit_overlap(3, pair)
+    c3 = bt.limit_overlap(pair)
     assert abs(c3 - FROZEN_C3) <= 1e-6 * FROZEN_C3
 
 
@@ -338,6 +346,24 @@ def test_scaled_eigenvalue_gap_falls_past_its_peak(sweep_solutions, sweep_pairs,
         fields.append((sol, bt.first_eigenpair(bt.assemble_linearized(sol))))
     gaps = [bt.scaled_eigenvalue_diagnostic(sol, pair, lam_star)["gap_to_limit"] for sol, pair in fields]
     assert all(a > b for a, b in zip(gaps, gaps[1:])), gaps
+
+
+def test_diagnostics_refuse_the_eigenpair_of_another_tower(sweep_solutions, sweep_pairs, limit4, limit_pair4):
+    # the (4,2,1e-3) pair on the (4,2,1e-2) tower: lambda_tilde read -152.5 instead of -6.518
+    sol, pair = sweep_solutions[1e-2], sweep_pairs[1e-3]
+    mismatch = different_grids(pair.phi.grid, sol.field.grid)
+    with pytest.raises(ValueError, match=mismatch):
+        bt.scaled_eigenvalue_diagnostic(sol, pair, limit4["lambda_star"])
+    with pytest.raises(ValueError, match=mismatch):
+        bt.scaled_eigenfunction_distance(sol, pair, limit_pair4)
+    with pytest.raises(ValueError, match=different_grids(sol.field.grid, pair.phi.grid)):
+        bt.sign_condition(sol, pair)
+
+
+def test_eigenfunction_distance_refuses_a_limit_pair_of_another_dimension(sweep_solutions, sweep_pairs, limit_pair3):
+    # the N = 3 limit pair against an N = 4 tower read 0.4529 instead of 0.4359
+    with pytest.raises(ValueError, match=r"^the grid has dimension N = 3 but the params have N = 4$"):
+        bt.scaled_eigenfunction_distance(sweep_solutions[1e-2], sweep_pairs[1e-2], limit_pair3)
 
 
 def test_scaled_eigenfunction_distance_decreases(sweep_solutions, sweep_pairs, limit_pair4):

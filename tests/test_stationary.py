@@ -234,6 +234,36 @@ def test_a_shot_that_collapses_to_zero_is_named(monkeypatch, k, cause):
         bt.find_nodal_solution(bt.ProblemParams(3, k, 1e-2), M=256)
 
 
+def test_the_collapse_message_gives_the_peak_and_its_bound(monkeypatch):
+    # the zero field has sup|u|^{p-1} = 0 against pi^2/(1 - 0.01)^2
+    monkeypatch.setattr(stationary, "shoot", _shot_of(np.zeros_like))
+    with pytest.raises(SolverError, match=r"^solution collapsed toward zero: sup\|u\|\^\(p-1\) = 0\.000e\+00 < "
+                       r"pi\^2/\(1-eps\)\^2 = 1\.007e\+01$"):
+        bt.find_nodal_solution(bt.ProblemParams(3, 1, 1e-2), M=256)
+
+
+@pytest.mark.parametrize("N", [4, 6])
+def test_concentrated_one_lobe_towers_clear_the_collapse_bound(N):
+    # weighted L2 norms below the former fixed floor 1e-3, with sup|u|^{p-1} at 8e9 and 2.4e10
+    # times the bound pi^2/(1 - eps)^2
+    params = bt.ProblemParams(N, 1, 1e-10)
+    sol = bt.find_nodal_solution(params, residual_tol=1.0)
+    assert sol.nodal_radii.size == 0
+    assert abs(sol.deltas_measured[0] - 1e-5) <= 1e-2 * 1e-5
+    assert float(np.max(np.abs(sol.field.values))) ** (params.p - 1.0) >= 1e9 * (math.pi / (1.0 - 1e-10)) ** 2
+
+
+def test_a_sign_change_through_an_exact_zero_is_counted():
+    # one crossing at r = 0.75, whose node is set to exactly 0 between a + and a - node
+    g = bt.build_grid(0.5, 1.0, 16, "uniform", 4)
+    vals = np.sin(np.pi * (g.nodes - 0.5) / 0.25)
+    vals[8] = 0.0
+    assert g.nodes[8] == 0.75 and vals[7] > 0.0 > vals[9]
+    assert _interior_zeros(bt.RadialField(g, vals)).tolist() == [0.75]
+    # a node that touches zero without a sign change is no crossing
+    assert _interior_zeros(bt.RadialField(g, vals * vals)).tolist() == []
+
+
 def test_newton_polish_stops_at_a_zero_residual():
     # the zero field solves the discrete problem exactly: no step can cut a residual of 0
     params = bt.ProblemParams(3, 2, 1e-2)
@@ -368,6 +398,16 @@ def test_residual_rejects_params_of_another_dimension(small_tower):
 def test_shoot_rejects_a_grid_of_another_dimension(small_tower):
     with pytest.raises(ValueError, match=r"^the grid has dimension N = 4 but the params have N = 3$"):
         bt.shoot(bt.ProblemParams(3, 2, 1e-2), small_tower.shooting_slope, small_tower.field.grid)
+
+
+@pytest.mark.parametrize("inner, outer", [(1e-2, 1.0), (1e-4, 1.0), (1e-3, 2.0)])
+def test_shoot_rejects_a_grid_on_another_interval(inner, outer):
+    # eps = 1e-3 on a (1e-2, 1) grid zeroed an end where the orbit reads 125; on (1e-4, 1) the
+    # nodes inside the hole took values
+    params = bt.ProblemParams(4, 2, 1e-3)
+    grid = bt.build_grid(inner, outer, 256, "log", 4)
+    with pytest.raises(ValueError, match=rf"^the grid spans \[{inner!r}, {outer!r}\] but the params need \[0\.001, 1\.0\]$"):
+        bt.shoot(params, 1e6, grid)
 
 
 def test_residual_field_vanishes_at_solution(case_solutions):

@@ -29,8 +29,10 @@ its values across them (`table[].T_estimate`). A column whose presence,
 length or text (an entry that is not a number in both) differs says so. Each call's
 peak RSS, CPU seconds and wall seconds under both trees (the child's ru_maxrss
 and ru_utime + ru_stime from os.wait4, and time.perf_counter from the child's
-start to its reaping) are printed to stderr at the end, for information only:
-they do not count as differences. Standard library only.
+start to its reaping) are printed to stderr at the end, and after them each
+module's line count in both trees with the net change of the total (the `.py`
+files under each src directory, counted as `wc -l` counts them). Both are
+for information only: they do not count as differences. Standard library only.
 """
 from __future__ import annotations
 
@@ -145,6 +147,19 @@ def module_differences(parent: list, change: list) -> list:
     ]
 
 
+def source_lines(src: Path) -> dict:
+    """The newline count of each `.py` file under src, by its path relative to src."""
+    return {path.relative_to(src).as_posix(): path.read_bytes().count(b"\n") for path in sorted(src.rglob("*.py"))}
+
+
+def line_report(parent: dict, change: dict) -> list:
+    """'module: parent lines, change lines' for each module in either tree ('-' where a tree has
+    none), then the two totals and their difference."""
+    lines = [f"  {name}: {parent.get(name, '-')}, {change.get(name, '-')}" for name in sorted(set(parent) | set(change))]
+    a, b = sum(parent.values()), sum(change.values())
+    return lines + [f"  total: {a:,} -> {b:,}, net {b - a:+,} lines"]
+
+
 def _gather(value, path: str, columns: dict) -> dict:
     """The leaves of a JSON value by key path, each list's entries gathered under `path[]`."""
     if isinstance(value, dict):
@@ -256,6 +271,8 @@ def main(argv: list) -> int:
     for (label, _), parent, change in zip(CALLS, results["parent"], results["change"]):
         (rss_a, cpu_a, wall_a), (rss_b, cpu_b, wall_b) = parent[-3:], change[-3:]
         print(f"  {label}: {rss_a:.1f}, {rss_b:.1f}; {cpu_a:.2f}, {cpu_b:.2f}; {wall_a:.2f}, {wall_b:.2f}", file=sys.stderr)
+    print("src lines: parent, change", file=sys.stderr)
+    print(*line_report(*(source_lines(src) for src in trees.values())), sep="\n", file=sys.stderr)
     lines = differences(results["parent"], results["change"]) + module_differences(modules["parent"], modules["change"])
     for line in lines:
         print(line)
