@@ -9,8 +9,9 @@ by a per-step probe (the energy of `evolve`, the search of
 `find_separation_time`); `linearized_evolve` at a fixed dt; and
 `comparison_monitor`, the one lockstep caller, on a 2 x n state. The entry
 points that take two fields require both on equal grids (`mesh._same_grid`:
-the same N and nodes), and those that take params require its N
-(`mesh._same_dimension`).
+the same N and nodes), those that take params require its N
+(`mesh._same_dimension`), and every run requires its starting field finite
+and, for the IMEX step, 0 where the step pins it (`mesh._run_data`).
 
 Every diffusive run takes the one IMEX step, `_Stepper`: backward Euler on
 the diffusion and explicit reaction. It keeps the discrete maximum principle
@@ -38,14 +39,14 @@ whole loop under one np.errstate, entered outside the generator so that a
 loop left early leaves no error state behind.
 
 Every run from lambda * phi (the `flow` operation's, each sweep row's and the
-separation search's) starts in `_run_from`, the one place that builds the
-zero-trace data, gives the lambda = 1 run, phi itself, its horizon
-10/|lambda_1| from the eigenpair, which `lambda_sweep` therefore requires,
-and writes the run's record (lambda, status, T_estimate, drift_rel, t_end),
-which the `flow` summary and every sweep row carry unchanged. `_sweep_rows`
-fans the sweep's independent runs out over the usable cores (`_fan_out`),
-bit-identical to a serial sweep's, and no child outlives the call. A sweep
-row keeps no energy, so its runs take no probe.
+separation search's) starts in `_run_from`, the one place that refuses a
+non-finite lambda, builds the zero-trace data, gives the lambda = 1 run, phi
+itself, its horizon 10/|lambda_1| from the eigenpair, which `lambda_sweep`
+therefore requires, and writes the run's record (lambda, status, T_estimate,
+drift_rel, t_end), which the `flow` summary and every sweep row carry
+unchanged. `_sweep_rows` fans the sweep's independent runs out over the
+usable cores (`_fan_out`), bit-identical to a serial sweep's, and no child
+outlives the call. A sweep row keeps no energy, so its runs take no probe.
 
 Each of the three per-step row recorders (`evolve`'s series and the rows of
 `linearized_evolve` and `comparison_monitor`) appends its floats to an
@@ -66,7 +67,7 @@ import numpy as np
 
 from ._lapack import dpttrf, dpttrs
 from .errors import IntegratorFailure
-from .mesh import RadialField, _same_dimension, _same_grid, integrate_weighted
+from .mesh import RadialField, _run_data, _same_dimension, _same_grid, integrate_weighted
 from .params import ProblemParams, _require_finite_positive, sphere_area
 from .spectral import EigenPair
 from .stationary import StationarySolution, stationary_residual
@@ -161,7 +162,7 @@ def energy(u: RadialField, params: ProblemParams) -> float:
 
 
 class _Stepper:
-    """The IMEX-BE step on the unknown nodes of a zero-trace field.
+    """The IMEX-BE step on the unknown nodes of a zero-trace field (`mesh._zero_trace`).
 
     The discrete Laplacian on the unknowns is -D^{-1} K, with D and K the
     mass and the symmetric stiffness matrix of `RadialGrid.stiffness`. The
@@ -171,8 +172,8 @@ class _Stepper:
     once and then pays one dpttrs solve per step. The linear step takes its
     gain 1 + dt V from the caller, which holds dt and V fixed for a run.
 
-    Each step returns a freshly allocated array with zero endpoints, on whose
-    unknown slice dpttrs solves in place, so a returned state is never
+    Each step returns a freshly allocated array, 0 outside the unknowns, on
+    whose unknown slice dpttrs solves in place, so a returned state is never
     overwritten by a later step. The steps enter no np.errstate: overflow
     becomes inf or NaN in the state, which the caller's loop detects.
     """
@@ -203,7 +204,7 @@ class _Stepper:
         return out
 
     def step(self, v: np.ndarray, dt: float) -> np.ndarray:
-        """v holds the full nodal array; endpoints stay pinned to zero."""
+        """v holds the full nodal array; the nodes outside `grid.unknowns` stay pinned to zero."""
         w = v[self.unknowns]
         out = np.zeros(v.shape)  # calloc'd zeros; np.zeros_like would fill them
         out[self.unknowns] = w + self.params.reaction(w) * dt
@@ -279,8 +280,7 @@ def _evolve(v0: RadialField, params: ProblemParams, cfg: FlowConfig, probe) -> F
     probe None no call is made per step and the column is NaN.
     """
     reaction_only = cfg.integrator == "reaction-only"
-    if not (reaction_only or v0.dirichlet):
-        raise ValueError("diffusive runs need zero-trace initial data")
+    _run_data(v0, zero_trace=not reaction_only)
     _same_dimension(v0.grid, params)
     p = params.p
     advance = (lambda v, dt: _reaction_map(v, dt, p)) if reaction_only else _Stepper(v0.grid, params).step
@@ -344,6 +344,8 @@ def _run_from(
     up spuriously, so stationarity is only a meaningful statement on that
     horizon. Other lambdas keep cfg.t_end. A pair must live on sol's grid.
     """
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam}")
     if pair is not None:
         _same_grid(pair.phi, sol.field)
     if lam == 1.0:
@@ -508,6 +510,7 @@ def linearized_evolve(
         dt = 0.002 / abs(lam)
     _require_finite_positive(t_end=t_end, dt=dt)
     _same_grid(z0, sol.field)
+    _run_data(z0, zero_trace=True)
     n_steps = int(np.ceil(t_end / dt))
     if n_steps < 3:  # the rate is fitted over the second half of the rows
         raise ValueError(f"t_end={t_end:g} at dt={dt:g} gives {n_steps} steps; the rate fit needs at least 3")
@@ -671,8 +674,8 @@ def comparison_monitor(
 ) -> dict:
     """Evolve an ordered pair in lockstep and track the worst ordering violation.
 
-    vA0 <= vB0 must be zero-trace fields (dirichlet=True) on one grid, as an
-    `evolve` run's data must be zero-trace.
+    vA0 <= vB0 must be finite zero-trace fields on one grid, as an IMEX
+    `evolve` run's data must be (`mesh._run_data`).
     Both trajectories take the same step sizes (driven by the larger sup
     norm); monitoring stops at the horizon or when either flow crosses the
     blow-up threshold. A step that overflows either flow raises
@@ -682,8 +685,8 @@ def comparison_monitor(
     """
     _same_grid(vA0, vB0)
     _same_dimension(vA0.grid, params)
-    if not (vA0.dirichlet and vB0.dirichlet):
-        raise ValueError("diffusive runs need zero-trace initial data")
+    _run_data(vA0, zero_trace=True)
+    _run_data(vB0, zero_trace=True)
     if float(np.max(vA0.values - vB0.values)) > 0.0:
         raise ValueError("initial data are not ordered: need vA0 <= vB0 pointwise")
     stepper = _Stepper(vA0.grid, params)

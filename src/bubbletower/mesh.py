@@ -122,7 +122,7 @@ class RadialGrid:
 class RadialField:
     """Nodal values of a radial function on a grid.
 
-    dirichlet=True asserts zero trace: both endpoint values must be exactly 0.
+    dirichlet=True asserts zero trace (`_zero_trace`): 0 at the nodes outside grid.unknowns.
     """
 
     grid: RadialGrid
@@ -135,8 +135,8 @@ class RadialField:
             raise ValueError(
                 f"field has {self.values.size} values for {self.grid.nodes.size} nodes"
             )
-        if self.dirichlet and (self.values[0] != 0.0 or self.values[-1] != 0.0):
-            raise ValueError("dirichlet field must have exactly zero endpoint values")
+        if self.dirichlet and not _zero_trace(self.grid, self.values):
+            raise ValueError("dirichlet field must be exactly 0 at every node outside its grid's unknowns")
 
 
 def build_grid(inner: float, outer: float, M: int, grading: str = "log", N: int = 3) -> RadialGrid:
@@ -170,6 +170,20 @@ def _same_grid(u: RadialField | RadialGrid, v: RadialField | RadialGrid) -> None
     if a is not b and a != b:
         sides = [f"N = {g.N}, {g.M + 1} nodes {g.inner:.6g}, {g.nodes[1]:.6g}, ..., {g.outer:.6g}" for g in (a, b)]
         raise ValueError(f"fields live on different grids: {sides[0]} and {sides[1]}")
+
+
+def _zero_trace(grid: RadialGrid, values: np.ndarray) -> bool:
+    """True when values are 0 at the nodes outside grid.unknowns: both ends of an annulus, a ball's outer node."""
+    return not (values[-1] or values[: grid.unknowns.start].any())
+
+
+def _run_data(u: RadialField, zero_trace: bool) -> None:
+    """Raise ValueError naming u's first non-finite node, or, with zero_trace, if u fails `_zero_trace`."""
+    j = int(np.argmin(np.isfinite(u.values)))  # the first non-finite node, else 0
+    if not np.isfinite(u.values[j]):
+        raise ValueError(f"initial data must be finite, got {u.values[j]} at node {j} (r = {u.grid.nodes[j]:.6g})")
+    if zero_trace and not _zero_trace(u.grid, u.values):
+        raise ValueError("diffusive runs need zero-trace initial data")
 
 
 def _same_dimension(grid: RadialGrid, params) -> None:

@@ -34,8 +34,8 @@ def sphere_area(N: int) -> float:
 class ProblemParams:
     """Dimension, tower count, and hole radius, plus derived constants.
 
-    N     : space dimension, >= 3
-    k     : number of bubbles in the tower, >= 1
+    N     : space dimension, an integer >= 3
+    k     : number of bubbles in the tower, an integer >= 1
     eps   : inner hole radius of the annulus {eps < |x| < 1}, in (0, 1)
     p     : derived critical exponent (N+2)/(N-2)
     """
@@ -46,6 +46,9 @@ class ProblemParams:
     p: float = field(init=False)
 
     def __post_init__(self) -> None:
+        for name, value in (("N", self.N), ("k", self.k)):  # nothing downstream refuses a float: N = 4.5 gives p = 2.6
+            if not hasattr(value, "__index__"):  # the protocol operator.index reads
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.N < 3:
             raise ValueError(f"dimension N must be >= 3, got {self.N}")
         if self.k < 1:

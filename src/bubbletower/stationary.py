@@ -252,7 +252,7 @@ def _lobe_clock(params: ProblemParams, log_y: float) -> tuple:
     def rate(tau):
         theta = root_y * np.sinh(tau)
         s, c2 = np.sin(theta), np.cos(theta) ** 2
-        q = (1.0 - s ** (params.p - 1.0)) / c2
+        q = (1.0 - np.abs(s) ** (params.p - 1.0)) / c2  # |s|: the shot's Newton steps can land at tau = -6e-17
         near = c2 < 0.5  # near the turn, sin^{p-1} from log1p(-cos^2): 1 - sin^{p-1} cancels there
         q[near] = -np.expm1(power * np.log1p(-c2[near])) / c2[near]
         return np.cosh(tau) / np.sqrt(1.0 + ratio * s * s * q)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import jn_zeros
 
 import bubbletower as bt
 from bubbletower import flow
@@ -97,6 +98,65 @@ def test_diffusive_run_requires_zero_trace():
     v0 = bt.RadialField(g, np.ones(g.nodes.size))
     with pytest.raises(ValueError):
         bt.evolve(v0, bt.ProblemParams(3, 1, 0.5), bt.FlowConfig(t_end=1e-3))
+
+
+def test_a_run_reads_the_zero_trace_from_the_values_not_the_flag():
+    g = bt.build_grid(0.5, 1.0, 64, N=3)
+    params, cfg = bt.ProblemParams(3, 1, 0.5), bt.FlowConfig(t_end=1e-3, dt_max=1e-4)
+    flagged = _bump(g)
+    got = bt.evolve(bt.RadialField(g, flagged.values), params, cfg)
+    assert np.array_equal(got.series, bt.evolve(flagged, params, cfg).series)
+
+
+# each entry that starts a run from one field, called with it on the (4,2,1e-3) tower's grid
+RUN_ENTRIES = {
+    "evolve": lambda v, sol, pair: bt.evolve(v, sol.params, bt.FlowConfig(t_end=1e-4)),
+    "evolve reaction-only": lambda v, sol, pair: bt.evolve(
+        v, sol.params, bt.FlowConfig(t_end=1e-4, integrator="reaction-only")
+    ),
+    "comparison_monitor": lambda v, sol, pair: bt.comparison_monitor(v, v, sol.params, bt.FlowConfig(t_end=1e-4)),
+    "linearized_evolve": lambda v, sol, pair: bt.linearized_evolve(sol, pair, v),
+}
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+@pytest.mark.parametrize("entry", RUN_ENTRIES)
+def test_runs_reject_non_finite_data_naming_the_node(case_solutions, case_pairs, entry, bad):
+    # a reaction-only run read one NaN as BlowUp with T = nan and one inf as BlowUp at T = 0,
+    # and an IMEX run raised IntegratorFailure "overflow" after its first step
+    sol, pair = case_solutions[KEY], case_pairs[KEY]
+    g = sol.field.grid
+    vals = 0.1 * sol.field.values
+    vals[700] = bad
+    r = f"{g.nodes[700]:.6g}"
+    with pytest.raises(ValueError, match=rf"^initial data must be finite, got {bad} at node 700 \(r = {r}\)$"):
+        RUN_ENTRIES[entry](bt.RadialField(g, vals), sol, pair)
+
+
+@pytest.mark.parametrize("lam", (math.nan, math.inf))
+def test_a_run_from_lambda_phi_rejects_a_non_finite_lambda(case_solutions, case_pairs, lam):
+    sol, pair = case_solutions[KEY], case_pairs[KEY]
+    with pytest.raises(ValueError, match=rf"^lambda must be finite, got {lam}$"):
+        bt.find_separation_time(sol, pair, lam, bt.FlowConfig(t_end=1e-3))
+
+
+@pytest.mark.parametrize("N", (3, 4, 6))
+def test_the_ball_flow_decays_at_its_first_dirichlet_eigenvalue(N):
+    # from 1e-6 cos(pi r / 2), nonzero at r = 0, where the ball grid has an unknown, the reaction is
+    # negligible and the energy decays as exp(-2 mu t), with mu = j_{N/2-1,1}^2 (pi^2 for N = 3).
+    # Backward Euler decays at log(1 + mu dt)/dt, a relative error of mu dt/2, and the O(h^2) error
+    # of the M = 128 grid has the other sign, so the fit lies within mu dt/2 of mu
+    g = bt.build_grid(0.0, 1.0, 128, "uniform", N)
+    vals = 1e-6 * np.cos(0.5 * np.pi * g.nodes)
+    vals[-1] = 0.0
+    dt = 1e-4
+    res = bt.evolve(bt.RadialField(g, vals), bt.ProblemParams(N, 1, 0.5), bt.FlowConfig(dt_max=dt, t_end=0.15))
+    assert res.status == "GlobalBounded"
+    t, energy = res.series[:, 0], res.series[:, 2]
+    late = t >= 0.05
+    rate = -0.5 * np.polyfit(t[late], np.log(energy[late]), 1)[0]
+    mu = math.pi**2 if N == 3 else jn_zeros(N // 2 - 1, 1)[0] ** 2
+    assert abs(rate / mu - 1.0) <= 0.5 * mu * dt, (rate, mu)
 
 
 def test_reaction_only_blowup_time_exact():
@@ -602,7 +662,7 @@ def test_overflow_in_a_multi_lambda_sweep_is_a_failed_row_in_place(overflowing_s
 @pytest.mark.parametrize("lams", [(1.0, math.nan), (math.nan, 1.0)])
 def test_an_error_in_a_sweep_run_is_raised_in_the_caller(overflowing_state, lams):
     sol, pair = overflowing_state
-    with pytest.raises(ValueError, match="^dirichlet field must have exactly zero endpoint values$"):
+    with pytest.raises(ValueError, match="^lambda must be finite, got nan$"):
         bt.lambda_sweep(sol, lams, bt.FlowConfig(t_end=1e-3), pair)
     assert_no_child_process()
 

@@ -99,6 +99,20 @@ def test_dirichlet_field_demands_exact_zero_trace():
     bt.RadialField(g, vals, dirichlet=True)
 
 
+def test_zero_trace_is_zero_at_every_node_outside_the_unknowns():
+    # both ends of an annulus; on a ball only the outer node, since r = 0 is an unknown (the regularity row)
+    msg = r"^dirichlet field must be exactly 0 at every node outside its grid's unknowns$"
+    for g, free in ((bt.build_grid(0.5, 1.0, 32, "uniform"), ()), (bt.build_grid(0.0, 1.0, 32, "uniform"), (0,))):
+        for j in (0, g.M):
+            vals = np.zeros(g.nodes.size)
+            vals[j] = 1.0
+            if j in free:
+                assert bt.RadialField(g, vals, dirichlet=True).values[j] == 1.0
+            else:
+                with pytest.raises(ValueError, match=msg):
+                    bt.RadialField(g, vals, dirichlet=True)
+
+
 def test_weighted_quadrature_closed_forms():
     # N=3 annulus (0.5, 1): volume integral of 1 and of 1/r have closed forms
     g = bt.build_grid(0.5, 1.0, 4096, N=3)

@@ -211,6 +211,22 @@ def test_params_reject_a_tower_without_bubbles():
         bt.ProblemParams(3, 0, 1e-2)
 
 
+@pytest.mark.parametrize("args, name, value", [((4, 2.5, 1e-3), "k", "2.5"), ((4.5, 2, 1e-3), "N", "4.5")])
+def test_params_require_an_integer_dimension_and_tower_count(args, name, value):
+    # k = 2.5 used to stall in the Newton polish, and N = 4.5 to solve a tower with p = 2.6
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value}$"):
+        bt.ProblemParams(*args)
+    assert bt.ProblemParams(np.int64(4), np.int32(2), 1e-3).p == 3.0  # numpy integers index
+
+
+@pytest.mark.filterwarnings("error")
+def test_the_shot_takes_no_power_of_a_negative_rounded_sine():
+    # the shot's Newton steps evaluated the clock's rate at tau = -6e-17, where sin(theta) = -3e-15
+    # and, for N = 8, sin^(2/3) of it was NaN
+    sol = bt.find_nodal_solution(bt.ProblemParams(8, 5, 0.9), M=256)
+    assert sol.residual_norm <= 1e-8
+
+
 def _shot_of(values_of):
     """A stand-in for `stationary.shoot` that returns values_of(nodes) with zero ends."""
 
