@@ -22,7 +22,6 @@ from .mesh import (
     apply_radial_laplacian,
     build_grid,
     integrate_weighted,
-    norms,
 )
 from .params import ProblemParams, bubble_amplitude, critical_exponent, sphere_area
 from .profile import (
@@ -94,7 +93,6 @@ __all__ = [
     "limit_overlap",
     "limit_scan",
     "linearized_evolve",
-    "norms",
     "scaled_eigenfunction_distance",
     "scaled_eigenvalue_diagnostic",
     "shoot",

@@ -574,16 +574,18 @@ def find_separation_time(
     """Earliest time at which the flow from lam*phi differs from phi with one sign everywhere.
 
     A probe on `_run_from`'s IMEX-BE run checks every step after a 10-step
-    transient, interior nodes only, demanding sign + for lam > 1 and - for
-    lam < 1, and stops the run at the first that passes. t0 = None when the
-    horizon or `_evolve`'s blow-up comes first; diagnostics then carry the best
-    single-signed node fraction, the sign of the projection of v - phi on the
-    first eigenfunction (it stabilizes almost immediately) and t_blowup if any.
+    transient, at the nodes of grid.unknowns only, demanding sign + for
+    lam > 1 and - for lam < 1, and stops the run at the first that passes.
+    t0 = None when the horizon or `_evolve`'s blow-up comes first; diagnostics
+    then carry the best single-signed node fraction, the sign of the
+    projection of v - phi on the first eigenfunction (it stabilizes almost
+    immediately) and t_blowup if any. pair must live on sol's grid, at lam = 1 too.
     """
+    _same_grid(pair.phi, sol.field)
     if lam == 1.0:
         return {"t0": None, "diagnostics": {"note": "difference identically ~0 at lambda=1"}}
     want = 1.0 if lam > 1.0 else -1.0
-    g, phi = sol.field.grid, sol.field.values
+    g, phi, unk = sol.field.grid, sol.field.values, sol.field.grid.unknowns
     nstep, best_frac, proj_sign = 0, 0.0, 0.0
 
     def separation_probe(t, v):
@@ -593,7 +595,7 @@ def find_separation_time(
             proj_sign = float(np.sign(integrate_weighted(RadialField(g, v - phi), pair.phi)))
         if nstep <= 10:
             return math.nan, None
-        frac = float(np.mean(want * (v[1:-1] - phi[1:-1]) > 0.0))
+        frac = float(np.mean(want * (v[unk] - phi[unk]) > 0.0))
         best_frac = max(best_frac, frac)
         return frac, "v - phi one-signed at every interior node" if frac == 1.0 else None
 
@@ -616,16 +618,16 @@ def subsupersolution_residual(
     """One-sided maxima of the stationary residual of psi + eps_prime * phi1.
 
     With eps_prime >= 0 the perturbed field should be a subsolution (residual
-    <= 0 at interior nodes), so max_wrong_sign is the largest positive
-    residual; with eps_prime < 0 the supersolution side is checked and
+    <= 0 at the nodes of grid.unknowns), so max_wrong_sign is the largest
+    positive residual; with eps_prime < 0 the supersolution side is checked and
     max_wrong_sign is the largest negative excursion. Both one-sided maxima
     are reported either way. psi and phi1 must lie on one grid.
     """
     _same_grid(psi, phi1)
     s = RadialField(psi.grid, psi.values + eps_prime * phi1.values)
-    interior = stationary_residual(s, params).values[1:-1]
-    max_pos = float(np.max(np.maximum(interior, 0.0)))
-    max_neg = float(np.max(np.maximum(-interior, 0.0)))
+    res = stationary_residual(s, params).values[psi.grid.unknowns]
+    max_pos = float(np.max(np.maximum(res, 0.0)))
+    max_neg = float(np.max(np.maximum(-res, 0.0)))
     return {
         "max_wrong_sign": max_pos if eps_prime >= 0 else max_neg,
         "max_positive": max_pos,
@@ -645,7 +647,7 @@ def find_onesided_window(
     candidates are _ONESIDED_CANDIDATES.
     """
     params = sol.params
-    floor = float(np.max(np.abs(stationary_residual(sol.field, params).values[1:-1])))
+    floor = float(np.max(np.abs(stationary_residual(sol.field, params).values[sol.field.grid.unknowns])))
     tol = 2.0 * floor
     rows = []
     passing = []

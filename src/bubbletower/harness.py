@@ -33,7 +33,7 @@ from . import __version__
 from .errors import SolverError
 from .flow import FlowConfig, _energy_probe, _run_from, _sweep_rows, comparison_monitor, evolve
 from .mesh import RadialField, apply_radial_laplacian, build_grid
-from .params import ProblemParams
+from .params import ProblemParams, _require_integer
 from .profile import Bubble, bubble_eval, ef_peak_height
 from .spectral import (
     LinearizedOperator,
@@ -123,8 +123,7 @@ def resolve_config(file_cfg: dict | None = None, overrides: dict | None = None) 
         except ValueError as exc:
             raise ValueError(f"eps_list entry {eps}: {exc}") from exc
     _flow_config(cfg)
-    if cfg["M"] < 16:
-        raise ValueError("grid resolution must be at least 16 cells")
+    _require_integer("M", cfg["M"], 16)
     if not math.isfinite(cfg["lambda"]):
         raise ValueError(f"lambda must be finite, got {cfg['lambda']}")
     if not all(map(math.isfinite, cfg["lambda_list"])):

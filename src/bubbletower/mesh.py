@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .params import sphere_area
+from .params import _require_integer, sphere_area
 
 
 @dataclass(frozen=True, eq=False)
@@ -22,7 +22,7 @@ class RadialGrid:
     """Strictly increasing radial nodes r_0 < ... < r_M with dimension metadata.
 
     nodes   : array of M+1 radii; r_0 is the inner radius, r_M the outer
-    N       : space dimension (weights carry r^{N-1})
+    N       : space dimension, an integer >= 3 (weights carry r^{N-1})
     """
 
     nodes: np.ndarray
@@ -35,8 +35,7 @@ class RadialGrid:
             raise ValueError(f"need at least 17 nodes (M >= 16), got {nodes.size}")
         if not np.all(np.diff(nodes) > 0):
             raise ValueError("nodes must be strictly increasing")
-        if self.N < 3:
-            raise ValueError(f"dimension N must be >= 3, got {self.N}")
+        _require_integer("N", self.N, 3, "dimension ")
         if nodes[0] < 0.0:
             raise ValueError(f"radii must be nonnegative, got r_0 = {nodes[0]}")
 
@@ -140,7 +139,7 @@ class RadialField:
 
 
 def build_grid(inner: float, outer: float, M: int, grading: str = "log", N: int = 3) -> RadialGrid:
-    """Grid on [inner, outer] with M+1 nodes: an annulus, or a ball when inner = 0.
+    """Grid on [inner, outer] with M+1 nodes, M an integer >= 16: an annulus, or a ball when inner = 0.
 
     'log' places nodes uniformly in log r, so each concentration scale gets
     the same number of nodes per decade (M / log10(outer/inner) of them).
@@ -149,8 +148,7 @@ def build_grid(inner: float, outer: float, M: int, grading: str = "log", N: int 
     """
     if not (0.0 <= inner < outer):
         raise ValueError(f"need 0 <= inner < outer, got inner={inner}, outer={outer}")
-    if M < 16:
-        raise ValueError(f"M must be >= 16, got {M}")
+    _require_integer("M", M, 16)
     j = np.arange(M + 1)
     if grading == "log":
         if inner == 0.0:
@@ -219,10 +217,3 @@ def apply_radial_laplacian(u: RadialField) -> RadialField:
     if g.origin:
         out[0] = flux[0] / D[0]
     return RadialField(g, out)
-
-
-def norms(u: RadialField) -> dict:
-    """Weighted L2 norm and sup norm of a field."""
-    l2 = float(np.sqrt(max(integrate_weighted(u, u), 0.0)))
-    linf = float(np.max(np.abs(u.values)))
-    return {"l2_weighted": l2, "linf": linf}

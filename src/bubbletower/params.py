@@ -15,6 +15,14 @@ def _require_finite_positive(**values) -> None:
             raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
+def _require_integer(name: str, value, least: int, role: str = "") -> None:
+    """Raise ValueError unless value is an integer (`__index__`, which operator.index reads) >= least; role leads the bound's message."""
+    if not hasattr(value, "__index__"):  # nothing downstream refuses a float: N = 4.5 gives p = 2.6
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{role}{name} must be >= {least}, got {value}")
+
+
 def critical_exponent(N: int) -> float:
     """The Sobolev-critical power (N+2)/(N-2)."""
     return (N + 2) / (N - 2)
@@ -46,13 +54,8 @@ class ProblemParams:
     p: float = field(init=False)
 
     def __post_init__(self) -> None:
-        for name, value in (("N", self.N), ("k", self.k)):  # nothing downstream refuses a float: N = 4.5 gives p = 2.6
-            if not hasattr(value, "__index__"):  # the protocol operator.index reads
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.N < 3:
-            raise ValueError(f"dimension N must be >= 3, got {self.N}")
-        if self.k < 1:
-            raise ValueError(f"tower count k must be >= 1, got {self.k}")
+        _require_integer("N", self.N, 3, "dimension ")
+        _require_integer("k", self.k, 1, "tower count ")
         if not (0.0 < self.eps < 1.0):
             raise ValueError(f"hole radius eps must lie in (0,1), got {self.eps}")
         object.__setattr__(self, "p", critical_exponent(self.N))

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import RadialField
-from .params import bubble_amplitude
+from .params import _require_finite_positive, _require_integer, bubble_amplitude
 
 
 @dataclass(frozen=True)
@@ -17,10 +17,8 @@ class Bubble:
     N: int
 
     def __post_init__(self) -> None:
-        if self.delta <= 0:
-            raise ValueError(f"concentration scale must be positive, got {self.delta}")
-        if self.N < 3:
-            raise ValueError(f"dimension must be >= 3, got {self.N}")
+        _require_finite_positive(delta=self.delta)
+        _require_integer("N", self.N, 3, "dimension ")
 
 
 def bubble_eval(b: Bubble, r: np.ndarray) -> np.ndarray:

@@ -93,11 +93,11 @@ def eigenvalue_k(op: LinearizedOperator, j: int = 1) -> float:
     """j-th smallest eigenvalue by LAPACK dstebz's Sturm bisection (absolute tolerance tiny).
 
     A 1x1 operator is its own eigenvalue (the dstebz wrapper wants an
-    off-diagonal of length >= 1). info != 0 or other than one eigenvalue
-    returned raises SolverError naming both.
+    off-diagonal of length >= 1). j is an integer (`__index__`) in 1..size.
+    info != 0 or other than one eigenvalue returned raises SolverError naming both.
     """
-    if j < 1 or j > op.size:
-        raise ValueError(f"eigenvalue index {j} out of range 1..{op.size}")
+    if not (hasattr(j, "__index__") and 1 <= j <= op.size):
+        raise ValueError(f"eigenvalue index j must be an integer in 1..{op.size}, got {j!r}")
     if op.size == 1:
         return float(op.d[0])
     m, w, *_, info = dstebz(op.d, op.e, 2, 0.0, 0.0, j, j, _TINY, b"B")

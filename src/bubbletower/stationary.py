@@ -153,26 +153,27 @@ def stationary_residual(u: RadialField, params: ProblemParams) -> RadialField:
     """-Delta_h u - f(u): zero (to solver tolerance) at a stationary solution.
 
     Sign convention matches the sub/supersolution checks: a subsolution has
-    residual <= 0 at interior nodes.
+    residual <= 0 at the nodes of grid.unknowns (a ball's r = 0 too) and 0 at the pinned ones.
     """
     _same_dimension(u.grid, params)
     lap = apply_radial_laplacian(u)
     vals = -lap.values - params.reaction(u.values)
-    vals[0] = 0.0
-    vals[-1] = 0.0
+    unk = u.grid.unknowns
+    vals[: unk.start] = 0.0
+    vals[unk.stop :] = 0.0
     return RadialField(u.grid, vals)
 
 
 def _newton_refine(u0: RadialField, params: ProblemParams) -> tuple[RadialField, list]:
-    """Damped Newton on the discrete BVP Delta_h u + f(u) = 0 (interior rows).
+    """Damped Newton on the discrete BVP Delta_h u + f(u) = 0 (the rows of grid.unknowns).
 
     Takes the first t in _NEWTON_STEPS whose step cuts the residual sup norm
     by 1 - t/4, and stops at the first direction where none does: rounding
     sets the residual there, or it is exactly 0, which no step cuts. The test
     compares two norms of one step, so it needs no scale. Returns the field
-    and the unscaled history of interior residual sup norms, the shot's first.
+    and the unscaled history of the residual sup norms, the shot's first.
     """
-    g = u0.grid
+    g, unk = u0.grid, u0.grid.unknowns
     mass, diag, off = g.stiffness
     lo = off / mass[1:]  # sub-diagonal entries (rows 2..)
     up = off / mass[:-1]  # super-diagonal entries (rows ..n-1)
@@ -180,7 +181,7 @@ def _newton_refine(u0: RadialField, params: ProblemParams) -> tuple[RadialField,
     u = u0.values.copy()
 
     def resid(vals):
-        return -stationary_residual(RadialField(g, vals), params).values[1:-1]
+        return -stationary_residual(RadialField(g, vals), params).values[unk]
 
     hist = []
     F = resid(u)
@@ -189,12 +190,12 @@ def _newton_refine(u0: RadialField, params: ProblemParams) -> tuple[RadialField,
     if not math.isfinite(res):  # accepted steps keep it finite: only the start can fail here
         raise SolverError(f"non-finite Newton residual {res} at the initial field", {"history": hist})
     for _ in range(_NEWTON_MAX_ITER):
-        *_, delta, info = dgtsv(lo, diag_lap + params.reaction_derivative(u[1:-1]), up, -F)
+        *_, delta, info = dgtsv(lo, diag_lap + params.reaction_derivative(u[unk]), up, -F)
         if info > 0:
             raise SolverError(f"singular Newton system: zero pivot in row {info}", {"history": hist})
         for t in _NEWTON_STEPS:
             trial = u.copy()
-            trial[1:-1] += t * delta
+            trial[unk] += t * delta
             Ft = resid(trial)
             rest = float(np.max(np.abs(Ft)))
             if rest < res * (1.0 - 0.25 * t):
@@ -207,9 +208,9 @@ def _newton_refine(u0: RadialField, params: ProblemParams) -> tuple[RadialField,
 
 
 def _interior_zeros(u: RadialField) -> np.ndarray:
-    """Radii where interior values change sign: exact zeros are skipped, and a change across them sits at the first."""
-    r, v = u.grid.nodes, u.values
-    j = np.nonzero(v[1:-1])[0] + 1
+    """Radii where the values at grid.unknowns change sign: exact zeros are skipped, and a change across them sits at the first."""
+    r, v, unk = u.grid.nodes, u.values, u.grid.unknowns
+    j = np.nonzero(v[unk])[0] + unk.start
     sign = np.sign(v[j])
     j = j[:-1][sign[:-1] * sign[1:] < 0]
     return np.where(v[j + 1] == 0.0, r[j + 1], r[j] - v[j] * (r[j + 1] - r[j]) / (v[j + 1] - v[j]))

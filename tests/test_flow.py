@@ -854,8 +854,9 @@ def test_runs_from_phi_refuse_the_eigenpair_of_another_tower(case_solutions, cas
     mismatch = different_grids(pair.phi.grid, sol.field.grid)
     with pytest.raises(ValueError, match=mismatch):
         bt.lambda_sweep(sol, lams, bt.FlowConfig(t_end=1e-3), pair)
-    with pytest.raises(ValueError, match=mismatch):
-        bt.find_separation_time(sol, pair, lams[0] + 0.02, bt.FlowConfig(t_end=1e-3))
+    for lam in (lams[0] + 0.02, 1.0):  # at lambda = 1 a note was returned before any check
+        with pytest.raises(ValueError, match=mismatch):
+            bt.find_separation_time(sol, pair, lam, bt.FlowConfig(t_end=1e-3))
 
 
 def test_lambda_sweep_never_evaluates_the_energy(case_solutions, case_pairs, monkeypatch):

@@ -815,6 +815,7 @@ BAD_VALUES = [
     ("sweep", "eps_list", "1e-2,nan", "eps_list entry nan: hole radius eps must lie in (0,1)"),
     ("flow", "integrator", "imex-cn", "integrator must be one of ('imex-be', 'reaction-only'), got 'imex-cn'"),
     ("flow", "t_end", "1e-13", "need dt_min < t_end"),
+    ("tower", "M", "8", "M must be >= 16, got 8"),
 ]
 
 
@@ -826,7 +827,8 @@ def test_bad_value_exits_1_before_any_solve(tmp_path, capsys, op, key, raw, mess
         argv = [op, "--" + key.replace("_", "-"), raw]
     else:
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"N = 3\nk = 1\neps = 0.1\nM = 256\n{key} = {raw}\n")
+        settings = {"N": "3", "k": "1", "eps": "0.1", "M": "256", key: raw}  # key replaces its base line
+        cfg.write_text("".join(f"{name} = {value}\n" for name, value in settings.items()))
         argv = [op, "--config", str(cfg)]
     assert main([*argv, "--out", str(out)]) == 1
     err = capsys.readouterr().err

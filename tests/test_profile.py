@@ -16,10 +16,22 @@ def test_bubble_scaling_identity():
 
 
 def test_bubble_validation():
-    with pytest.raises(ValueError):
-        bt.Bubble(0.0, 4)
-    with pytest.raises(ValueError):
-        bt.Bubble(1.0, 2)
+    for delta, N, message in (
+        (0.0, 4, "delta must be finite and positive, got 0.0"),
+        (math.nan, 4, "delta must be finite and positive, got nan"),  # every value it gave was NaN
+        (math.inf, 4, "delta must be finite and positive, got inf"),
+        (1.0, 2, "dimension N must be >= 3, got 2"),
+        (1.0, 4.5, "N must be an integer, got 4.5"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            bt.Bubble(delta, N)
+
+
+def test_bubble_sup_on_an_annulus_sits_at_the_inner_edge():
+    g4 = bt.build_grid(0.5, 1.0, 256, N=4)
+    U = bt.bubble_eval(bt.Bubble(1.0, 4), g4.nodes)
+    # the bubble is radially decreasing: U(0.5) = 2 sqrt(2) (1 / (1 + 0.25)) for N = 4
+    assert abs(float(np.max(np.abs(U))) - 2.0 * math.sqrt(2.0) * 0.8) <= 1e-13
 
 
 def test_linearization_matches_p_upm1():

@@ -35,6 +35,14 @@ def test_src_lines_are_counted_per_module_and_netted(tmp_path):
     ]
 
 
+def test_exports_and_config_keys_are_counted_by_a_fresh_interpreter():
+    import bubbletower as bt
+    from bubbletower import harness
+
+    src = Path(bt.__file__).resolve().parents[1]
+    assert same_outputs.surface_counts(src) == {"exports": len(bt.__all__), "config keys": len(harness._SCHEMA)}
+
+
 def test_a_module_that_one_tree_alone_loads_is_a_difference_that_names_it():
     parent = ["bubbletower", "numpy", "sys", "tempfile"]
     change = ["bubbletower", "multiprocessing", "numpy", "sys"]

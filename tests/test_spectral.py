@@ -151,10 +151,10 @@ def test_assemble_rejects_non_finite_potential(bad):
 
 def test_eigenvalue_index_bounds():
     op = _zero_potential_operator(M=64)
-    with pytest.raises(ValueError):
-        eigenvalue_k(op, 0)
-    with pytest.raises(ValueError):
-        eigenvalue_k(op, op.size + 1)
+    for j in (0, op.size + 1, 1.5):  # j = 1.5 used to give lambda_1
+        with pytest.raises(ValueError, match=rf"^eigenvalue index j must be an integer in 1\.\.63, got {j}$"):
+            eigenvalue_k(op, j)
+    assert eigenvalue_k(op, np.int64(2)) == eigenvalue_k(op, 2)  # numpy integers index
 
 
 def _case_id(key):
@@ -300,6 +300,18 @@ def test_limit_pair_and_overlap_n3(limit_pair3):
 def test_limit_eigenpair_validation():
     with pytest.raises(ValueError):
         bt.limit_eigenpair(4, 5.0, 512)
+    with pytest.raises(ValueError, match=r"^M must be an integer, got 4096\.0$"):
+        bt.limit_eigenpair(4, 80.0, 4096.0)
+
+
+def test_limit_scan_refuses_a_fractional_dimension_before_any_eigen_solve(monkeypatch):
+    # N = 4.5 returned lambda* = -5.2110
+    def no_solve(*args):
+        raise AssertionError("an eigen-solve started")
+
+    monkeypatch.setattr(spectral, "first_eigenpair", no_solve)
+    with pytest.raises(ValueError, match=r"^N must be an integer, got 4\.5$"):
+        bt.limit_scan(4.5)
 
 
 def test_scaled_eigenvalue_diagnostic(sweep_solutions, sweep_pairs, limit4):

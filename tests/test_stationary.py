@@ -8,6 +8,7 @@ from scipy.special import ellipkm1
 import bubbletower as bt
 from bubbletower import stationary
 from bubbletower.errors import SolverError
+from bubbletower.mesh import apply_radial_laplacian
 from bubbletower.stationary import _interior_zeros, _lobe_clock, _lobe_time, _time_map_slope
 
 from conftest import CASES
@@ -424,6 +425,27 @@ def test_shoot_rejects_a_grid_on_another_interval(inner, outer):
     grid = bt.build_grid(inner, outer, 256, "log", 4)
     with pytest.raises(ValueError, match=rf"^the grid spans \[{inner!r}, {outer!r}\] but the params need \[0\.001, 1\.0\]$"):
         bt.shoot(params, 1e6, grid)
+
+
+def test_a_fractional_cell_count_is_refused_before_the_shot(monkeypatch):
+    # M = 1000.5 solved on a grid whose last cell was half as wide as the others
+    def no_shot(*args):
+        raise AssertionError("a shot started")
+
+    monkeypatch.setattr(stationary, "shoot", no_shot)
+    with pytest.raises(ValueError, match=r"^M must be an integer, got 1000\.5$"):
+        bt.find_nodal_solution(bt.ProblemParams(4, 2, 1e-2), M=1000.5)
+
+
+def test_the_ball_residual_keeps_its_regularity_row():
+    # r = 0 is an unknown of a ball grid; its residual read 0.0 where the row gives -0.0345
+    g = bt.build_grid(0.0, 20.0, 512, "uniform", 4)
+    U = bt.RadialField(g, bt.bubble_eval(bt.Bubble(1.0, 4), g.nodes))
+    params = bt.ProblemParams(4)
+    want = -apply_radial_laplacian(U).values - params.reaction(U.values)
+    res = bt.stationary_residual(U, params).values
+    assert res[0] == want[0] and res[0] < -0.03
+    assert res[-1] == 0.0 and np.array_equal(res[:-1], want[:-1])
 
 
 def test_residual_field_vanishes_at_solution(case_solutions):

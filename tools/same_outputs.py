@@ -31,8 +31,10 @@ peak RSS, CPU seconds and wall seconds under both trees (the child's ru_maxrss
 and ru_utime + ru_stime from os.wait4, and time.perf_counter from the child's
 start to its reaping) are printed to stderr at the end, and after them each
 module's line count in both trees with the net change of the total (the `.py`
-files under each src directory, counted as `wc -l` counts them). Both are
-for information only: they do not count as differences. Standard library only.
+files under each src directory, counted as `wc -l` counts them), and then
+the number of exports (`bubbletower.__all__`) and of config keys
+(`harness._SCHEMA`) in both trees. All three are for information only: they
+do not count as differences. Standard library only.
 """
 from __future__ import annotations
 
@@ -145,6 +147,15 @@ def module_differences(parent: list, change: list) -> list:
         f"import bubbletower: {name} loaded only by the {'parent' if name in parent else 'change'}"
         for name in sorted(set(parent) ^ set(change))
     ]
+
+
+def surface_counts(src: Path) -> dict:
+    """The number of exports and of config keys under src, read by a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import bubbletower as bt, bubbletower.harness as h; print(len(bt.__all__), len(h._SCHEMA))"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), cwd=src, check=True,
+    )
+    return dict(zip(("exports", "config keys"), map(int, proc.stdout.split())))
 
 
 def source_lines(src: Path) -> dict:
@@ -273,6 +284,10 @@ def main(argv: list) -> int:
         print(f"  {label}: {rss_a:.1f}, {rss_b:.1f}; {cpu_a:.2f}, {cpu_b:.2f}; {wall_a:.2f}, {wall_b:.2f}", file=sys.stderr)
     print("src lines: parent, change", file=sys.stderr)
     print(*line_report(*(source_lines(src) for src in trees.values())), sep="\n", file=sys.stderr)
+    counts = {name: surface_counts(src) for name, src in trees.items()}
+    print("exports and config keys: parent, change", file=sys.stderr)
+    for what in counts["parent"]:
+        print(f"  {what}: {counts['parent'][what]}, {counts['change'][what]}", file=sys.stderr)
     lines = differences(results["parent"], results["change"]) + module_differences(modules["parent"], modules["change"])
     for line in lines:
         print(line)
