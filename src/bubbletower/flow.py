@@ -511,6 +511,8 @@ def linearized_evolve(
     _require_finite_positive(t_end=t_end, dt=dt)
     _same_grid(z0, sol.field)
     _run_data(z0, zero_trace=True)
+    if not math.isfinite(t_end / dt):  # checked before ceil, which would overflow on it
+        raise ValueError(f"t_end={t_end:g} at dt={dt:g} gives {t_end / dt} steps; the step count must be finite")
     n_steps = int(np.ceil(t_end / dt))
     if n_steps < 3:  # the rate is fitted over the second half of the rows
         raise ValueError(f"t_end={t_end:g} at dt={dt:g} gives {n_steps} steps; the rate fit needs at least 3")

@@ -91,7 +91,12 @@ def load_config(path) -> tuple[dict, str]:
     """
     cfg, first_set = {}, {}
     data = Path(path).read_bytes()
-    for lineno, line in enumerate(data.decode().splitlines(), start=1):
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:  # the bytes before the bad one decode, so their lines number it
+        lineno = len((data[: exc.start] + b".").decode().splitlines())
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

@@ -146,8 +146,8 @@ def build_grid(inner: float, outer: float, M: int, grading: str = "log", N: int 
     'uniform' places them uniformly in r; with inner = 0 this is the ball
     grid of the whole-space limit.
     """
-    if not (0.0 <= inner < outer):
-        raise ValueError(f"need 0 <= inner < outer, got inner={inner}, outer={outer}")
+    if not (0.0 <= inner < outer < np.inf):
+        raise ValueError(f"need 0 <= inner < outer < inf, got inner={inner}, outer={outer}")
     _require_integer("M", M, 16)
     j = np.arange(M + 1)
     if grading == "log":

@@ -1,11 +1,11 @@
 """Session-scoped fixtures: the expensive solves are shared across test modules."""
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bubbletower as bt
@@ -14,11 +14,11 @@ CASES = ((3, 2, 1e-3), (4, 2, 1e-3), (4, 3, 1e-4))
 SWEEP_EPS = (1e-2, 1e-3, 1e-4)
 
 
-def different_grids(a, b):
-    """The exact pattern of the ValueError for inputs on grids a and b: it names each grid by N,
-    node count and its first, second and last node."""
-    sides = [f"N = {g.N}, {g.M + 1} nodes {g.inner:.6g}, {g.nodes[1]:.6g}, ..., {g.outer:.6g}" for g in (a, b)]
-    return "^" + re.escape(f"fields live on different grids: {sides[0]} and {sides[1]}") + "$"
+def bump(g, amp=1.0):
+    """amp times the half sine wave on g's interval, a zero-trace field."""
+    vals = amp * np.sin(np.pi * (g.nodes - g.inner) / (g.outer - g.inner))
+    vals[0] = vals[-1] = 0.0
+    return bt.RadialField(g, vals, dirichlet=True)
 
 
 @pytest.fixture(scope="session")
@@ -35,6 +35,28 @@ def case_pairs(case_solutions):
         key: bt.first_eigenpair(bt.assemble_linearized(sol))
         for key, sol in case_solutions.items()
     }
+
+
+# the (4,2,1e-3) tower and its first eigenpair
+@pytest.fixture(scope="session")
+def tower(case_solutions):
+    return case_solutions[(4, 2, 1e-3)]
+
+
+@pytest.fixture(scope="session")
+def tower_pair(case_pairs):
+    return case_pairs[(4, 2, 1e-3)]
+
+
+@pytest.fixture(scope="session")
+def overflowing_state():
+    """A field whose reaction p|u|^{p-1} overflows, posed as a solution with a unit eigenpair."""
+    g = bt.build_grid(0.5, 1.0, 256, N=4)
+    phi = bump(g)
+    phi = bt.RadialField(g, phi.values / np.sqrt(bt.integrate_weighted(phi, phi)), dirichlet=True)
+    field = bt.RadialField(g, 1e200 * phi.values, dirichlet=True)
+    sol = bt.StationarySolution(bt.ProblemParams(4, 1, 0.5), field, np.array([]), np.array([]), 1.0, 0.0)
+    return sol, bt.EigenPair(lam=-1.0, phi=phi, residual=0.0)
 
 
 @pytest.fixture(scope="session")

@@ -30,7 +30,6 @@ truth value.
 """
 import ast
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -38,8 +37,8 @@ from pathlib import Path
 import pytest
 
 import bubbletower
-from bubbletower import _lapack
 from conftest import LAPACK_ROUTINES
+from test_refusals import add_refusal_tests
 
 PACKAGE = Path(bubbletower.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -232,11 +231,6 @@ print(ext is ours._flapack is lapack._flapack, [getattr(ours, n) is getattr(lapa
     assert proc.stdout.strip() == f"True {[True] * len(LAPACK_ROUTINES)}"
 
 
-def test_a_missing_extension_names_the_directory_searched(tmp_path):
-    with pytest.raises(ImportError, match=re.escape(str(tmp_path))):
-        _lapack._load(tmp_path)
-
-
 def test_no_module_imports_scipy():
     # `_lapack` is the one place that locates scipy's extension, and it imports nothing of scipy
     imported = {
@@ -322,3 +316,6 @@ def test_no_array_holding_dataclass_generates_eq():
         and not any(isinstance(s, ast.FunctionDef) and s.name == "__eq__" for s in node.body)
     ]
     assert not generated, f"dataclasses with a generated == over arrays: {generated}"
+
+
+add_refusal_tests(globals())

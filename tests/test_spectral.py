@@ -6,11 +6,11 @@ from scipy.linalg import eigh_tridiagonal
 
 import bubbletower as bt
 from bubbletower import spectral
-from bubbletower.errors import SolverError
 from bubbletower.profile import Bubble, bubble_linearization
 from bubbletower.spectral import LinearizedOperator, eigenvalue_k
 
-from conftest import CASES, SWEEP_EPS, different_grids
+from conftest import CASES, SWEEP_EPS
+from test_refusals import add_refusal_tests
 
 # frozen spectral regressions (M=4096 annulus grids; R=80, M=4096 ball grids)
 FROZEN_LAM1 = -1.525308e5  # (4, 2, 1e-3)
@@ -78,38 +78,6 @@ def test_ball_eigenvalues_match_dense_eigvalsh(N):
     assert np.max(np.abs(psi - dense)) <= 1e-12, N
 
 
-@pytest.mark.parametrize("info, m", [(1, 1), (0, 0)], ids=["info-1", "m-0"])
-def test_dstebz_failure_raises(monkeypatch, info, m):
-    op = _zero_potential_operator(M=64)
-    monkeypatch.setattr(spectral, "dstebz", lambda *args: (m, np.zeros(op.size), None, None, info))
-    with pytest.raises(SolverError, match=f"info = {info}, m = {m}") as err:
-        eigenvalue_k(op, 1)
-    assert err.value.diagnostics == {"info": info, "m": m}
-
-
-def test_a_sign_changing_first_eigenvector_is_named():
-    # d = 2, e = 1: the lowest mode alternates in sign; e = 0: it is not simple. Either way an
-    # off-diagonal is not negative, so Perron-Frobenius does not hold
-    for e in (1.0, 0.0):
-        op = LinearizedOperator(None, np.full(31, 2.0), np.full(30, e))
-        with pytest.raises(SolverError, match=r"^first eigenvector is not positive") as err:
-            spectral.first_eigenpair(op)
-        assert err.value.diagnostics["max_offdiagonal"] == e
-
-
-@pytest.mark.parametrize("j", [2, 3])
-def test_factorizations_that_do_not_overlap_are_named(monkeypatch, j):
-    # at lambda_2 or lambda_3 in place of lambda_1 the top-down pivots turn nonpositive before the
-    # bottom-up ones start: no twist holds both, and the error is named, not numpy's argmin's
-    op = _zero_potential_operator(M=64)
-    lam = eigenvalue_k(op, j)
-    monkeypatch.setattr(spectral, "dstebz", lambda *args: (1, np.array([lam]), None, None, 0))
-    with pytest.raises(SolverError, match=r"^first eigenvector is not positive") as err:
-        spectral.first_eigenpair(op)
-    lo, hi = err.value.diagnostics["overlap"]
-    assert lo > hi
-
-
 def test_zero_potential_first_eigenvalue():
     # -Delta on the (0.5, 1) annulus: sin(2 pi (r - 1/2))/r, eigenvalue 4 pi^2
     op = _zero_potential_operator()
@@ -126,34 +94,9 @@ def test_constant_potential_shifts_exactly():
     assert abs((eigenvalue_k(opc, 1) + c) - eigenvalue_k(op0, 1)) <= 1e-10
 
 
-def test_assemble_rejects_negative_potential():
-    g = bt.build_grid(0.5, 1.0, 64, N=3)
-    with pytest.raises(ValueError):
-        bt.assemble_operator(g, bt.RadialField(g, -np.ones(g.nodes.size)))
-
-
-def test_assemble_rejects_a_potential_on_another_grid():
-    # a uniform (0.5, 1) potential on a log (1e-2, 1) grid gave lambda_1 = 13.69
-    g = bt.build_grid(1e-2, 1.0, 1024, "log", 4)
-    elsewhere = bt.build_grid(0.5, 1.0, 1024, "uniform", 4)
-    with pytest.raises(ValueError, match=different_grids(elsewhere, g)):
-        bt.assemble_operator(g, bt.RadialField(elsewhere, np.ones(elsewhere.nodes.size)))
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_assemble_rejects_non_finite_potential(bad):
-    g = bt.build_grid(0.5, 1.0, 64, N=3)
-    V = np.zeros(g.nodes.size)
-    V[10] = bad
-    with pytest.raises(ValueError, match="finite"):
-        bt.assemble_operator(g, bt.RadialField(g, V))
-
-
 def test_eigenvalue_index_bounds():
+    # j = 0, size + 1 and 1.5 are refused (rows of test_refusals.py)
     op = _zero_potential_operator(M=64)
-    for j in (0, op.size + 1, 1.5):  # j = 1.5 used to give lambda_1
-        with pytest.raises(ValueError, match=rf"^eigenvalue index j must be an integer in 1\.\.63, got {j}$"):
-            eigenvalue_k(op, j)
     assert eigenvalue_k(op, np.int64(2)) == eigenvalue_k(op, 2)  # numpy integers index
 
 
@@ -248,13 +191,6 @@ def test_inner_product_regression(case_solutions, case_pairs):
     assert abs(out["inner_product"] - FROZEN_IP) <= 1e-5 * FROZEN_IP
 
 
-def test_sign_condition_rejects_zero_eigenvalue(case_solutions, case_pairs):
-    sol = case_solutions[(4, 2, 1e-3)]
-    fake = bt.EigenPair(lam=0.0, phi=case_pairs[(4, 2, 1e-3)].phi, residual=0.0)
-    with pytest.raises(SolverError):
-        bt.sign_condition(sol, fake)
-
-
 def test_mesh_independence(case_solutions, case_pairs, solution_hi, pair_hi):
     lo_pair = case_pairs[(4, 2, 1e-3)]
     assert abs(pair_hi.lam - lo_pair.lam) <= 1e-4 * abs(lo_pair.lam)
@@ -297,23 +233,6 @@ def test_limit_pair_and_overlap_n3(limit_pair3):
     assert abs(c3 - FROZEN_C3) <= 1e-6 * FROZEN_C3
 
 
-def test_limit_eigenpair_validation():
-    with pytest.raises(ValueError):
-        bt.limit_eigenpair(4, 5.0, 512)
-    with pytest.raises(ValueError, match=r"^M must be an integer, got 4096\.0$"):
-        bt.limit_eigenpair(4, 80.0, 4096.0)
-
-
-def test_limit_scan_refuses_a_fractional_dimension_before_any_eigen_solve(monkeypatch):
-    # N = 4.5 returned lambda* = -5.2110
-    def no_solve(*args):
-        raise AssertionError("an eigen-solve started")
-
-    monkeypatch.setattr(spectral, "first_eigenpair", no_solve)
-    with pytest.raises(ValueError, match=r"^N must be an integer, got 4\.5$"):
-        bt.limit_scan(4.5)
-
-
 def test_scaled_eigenvalue_diagnostic(sweep_solutions, sweep_pairs, limit4):
     lam_star = limit4["lambda_star"]
     for eps in SWEEP_EPS:
@@ -324,28 +243,6 @@ def test_scaled_eigenvalue_diagnostic(sweep_solutions, sweep_pairs, limit4):
         # the rescaled eigenvalue sits at the right magnitude for every eps
         assert 0.5 <= out["lambda_tilde"] / lam_star <= 2.0
         assert out["gap_to_limit"] == abs(out["lambda_tilde"] - lam_star)
-
-
-@pytest.mark.parametrize("deltas", (np.array([]), None), ids=("empty", "none"))
-@pytest.mark.parametrize(
-    "diagnostic",
-    (
-        lambda sol, pair: bt.scaled_eigenvalue_diagnostic(sol, pair, -4.0),
-        lambda sol, pair: bt.scaled_eigenfunction_distance(sol, pair, pair),
-        bt.sign_condition,
-    ),
-    ids=("scaled_eigenvalue", "eigenfunction_distance", "sign_condition"),
-)
-def test_diagnostics_name_missing_concentration_scales(diagnostic, deltas):
-    # a solution posed through the public constructor, with no measured scales
-    g = bt.build_grid(0.5, 1.0, 64, N=4)
-    bump = np.sin(np.pi * (g.nodes - 0.5) / 0.5)
-    bump[0] = bump[-1] = 0.0
-    field = bt.RadialField(g, bump, dirichlet=True)
-    sol = bt.StationarySolution(bt.ProblemParams(4, 1, 0.5), field, np.array([]), deltas, 1.0, 0.0)
-    pair = bt.EigenPair(lam=-1.0, phi=field, residual=0.0)
-    with pytest.raises(ValueError, match="no measured concentration scales"):
-        diagnostic(sol, pair)
 
 
 def test_scaled_eigenvalue_gap_falls_past_its_peak(sweep_solutions, sweep_pairs, limit4):
@@ -360,24 +257,6 @@ def test_scaled_eigenvalue_gap_falls_past_its_peak(sweep_solutions, sweep_pairs,
     assert all(a > b for a, b in zip(gaps, gaps[1:])), gaps
 
 
-def test_diagnostics_refuse_the_eigenpair_of_another_tower(sweep_solutions, sweep_pairs, limit4, limit_pair4):
-    # the (4,2,1e-3) pair on the (4,2,1e-2) tower: lambda_tilde read -152.5 instead of -6.518
-    sol, pair = sweep_solutions[1e-2], sweep_pairs[1e-3]
-    mismatch = different_grids(pair.phi.grid, sol.field.grid)
-    with pytest.raises(ValueError, match=mismatch):
-        bt.scaled_eigenvalue_diagnostic(sol, pair, limit4["lambda_star"])
-    with pytest.raises(ValueError, match=mismatch):
-        bt.scaled_eigenfunction_distance(sol, pair, limit_pair4)
-    with pytest.raises(ValueError, match=different_grids(sol.field.grid, pair.phi.grid)):
-        bt.sign_condition(sol, pair)
-
-
-def test_eigenfunction_distance_refuses_a_limit_pair_of_another_dimension(sweep_solutions, sweep_pairs, limit_pair3):
-    # the N = 3 limit pair against an N = 4 tower read 0.4529 instead of 0.4359
-    with pytest.raises(ValueError, match=r"^the grid has dimension N = 3 but the params have N = 4$"):
-        bt.scaled_eigenfunction_distance(sweep_solutions[1e-2], sweep_pairs[1e-2], limit_pair3)
-
-
 def test_scaled_eigenfunction_distance_decreases(sweep_solutions, sweep_pairs, limit_pair4):
     dists = [
         bt.scaled_eigenfunction_distance(sweep_solutions[eps], sweep_pairs[eps], limit_pair4)
@@ -385,3 +264,6 @@ def test_scaled_eigenfunction_distance_decreases(sweep_solutions, sweep_pairs, l
     ]
     assert dists[0] > dists[1] > dists[2]
     assert dists[2] <= 0.2
+
+
+add_refusal_tests(globals())

@@ -13,6 +13,7 @@ from bubbletower.stationary import _interior_zeros, _lobe_clock, _lobe_time, _ti
 
 from conftest import CASES
 from oracles import oracle_slope
+from test_refusals import add_refusal_tests
 
 # converged shooting slopes, frozen from a slope scan + Brent on the terminal
 # value of a DOP853 shot at rtol 1e-10 (the time map reproduces them to about
@@ -44,12 +45,6 @@ def test_shoot_odd_symmetry():
     b = bt.shoot(params, -5.0, grid)
     assert np.max(np.abs(a.values)) > 0
     assert np.array_equal(b.values, -a.values)
-
-
-def test_shoot_rejects_nonfinite_slope():
-    params = bt.ProblemParams(3, 2, 1e-2)
-    with pytest.raises(ValueError):
-        bt.shoot(params, float("nan"), _shoot_grid(params))
 
 
 def _whole_interval_orbit(params, s, nodes):
@@ -100,13 +95,6 @@ def test_shot_ends_at_the_first_turn(monkeypatch, k):
     bt.shoot(params, s_star, _shoot_grid(params))
     assert len(half_lobes) == 1
     assert abs(half_lobes[0] + math.log(params.eps) / (2 * k)) <= 1e-9
-
-
-def test_shoot_rejects_a_launch_below_the_clocks_range():
-    # a launch speed of 1e-123 puts log y near -566, past the table's -512
-    params = bt.ProblemParams(3, 2, 1e-2)
-    with pytest.raises(SolverError, match="below the lobe clock's range"):
-        bt.shoot(params, 1e-120, _shoot_grid(params))
 
 
 def test_zero_count_transitions_with_slope():
@@ -186,77 +174,12 @@ def test_scaling_law_single_lobe():
     assert abs(out["exponents"][1] - 0.5) <= 0.1
 
 
-def test_scaling_law_input_validation(sweep_solutions, case_solutions):
-    tower = sweep_solutions[1e-2]
-    with pytest.raises(ValueError, match="need >= 3 eps values"):
-        bt.verify_scaling_law(dict.fromkeys((1e-2, 1e-3), tower))
-    with pytest.raises(ValueError, match="span at least one decade"):
-        bt.verify_scaling_law(dict.fromkeys((1e-2, 9e-3, 8e-3), tower))
-    swapped = {1e-2: sweep_solutions[1e-3], 1e-3: sweep_solutions[1e-2], 1e-4: sweep_solutions[1e-4]}
-    with pytest.raises(ValueError, match=r"other than their own: \[0.01, 0.001\]$"):
-        bt.verify_scaling_law(swapped)
-    mixed = {**sweep_solutions, 1e-3: case_solutions[(3, 2, 1e-3)]}
-    with pytest.raises(ValueError, match=r"one \(N, k\) are needed, got \[\(3, 2\), \(4, 2\)\]"):
-        bt.verify_scaling_law(mixed)
-
-
-def test_unconverged_solve_raises_naming_its_cause():
-    # a residual gate below the rounding floor cannot be met: the solve
-    # reports the stall and its residual instead of returning a field
-    with pytest.raises(SolverError, match="Newton refinement stalled at scaled residual"):
-        bt.find_nodal_solution(bt.ProblemParams(4, 2, 1e-3), M=1024, residual_tol=1e-30)
-
-
-def test_params_reject_a_tower_without_bubbles():
-    with pytest.raises(ValueError, match=r"^tower count k must be >= 1, got 0$"):
-        bt.ProblemParams(3, 0, 1e-2)
-
-
-@pytest.mark.parametrize("args, name, value", [((4, 2.5, 1e-3), "k", "2.5"), ((4.5, 2, 1e-3), "N", "4.5")])
-def test_params_require_an_integer_dimension_and_tower_count(args, name, value):
-    # k = 2.5 used to stall in the Newton polish, and N = 4.5 to solve a tower with p = 2.6
-    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value}$"):
-        bt.ProblemParams(*args)
-    assert bt.ProblemParams(np.int64(4), np.int32(2), 1e-3).p == 3.0  # numpy integers index
-
-
 @pytest.mark.filterwarnings("error")
 def test_the_shot_takes_no_power_of_a_negative_rounded_sine():
     # the shot's Newton steps evaluated the clock's rate at tau = -6e-17, where sin(theta) = -3e-15
     # and, for N = 8, sin^(2/3) of it was NaN
     sol = bt.find_nodal_solution(bt.ProblemParams(8, 5, 0.9), M=256)
     assert sol.residual_norm <= 1e-8
-
-
-def _shot_of(values_of):
-    """A stand-in for `stationary.shoot` that returns values_of(nodes) with zero ends."""
-
-    def shot(params, s, grid):
-        vals = values_of(grid.nodes)
-        vals[0] = vals[-1] = 0.0
-        return bt.RadialField(grid, vals, dirichlet=True)
-
-    return shot
-
-
-@pytest.mark.parametrize(
-    "k, cause",
-    [(2, r"^refined solution has 0 interior zeros, expected 1$"), (1, r"^solution collapsed toward zero")],
-)
-def test_a_shot_that_collapses_to_zero_is_named(monkeypatch, k, cause):
-    # Newton keeps the zero field, a stationary solution with no lobe: too few zeros for k = 2, and
-    # for k = 1 no mass
-    monkeypatch.setattr(stationary, "shoot", _shot_of(np.zeros_like))
-    with pytest.raises(SolverError, match=cause):
-        bt.find_nodal_solution(bt.ProblemParams(3, k, 1e-2), M=256)
-
-
-def test_the_collapse_message_gives_the_peak_and_its_bound(monkeypatch):
-    # the zero field has sup|u|^{p-1} = 0 against pi^2/(1 - 0.01)^2
-    monkeypatch.setattr(stationary, "shoot", _shot_of(np.zeros_like))
-    with pytest.raises(SolverError, match=r"^solution collapsed toward zero: sup\|u\|\^\(p-1\) = 0\.000e\+00 < "
-                       r"pi\^2/\(1-eps\)\^2 = 1\.007e\+01$"):
-        bt.find_nodal_solution(bt.ProblemParams(3, 1, 1e-2), M=256)
 
 
 @pytest.mark.parametrize("N", [4, 6])
@@ -281,6 +204,11 @@ def test_a_sign_change_through_an_exact_zero_is_counted():
     assert _interior_zeros(bt.RadialField(g, vals * vals)).tolist() == []
 
 
+def test_params_take_numpy_integers():
+    # N and k must be integers (rows of test_refusals.py); numpy's integers index, so they are
+    assert bt.ProblemParams(np.int64(4), np.int32(2), 1e-3).p == 3.0
+
+
 def test_newton_polish_stops_at_a_zero_residual():
     # the zero field solves the discrete problem exactly: no step can cut a residual of 0
     params = bt.ProblemParams(3, 2, 1e-2)
@@ -288,30 +216,6 @@ def test_newton_polish_stops_at_a_zero_residual():
     u, hist = stationary._newton_refine(zero, params)
     assert hist == [0.0]
     assert not np.any(u.values)
-
-
-def test_a_non_finite_shot_is_named(monkeypatch):
-    monkeypatch.setattr(stationary, "shoot", _shot_of(lambda r: np.full_like(r, np.nan)))
-    with pytest.raises(SolverError, match=r"^non-finite Newton residual nan at the initial field$") as err:
-        bt.find_nodal_solution(bt.ProblemParams(3, 2, 1e-2), M=256)
-    assert math.isnan(err.value.diagnostics["history"][0])
-
-
-def test_a_singular_newton_system_is_named(monkeypatch):
-    monkeypatch.setattr(stationary, "dgtsv", lambda dl, d, du, b: (dl, d, du, b, 1))
-    with pytest.raises(SolverError, match=r"^singular Newton system: zero pivot in row 1$"):
-        bt.find_nodal_solution(bt.ProblemParams(3, 2, 1e-2), M=256)
-
-
-@pytest.mark.parametrize(
-    "N, k, eps, cause",
-    [(40, 1, 1e-20, "no root of k T"), (40, 4, 1e-20, "shooting slope overflows")],
-)
-def test_time_map_out_of_range_raises_naming_the_case(N, k, eps, cause):
-    # root past |log y| = 512, and a root whose slope a eps^{-N/2} overflows
-    with pytest.raises(SolverError, match=cause) as err:
-        bt.find_nodal_solution(bt.ProblemParams(N, k, eps), M=64)
-    assert f"(N, k, eps) = ({N}, {k}, {eps:g})" in str(err.value)
 
 
 def _log_launch_slope(params, log_y):
@@ -401,42 +305,6 @@ def test_robustness_matrix_solves_or_names_the_cause():
         assert msg.startswith("Newton refinement stalled at scaled residual"), msg
 
 
-@pytest.fixture(scope="module")
-def small_tower():
-    return bt.find_nodal_solution(bt.ProblemParams(4, 2, 1e-2), M=512)
-
-
-def test_residual_rejects_params_of_another_dimension(small_tower):
-    # with N = 3 the residual of the N = 4 tower reads 2.4e9 instead of rounding
-    with pytest.raises(ValueError, match=r"^the grid has dimension N = 4 but the params have N = 3$"):
-        bt.stationary_residual(small_tower.field, bt.ProblemParams(3, 2, 1e-2))
-
-
-def test_shoot_rejects_a_grid_of_another_dimension(small_tower):
-    with pytest.raises(ValueError, match=r"^the grid has dimension N = 4 but the params have N = 3$"):
-        bt.shoot(bt.ProblemParams(3, 2, 1e-2), small_tower.shooting_slope, small_tower.field.grid)
-
-
-@pytest.mark.parametrize("inner, outer", [(1e-2, 1.0), (1e-4, 1.0), (1e-3, 2.0)])
-def test_shoot_rejects_a_grid_on_another_interval(inner, outer):
-    # eps = 1e-3 on a (1e-2, 1) grid zeroed an end where the orbit reads 125; on (1e-4, 1) the
-    # nodes inside the hole took values
-    params = bt.ProblemParams(4, 2, 1e-3)
-    grid = bt.build_grid(inner, outer, 256, "log", 4)
-    with pytest.raises(ValueError, match=rf"^the grid spans \[{inner!r}, {outer!r}\] but the params need \[0\.001, 1\.0\]$"):
-        bt.shoot(params, 1e6, grid)
-
-
-def test_a_fractional_cell_count_is_refused_before_the_shot(monkeypatch):
-    # M = 1000.5 solved on a grid whose last cell was half as wide as the others
-    def no_shot(*args):
-        raise AssertionError("a shot started")
-
-    monkeypatch.setattr(stationary, "shoot", no_shot)
-    with pytest.raises(ValueError, match=r"^M must be an integer, got 1000\.5$"):
-        bt.find_nodal_solution(bt.ProblemParams(4, 2, 1e-2), M=1000.5)
-
-
 def test_the_ball_residual_keeps_its_regularity_row():
     # r = 0 is an unknown of a ball grid; its residual read 0.0 where the row gives -0.0345
     g = bt.build_grid(0.0, 20.0, 512, "uniform", 4)
@@ -453,3 +321,6 @@ def test_residual_field_vanishes_at_solution(case_solutions):
     res = bt.stationary_residual(sol.field, sol.params)
     scale = float(np.max(np.abs(sol.params.reaction(sol.field.values))))
     assert float(np.max(np.abs(res.values))) <= 1e-8 * scale
+
+
+add_refusal_tests(globals())
